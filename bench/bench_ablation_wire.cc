@@ -23,7 +23,6 @@ int main(int argc, char** argv) {
       config.num_peers = 1000;
       config.num_super_peers = 50;
       config.seed = options.seed;
-      config.measure_cpu = false;
       if (full == 1) {
         // Shipping all d coordinates: model it by inflating the
         // per-point cost. PointBytes(k) = (k+1)*coord + id; to charge

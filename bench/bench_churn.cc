@@ -48,9 +48,6 @@ int main(int argc, char** argv) {
   base.page_size = options.page_size;
   base.buffer_pages = options.buffer_pages;
   base.cost_model = options.cost_model;
-  // Virtual clocks unless the cost model is counted: maintenance charges
-  // only reach the time metrics deterministically.
-  base.measure_cpu = options.cost_model.counted();
 
   std::printf("== Churn: maintenance cost and availability under fire ==\n");
 

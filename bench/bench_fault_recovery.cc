@@ -6,8 +6,8 @@
 //   2. crashed super-peers — coverage and partial-result rate of the
 //      graceful degradation path (reroute around dead nodes, answer with
 //      the reachable stores).
-// All runs use the virtual clock only (no measured CPU), so every number
-// is bit-reproducible per seed.
+// CPU is priced from op counts (`--cost-model`, calibrated by default),
+// so every number is bit-reproducible per seed.
 
 #include "bench/bench_util.h"
 
@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   base.num_super_peers = 100;
   base.dims = 8;
   base.seed = options.seed;
-  base.measure_cpu = false;
+  base.cost_model = options.cost_model;
   base.scan_chunk_size = options.scan_chunk;
   base.speculative_rt = options.speculative_rt;
   base.reliable = true;

@@ -5,8 +5,8 @@
 // local threshold scans that `--speculative-rt` runs concurrently.
 //
 // Every cell is identity-checked: the speculative run must reproduce the
-// sequential skylines and simulated metrics (measure_cpu=false)
-// bit-for-bit; the table's last column flags any mismatch.
+// sequential skylines and simulated metrics bit-for-bit; the table's
+// last column flags any mismatch.
 
 #include <chrono>
 #include <thread>
@@ -88,8 +88,6 @@ int main(int argc, char** argv) {
   config.dims = 8;
   config.distribution = Distribution::kAnticorrelated;
   config.seed = options.seed;
-  // Simulated metrics must be bit-comparable across thread counts.
-  config.measure_cpu = false;
   // At 1 thread the speculative wave is skipped, so the same network
   // serves as its own sequential baseline.
   config.speculative_rt = true;

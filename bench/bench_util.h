@@ -55,8 +55,7 @@ namespace skypeer::bench {
 ///   --rebuild-maintenance rebuild stores from retained peer lists on
 ///                  every membership change instead of incremental
 ///                  maintenance (the cost baseline)
-///   --cost-model M CPU charging: measured (host time, default),
-///                  calibrated or unit (deterministic op-count seconds)
+///   --cost-model M op-count CPU pricing: calibrated (default) or unit
 ///   --json PATH    additionally emit the run as a BENCH_*.json report
 ///                  (series tables, per-variant metrics and op counts)
 ///   --full         paper-scale parameters (more queries, larger sweeps)
@@ -92,22 +91,20 @@ struct BenchOptions {
 
 inline CostModel CostModelForMode(CostModelMode mode) {
   switch (mode) {
-    case CostModelMode::kMeasured:
-      return CostModel::Measured();
     case CostModelMode::kCalibrated:
       return CostModel::Calibrated();
     case CostModelMode::kUnit:
       return CostModel::Unit();
   }
-  return CostModel::Measured();
+  return CostModel::Calibrated();
 }
 
 // --- JSON report -----------------------------------------------------------
 
 /// Accumulates everything a bench prints into a machine-readable
 /// `BENCH_<name>.json`. Filled as a side effect of `Table::Print` and
-/// `RunVariant`, written at process exit when `--json` was given. Under
-/// `--cost-model calibrated|unit` every emitted number is deterministic,
+/// `RunVariant`, written at process exit when `--json` was given. Every
+/// simulated number is deterministic (CPU is priced from op counts),
 /// which is what lets CI exact-diff the file against a committed baseline.
 struct BenchReport {
   std::string name;       // Basename of argv[0].
@@ -258,7 +255,7 @@ inline BenchOptions ParseArgs(int argc, char** argv) {
       CostModelMode mode;
       if (!ParseCostModelMode(argv[++i], &mode)) {
         std::fprintf(stderr,
-                     "--cost-model: '%s' is not measured|calibrated|unit\n",
+                     "--cost-model: '%s' is not calibrated|unit\n",
                      argv[i]);
         std::exit(1);
       }
@@ -276,7 +273,7 @@ inline BenchOptions ParseArgs(int argc, char** argv) {
           "[--buffer-pages N] [--cache-cap N] [--churn-events N] "
           "[--churn-rate R] [--churn-seed S] [--rebuild-maintenance] "
           "[--block-skip] [--speculative-rt] "
-          "[--cost-model measured|calibrated|unit] [--json PATH] [--full]\n",
+          "[--cost-model calibrated|unit] [--json PATH] [--full]\n",
           argv[0]);
       std::exit(0);
     } else {

@@ -1,7 +1,6 @@
 #include "skypeer/algo/merge.h"
 
 #include <algorithm>
-#include <chrono>
 #include <queue>
 #include <unordered_set>
 #include <utility>
@@ -10,16 +9,6 @@
 #include "skypeer/common/macros.h"
 
 namespace skypeer {
-
-namespace {
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-}  // namespace
 
 ResultList MergeSortedSkylines(int dims,
                                const std::vector<const ResultList*>& lists,
@@ -38,12 +27,10 @@ ResultList MergeSortedSkylines(int dims,
       stats->scanned = 0;
       stats->final_threshold = options.initial_threshold;
       stats->ops = OpCounts{};
-      stats->cpu_seconds = 0.0;
     }
     return ResultList(dims);
   }
 
-  const auto start = std::chrono::steady_clock::now();
   SkylineAccumulator accumulator(dims, u, options);
 
   // Min-heap over list heads keyed by f; ties broken by list index for
@@ -99,7 +86,6 @@ ResultList MergeSortedSkylines(int dims,
     stats->final_threshold = accumulator.threshold();
     stats->ops = accumulator.ops();
     stats->ops.merge_pulls = pulls;
-    stats->cpu_seconds = SecondsSince(start);
   }
   return accumulator.TakeResult();
 }

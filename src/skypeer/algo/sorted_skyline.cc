@@ -1,7 +1,6 @@
 #include "skypeer/algo/sorted_skyline.h"
 
 #include <algorithm>
-#include <chrono>
 #include <numeric>
 #include <vector>
 
@@ -12,13 +11,6 @@
 namespace skypeer {
 
 namespace {
-
-/// Wall seconds since `start`; charged as the scan's own work time.
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 /// Shared consume loop of every threshold-scan form: scans positions
 /// [begin, end) of `input` in ascending order, offering each point whose
@@ -456,7 +448,6 @@ ResultList SortedSkyline(const StoreView& input, Subspace u,
                          const ThresholdScanOptions& options,
                          ThresholdScanStats* stats) {
   SKYPEER_DCHECK(input.list() == nullptr || input.list()->IsSorted());
-  const auto start = std::chrono::steady_clock::now();
   SkylineAccumulator accumulator(input.dims(), u, options);
   if (options.filter != nullptr && !options.filter->empty()) {
     accumulator.SeedWindow(*options.filter);
@@ -470,7 +461,6 @@ ResultList SortedSkyline(const StoreView& input, Subspace u,
     stats->final_threshold = accumulator.threshold();
     stats->ops = accumulator.ops();
     stats->ops += scan_ops;
-    stats->cpu_seconds = SecondsSince(start);
   }
   return accumulator.TakeResult();
 }
@@ -488,7 +478,6 @@ ResultList TracedSortedSkyline(const StoreView& input, Subspace u,
   trace->block_skip = false;
   trace->block_rejected.clear();
 
-  const auto start = std::chrono::steady_clock::now();
   SkylineAccumulator accumulator(input.dims(), u, options);
   if (options.filter != nullptr && !options.filter->empty()) {
     // The filter is baked into the recorded accept/evict decisions, so
@@ -505,7 +494,6 @@ ResultList TracedSortedSkyline(const StoreView& input, Subspace u,
     stats->final_threshold = accumulator.threshold();
     stats->ops = accumulator.ops();
     stats->ops += scan_ops;
-    stats->cpu_seconds = SecondsSince(start);
   }
   return accumulator.TakeResult();
 }
@@ -513,7 +501,6 @@ ResultList TracedSortedSkyline(const StoreView& input, Subspace u,
 ResultList ReplayScanTrace(const StoreView& input, const ScanTrace& trace,
                            double threshold_in, ThresholdScanStats* stats) {
   SKYPEER_CHECK(threshold_in <= trace.threshold_in);
-  const auto start = std::chrono::steady_clock::now();
   // The running threshold under the tighter start is min(threshold_in,
   // running threshold of the recorded scan) at every position, so the
   // replayed scan stops within the recorded prefix: past its cut the
@@ -594,7 +581,6 @@ ResultList ReplayScanTrace(const StoreView& input, const ScanTrace& trace,
         }
       }
     }
-    stats->cpu_seconds = SecondsSince(start);
   }
   return result;
 }
@@ -642,7 +628,6 @@ ResultList ParallelSortedSkyline(const StoreView& input, Subspace u,
   const ResultList* later_seed = nullptr;
 
   const auto scan_chunk = [&](size_t c, double seed) {
-    const auto chunk_start = std::chrono::steady_clock::now();
     ThresholdScanOptions chunk_options = options;
     chunk_options.initial_threshold = seed;
     SkylineAccumulator accumulator(dims, u, chunk_options);
@@ -673,9 +658,6 @@ ResultList ParallelSortedSkyline(const StoreView& input, Subspace u,
     chunk_stats[c].ops = accumulator.ops();
     chunk_stats[c].ops += scan_ops;
     chunk_results[c] = accumulator.TakeResult();
-    // Self-measured work time of this chunk on its executing thread;
-    // pool queueing time never enters the sum.
-    chunk_stats[c].cpu_seconds = SecondsSince(chunk_start);
   };
 
   // Chunk 0 — the prefix the sequential scan would consume first — runs
@@ -751,26 +733,21 @@ ResultList ParallelSortedSkyline(const StoreView& input, Subspace u,
   }
   std::vector<uint64_t> payloads(total);
   std::iota(payloads.begin(), payloads.end(), uint64_t{0});
-  const auto filter_start = std::chrono::steady_clock::now();
   const RTree tree = RTree::BulkLoad(k, proj.data(), payloads.data(), total);
-  const double bulk_load_s = SecondsSince(filter_start);
   std::vector<uint8_t> keep(total, 0);
   constexpr size_t kFilterBlock = 1024;
   const size_t num_blocks = (total + kFilterBlock - 1) / kFilterBlock;
-  // Per-block local counters/timers, folded in block order afterwards:
+  // Per-block local counters, folded in block order afterwards:
   // the shared tree is traversed concurrently, so counting through a
   // shared accumulator would race (and break cross-thread determinism).
   std::vector<uint64_t> block_visits(num_blocks, 0);
-  std::vector<double> block_cpu(num_blocks, 0.0);
   pool->ParallelFor(num_blocks, [&](size_t b) {
-    const auto block_start = std::chrono::steady_clock::now();
     const size_t begin = b * kFilterBlock;
     const size_t end = std::min(total, begin + kFilterBlock);
     for (size_t i = begin; i < end; ++i) {
       keep[i] = !tree.AnyDominates(proj.data() + i * static_cast<size_t>(k),
                                    options.ext, &block_visits[b]);
     }
-    block_cpu[b] = SecondsSince(block_start);
   });
 
   // Concatenating in chunk order restores the original (f, position)
@@ -795,20 +772,15 @@ ResultList ParallelSortedSkyline(const StoreView& input, Subspace u,
   if (stats != nullptr) {
     stats->scanned = 0;
     stats->ops = OpCounts{};
-    stats->cpu_seconds = 0.0;
     // Fixed summation order (chunks ascending, then the cross-filter's
-    // bulk load and blocks ascending) keeps both the counts and the
-    // measured-seconds sum independent of scheduling.
+    // blocks ascending) keeps the counts independent of scheduling.
     for (const ThresholdScanStats& chunk : chunk_stats) {
       stats->scanned += chunk.scanned;
       stats->ops += chunk.ops;
-      stats->cpu_seconds += chunk.cpu_seconds;
     }
     stats->ops.sort_steps += SortCost(total);
-    stats->cpu_seconds += bulk_load_s;
     for (size_t b = 0; b < num_blocks; ++b) {
       stats->ops.rtree_node_visits += block_visits[b];
-      stats->cpu_seconds += block_cpu[b];
     }
     stats->final_threshold = final_threshold;
   }

@@ -91,10 +91,6 @@ struct ThresholdScanStats {
   /// scan, and chunked parallel scans sum per-chunk counts in chunk
   /// order, so `ops` is identical across thread counts and kernels.
   OpCounts ops;
-  /// Host wall seconds of the scan's own work (per-chunk work summed for
-  /// parallel scans — pool queueing time is excluded). Only meaningful
-  /// to the measured cost model.
-  double cpu_seconds = 0.0;
 };
 
 /// \brief Recorded event log of one sequential threshold scan, sufficient

@@ -8,8 +8,6 @@ namespace skypeer {
 
 const char* CostModelModeName(CostModelMode mode) {
   switch (mode) {
-    case CostModelMode::kMeasured:
-      return "measured";
     case CostModelMode::kCalibrated:
       return "calibrated";
     case CostModelMode::kUnit:
@@ -19,9 +17,7 @@ const char* CostModelModeName(CostModelMode mode) {
 }
 
 bool ParseCostModelMode(const std::string& name, CostModelMode* mode) {
-  if (name == "measured") {
-    *mode = CostModelMode::kMeasured;
-  } else if (name == "calibrated") {
+  if (name == "calibrated") {
     *mode = CostModelMode::kCalibrated;
   } else if (name == "unit") {
     *mode = CostModelMode::kUnit;

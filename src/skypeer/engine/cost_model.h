@@ -7,12 +7,9 @@
 
 namespace skypeer {
 
-/// How super-peers convert local computation into virtual CPU seconds.
+/// How super-peers convert counted local computation into virtual CPU
+/// seconds. Both modes are op-count models: nothing reads the host clock.
 enum class CostModelMode {
-  /// Charge measured host wall time (per-thread work time for chunked
-  /// scans). Reflects this build's real relative costs but jitters
-  /// run-to-run and machine-to-machine.
-  kMeasured,
   /// Charge counted operations times calibrated per-op constants.
   /// Bit-reproducible across runs, thread counts, kernel dispatch and
   /// machines.
@@ -24,7 +21,7 @@ enum class CostModelMode {
 
 const char* CostModelModeName(CostModelMode mode);
 
-/// Parses "measured" | "calibrated" | "unit" into `*mode`. Returns false
+/// Parses "calibrated" | "unit" into `*mode`. Returns false
 /// on anything else.
 bool ParseCostModelMode(const std::string& name, CostModelMode* mode);
 
@@ -37,7 +34,7 @@ bool ParseCostModelMode(const std::string& name, CostModelMode* mode);
 /// fixed profile yields bit-identical metrics everywhere, so the
 /// absolute scale only matters for realism, never for reproducibility.
 struct CostModel {
-  CostModelMode mode = CostModelMode::kMeasured;
+  CostModelMode mode = CostModelMode::kCalibrated;
 
   // Per-operation costs in seconds.
   double dominance_test_s = 2.0e-9;
@@ -60,10 +57,6 @@ struct CostModel {
   /// Virtual seconds for `ops` under this profile.
   double Seconds(const OpCounts& ops) const;
 
-  /// True when CPU charges come from op counts (calibrated or unit).
-  bool counted() const { return mode != CostModelMode::kMeasured; }
-
-  static CostModel Measured() { return CostModel{CostModelMode::kMeasured}; }
   static CostModel Calibrated() {
     return CostModel{CostModelMode::kCalibrated};
   }

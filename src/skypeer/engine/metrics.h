@@ -90,11 +90,11 @@ struct PreprocessStats {
   size_t peer_ext_points = 0;
   /// Sum of merged super-peer store sizes — what super-peers retain.
   size_t super_peer_ext_points = 0;
-  /// CPU seconds spent by peers computing local extended skylines.
-  /// Measured host time under the measured cost model; deterministic
-  /// model seconds under calibrated/unit.
+  /// CPU seconds spent by peers computing local extended skylines:
+  /// `cost_model.Seconds(peer_ops)`.
   double peer_cpu_s = 0.0;
-  /// CPU seconds spent by super-peers merging.
+  /// CPU seconds spent by super-peers merging:
+  /// `cost_model.Seconds(super_peer_ops)`.
   double super_peer_cpu_s = 0.0;
   /// Op counts of the peer phase (local extended skylines), summed in
   /// peer order.

@@ -1,7 +1,6 @@
 #include "skypeer/engine/network_builder.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include <limits>
@@ -297,7 +296,6 @@ PreprocessStats SkypeerNetwork::Preprocess() {
     PointSet data{1};
     ResultList ext{1};
     size_t data_size = 0;
-    double cpu_s = 0.0;
     OpCounts ops;
   };
   std::vector<PeerJob> jobs;
@@ -351,14 +349,10 @@ PreprocessStats SkypeerNetwork::Preprocess() {
         break;
     }
     job.data_size = data.size();
-    const auto start = std::chrono::steady_clock::now();
     // What Peer::ComputeExtendedSkyline runs.
     ThresholdScanStats scan_stats;
     job.ext = ExtendedSkyline(data, &scan_stats);
     job.ops = scan_stats.ops;
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    job.cpu_s = elapsed.count();
     if (config_.retain_peer_data) {
       job.data = std::move(data);
     }
@@ -376,27 +370,22 @@ PreprocessStats SkypeerNetwork::Preprocess() {
           job.first_id, job.first_id + static_cast<PointId>(job.data_size)};
     }
     stats.peer_ops += job.ops;
-    stats.peer_cpu_s += config_.cost_model.counted()
-                            ? config_.cost_model.Seconds(job.ops)
-                            : job.cpu_s;
     stats.peer_ext_points += job.ext.size();
     super_peers_[job.sp]->AddPeerList(job.peer_id, std::move(job.ext));
   }
   jobs.clear();
 
   // Phase 4 (parallel): each super-peer merges its uploaded lists.
-  std::vector<double> merge_cpu_s(overlay_.num_super_peers(), 0.0);
   std::vector<OpCounts> merge_ops(overlay_.num_super_peers());
   pool()->ParallelFor(overlay_.num_super_peers(), [&](size_t sp) {
-    merge_cpu_s[sp] = super_peers_[sp]->FinalizePreprocessing(&merge_ops[sp]);
+    super_peers_[sp]->FinalizePreprocessing(&merge_ops[sp]);
   });
   for (int sp = 0; sp < overlay_.num_super_peers(); ++sp) {
     stats.super_peer_ops += merge_ops[sp];
-    stats.super_peer_cpu_s += config_.cost_model.counted()
-                                  ? config_.cost_model.Seconds(merge_ops[sp])
-                                  : merge_cpu_s[sp];
     stats.super_peer_ext_points += super_peers_[sp]->StoreSize();
   }
+  stats.peer_cpu_s = config_.cost_model.Seconds(stats.peer_ops);
+  stats.super_peer_cpu_s = config_.cost_model.Seconds(stats.super_peer_ops);
   total_points_ = stats.total_points;
   next_peer_id_ = config_.num_peers;
   next_point_id_ =
@@ -523,7 +512,6 @@ SkypeerNetwork::RunOutcome SkypeerNetwork::RunOnce(
   simulator_.SetAllLinkParams(params);
   for (auto& sp : super_peers_) {
     sp->ResetProtocolState();
-    sp->set_measure_cpu(config_.measure_cpu);
   }
 
   // Scheduled-churn maintenance ticks riding on this query (see

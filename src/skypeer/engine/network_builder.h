@@ -46,15 +46,10 @@ struct NetworkConfig {
   /// Keep every raw peer partition concatenated for ground-truth
   /// verification (memory-heavy; tests only).
   bool retain_peer_data = false;
-  /// Charge measured host CPU to virtual clocks. Disable for
-  /// deterministic transfer-only analyses.
-  bool measure_cpu = true;
-  /// How local computation is priced into virtual CPU seconds: measured
-  /// host time of this run (default, noisy but hardware-faithful), or
-  /// deterministic seconds derived from counted operations
-  /// (`CostModel::Calibrated()` / `Unit()`), which make every simulated
-  /// time bit-reproducible across runs, hosts, thread counts and kernel
-  /// dispatch. Ignored while `measure_cpu` is false.
+  /// How counted local operations are priced into virtual CPU seconds
+  /// (`CostModel::Calibrated()` by default, or `Unit()`). Every simulated
+  /// time is bit-reproducible across runs, hosts, thread counts and
+  /// kernel dispatch.
   CostModel cost_model;
   /// Support peer churn (JoinPeer / RemovePeer) after pre-processing:
   /// super-peers retain the uploaded per-peer lists (memory ~ SEL_p of
@@ -136,8 +131,7 @@ struct NetworkConfig {
   /// super-peer pre-scans concurrently under the initiator's fixed
   /// threshold (an upper bound on any refined value) and the result is
   /// reconciled exactly when the true refined threshold arrives. Results,
-  /// volume, messages and simulated times (measure_cpu=false) are
-  /// bit-identical to the sequential execution at any thread count; only
+  /// volume, messages and simulated times are bit-identical to the sequential execution at any thread count; only
   /// host wall-clock time changes. No effect on naive/FT*M (which PR 1's
   /// non-speculative staging already parallelizes) or below 2 threads.
   bool speculative_rt = false;

@@ -37,6 +37,21 @@ bool ReadU64(std::FILE* file, uint64_t* value) {
   return std::fread(value, sizeof(*value), 1, file) == 1;
 }
 
+/// Bytes between the read position and the end of `file`; false when
+/// the file cannot be positioned.
+bool BytesLeft(std::FILE* file, uint64_t* left) {
+  const long pos = std::ftell(file);
+  if (pos < 0 || std::fseek(file, 0, SEEK_END) != 0) {
+    return false;
+  }
+  const long end = std::ftell(file);
+  if (end < pos || std::fseek(file, pos, SEEK_SET) != 0) {
+    return false;
+  }
+  *left = static_cast<uint64_t>(end - pos);
+  return true;
+}
+
 }  // namespace
 
 Status SaveStores(const SkypeerNetwork& network, const std::string& path) {
@@ -97,7 +112,11 @@ Status LoadStores(SkypeerNetwork* network, const std::string& path) {
   stores.reserve(num_super_peers);
   for (uint32_t sp = 0; sp < num_super_peers; ++sp) {
     uint64_t encoded_size = 0;
-    if (!ReadU64(file.get(), &encoded_size)) {
+    uint64_t left = 0;
+    // The length comes from the file: bound it by the bytes actually
+    // there before allocating, so a corrupt length fails cleanly.
+    if (!ReadU64(file.get(), &encoded_size) ||
+        !BytesLeft(file.get(), &left) || encoded_size > left) {
       return Status::InvalidArgument("truncated snapshot");
     }
     std::vector<uint8_t> encoded(encoded_size);

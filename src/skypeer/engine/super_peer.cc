@@ -1,7 +1,6 @@
 #include "skypeer/engine/super_peer.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <unordered_map>
 #include <unordered_set>
@@ -16,39 +15,15 @@
 
 namespace skypeer {
 
-namespace {
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  return std::max(0.0, elapsed.count());
-}
-
-}  // namespace
-
-void SuperPeer::ChargeOps(sim::Simulator* simulator, const OpCounts& ops,
-                          double measured_s) {
+void SuperPeer::ChargeOps(sim::Simulator* simulator, const OpCounts& ops) {
   query_ops_ += ops;
-  if (!measure_cpu_) {
-    return;
-  }
-  if (cost_.counted()) {
-    simulator->ChargeCpu(cost_.Seconds(ops));
-  } else {
-    simulator->ChargeCpu(std::max(0.0, measured_s));
-  }
+  simulator->ChargeCpu(cost_.Seconds(ops));
 }
 
 void SuperPeer::ChargeSerialization(sim::Simulator* simulator, size_t bytes) {
   OpCounts ops;
   ops.bytes_serialized = bytes;
-  query_ops_ += ops;
-  // The measured model never charged marshalling (wire cost lives in the
-  // link model); counted models price it so the charge — and thus the
-  // departure shift — is deterministic.
-  if (measure_cpu_ && cost_.counted()) {
-    simulator->ChargeCpu(cost_.Seconds(ops));
-  }
+  ChargeOps(simulator, ops);
 }
 
 void SuperPeer::AddPeerList(int peer_id, ResultList list) {
@@ -142,8 +117,7 @@ void SuperPeer::UnpinStoreEpoch(uint64_t epoch) {
   scan_epoch_ = store_epoch_;
 }
 
-double SuperPeer::FinalizePreprocessing(OpCounts* ops) {
-  const auto start = std::chrono::steady_clock::now();
+void SuperPeer::FinalizePreprocessing(OpCounts* ops) {
   ThresholdScanStats stats;
   RebuildStore(&stats);
   preprocessed_ = true;
@@ -153,7 +127,6 @@ double SuperPeer::FinalizePreprocessing(OpCounts* ops) {
   if (ops != nullptr) {
     *ops += stats.ops;
   }
-  return SecondsSince(start);
 }
 
 void SuperPeer::SetStore(ResultList store) {
@@ -487,11 +460,10 @@ void SuperPeer::HandleMessage(sim::Simulator* simulator,
   } else if (const auto* churn =
                  dynamic_cast<const ChurnTickMessage*>(message.body.get())) {
     // Scheduled churn maintenance lands on this node's virtual clock at
-    // the event's simulated time. The ops are logical (no measured
-    // seconds — the membership change itself already ran outside the
-    // simulation), so the charge is identical in both simulation runs,
-    // across store modes and under every cost model.
-    ChargeOps(simulator, churn->ops, 0.0);
+    // the event's simulated time. The ops are logical (the membership
+    // change itself already ran outside the simulation), so the charge is
+    // identical in both simulation runs and across store modes.
+    ChargeOps(simulator, churn->ops);
   } else if (reliable_.enabled) {
     ++rstats_.stale_ignored;  // Unknown payloads are tolerated, not fatal.
   } else {
@@ -822,19 +794,17 @@ void SuperPeer::RunLocalScan(const Subspace& subspace, Variant variant,
                              uint64_t filter_fp,
                              std::shared_ptr<const ResultList>* local,
                              double* threshold_out, size_t* scanned,
-                             OpCounts* ops, double* cpu_s) {
+                             OpCounts* ops) {
   *ops = OpCounts{};
   const StoreView view = View();
   if (variant == Variant::kNaive) {
     // The baseline ignores the f-ordering and the threshold: a plain BNL
     // over the store, then sorted for shipping.
-    const auto start = std::chrono::steady_clock::now();
     PointSet skyline = BnlSkylineView(view, subspace, /*ext=*/false, ops);
     ops->sort_steps += SortCost(skyline.size());
     *local = std::make_shared<const ResultList>(BuildSortedByF(skyline));
     *threshold_out = threshold_in;
     *scanned = view.size();
-    *cpu_s = SecondsSince(start);
     return;
   }
 
@@ -859,7 +829,6 @@ void SuperPeer::RunLocalScan(const Subspace& subspace, Variant variant,
     // cache inexactness. The fill must be the sequential scan — a chunked
     // scan cannot produce the sequential event order — so
     // `scan_chunk_size_` does not apply here.
-    const auto start = std::chrono::steady_clock::now();
     if (cache_ == nullptr) {
       cache_ = std::make_shared<SubspaceScanTraceCache>();
     }
@@ -884,11 +853,9 @@ void SuperPeer::RunLocalScan(const Subspace& subspace, Variant variant,
     *threshold_out = stats.final_threshold;
     *scanned = stats.scanned;
     // Only the replay is counted: the fill is amortized cache warming, and
-    // excluding it keeps counted charges independent of hit/miss order
-    // (replicas sharing a cache see different orders). Measured time still
-    // covers the whole call, preserving the measured model's semantics.
+    // excluding it keeps charges independent of hit/miss order (replicas
+    // sharing a cache see different orders).
     *ops = stats.ops;
-    *cpu_s = SecondsSince(start);
     return;
   }
 
@@ -906,10 +873,6 @@ void SuperPeer::RunLocalScan(const Subspace& subspace, Variant variant,
   *threshold_out = stats.final_threshold;
   *scanned = stats.scanned;
   *ops = stats.ops;
-  // Per-chunk work summed across the executing threads — unlike the wall
-  // time of this call it contains no pool queueing, so an 8-thread run is
-  // charged the same work as a 1-thread run of the same chunking.
-  *cpu_s = stats.cpu_seconds;
 }
 
 void SuperPeer::StageLocalScan(const Subspace& subspace, Variant variant,
@@ -925,7 +888,7 @@ void SuperPeer::StageLocalScan(const Subspace& subspace, Variant variant,
   staged.filter_fp = filter != nullptr ? FilterFingerprint(*filter) : 0;
   RunLocalScan(subspace, variant, threshold, filter.get(), staged.filter_fp,
                &staged.local, &staged.threshold_out, &staged.scanned,
-               &staged.ops, &staged.cpu_s);
+               &staged.ops);
   staged_ = std::move(staged);
 }
 
@@ -973,7 +936,6 @@ void SuperPeer::StageSpeculativeScan(const Subspace& subspace, Variant variant,
     staged.threshold_out = stats.final_threshold;
     staged.scanned = stats.scanned;
     staged.ops = stats.ops;
-    staged.cpu_s = stats.cpu_seconds;
     staged.has_trace = true;
   } else {
     // Cache path: the scan warms the shared trace cache (a pure function
@@ -985,7 +947,7 @@ void SuperPeer::StageSpeculativeScan(const Subspace& subspace, Variant variant,
     // threshold); deeper nodes rerun inline.
     RunLocalScan(subspace, variant, fixed_threshold, filter.get(),
                  staged.filter_fp, &staged.local, &staged.threshold_out,
-                 &staged.scanned, &staged.ops, &staged.cpu_s);
+                 &staged.scanned, &staged.ops);
   }
   staged_ = std::move(staged);
 }
@@ -999,13 +961,12 @@ void SuperPeer::MaybeSelectFilter(sim::Simulator* simulator,
   // Selected from this node's (unfiltered) local result, so every filter
   // point is a member of one of the final merge's inputs: whatever the
   // filter prunes remotely, the merge would have removed anyway.
-  const auto start = std::chrono::steady_clock::now();
   OpCounts ops;
   state->filter = BuildQueryFilter(*state->local, state->subspace,
                                    filter_set_size_, &ops);
   state->filter_fp =
       state->filter != nullptr ? FilterFingerprint(*state->filter) : 0;
-  ChargeOps(simulator, ops, SecondsSince(start));
+  ChargeOps(simulator, ops);
 }
 
 void SuperPeer::ComputeLocal(sim::Simulator* simulator, QueryState* state) {
@@ -1013,10 +974,9 @@ void SuperPeer::ComputeLocal(sim::Simulator* simulator, QueryState* state) {
       staged_->variant == state->variant &&
       staged_->filter_fp == state->filter_fp &&
       staged_->threshold_in == state->threshold) {
-    // Exact match: the staged scan is the inline scan, so its ops (and,
-    // under the measured model, its self-measured work seconds) are the
+    // Exact match: the staged scan is the inline scan, so its ops are the
     // inline charge.
-    ChargeOps(simulator, staged_->ops, staged_->cpu_s);
+    ChargeOps(simulator, staged_->ops);
     state->local = std::move(staged_->local);
     state->threshold = staged_->threshold_out;
     state->scanned = staged_->scanned;
@@ -1029,51 +989,32 @@ void SuperPeer::ComputeLocal(sim::Simulator* simulator, QueryState* state) {
       staged_->filter_fp == state->filter_fp &&
       state->threshold < staged_->threshold_in) {
     // Reconcile a speculative scan against the refined threshold the
-    // protocol actually delivered. Under the measured model the node
-    // really did run the fixed scan (off-thread) plus the reconcile, so
-    // both are charged. Counted models charge the replay's ops only —
+    // protocol actually delivered. Only the replay's ops are charged —
     // they equal the ops of the direct scan under the refined threshold,
-    // so speculative staging leaves counted charges bit-identical to the
+    // so speculative staging leaves charges bit-identical to the
     // non-speculative execution.
     if (staged_->has_trace) {
-      if (measure_cpu_ && !cost_.counted()) {
-        simulator->ChargeCpu(staged_->cpu_s);
-      }
-      const auto start = std::chrono::steady_clock::now();
       ThresholdScanStats stats;
       state->local = std::make_shared<const ResultList>(ReplayScanTrace(
           View(), staged_->trace, state->threshold, &stats));
       state->threshold = stats.final_threshold;
       state->scanned = stats.scanned;
       staged_.reset();
-      ChargeOps(simulator, stats.ops, SecondsSince(start));
+      ChargeOps(simulator, stats.ops);
       return;
     }
-    if (cache_enabled_ && state->variant != Variant::kNaive) {
-      // The speculative scan warmed the trace cache; replaying it under
-      // the refined threshold is exactly the sequential cache-hit path.
-      if (measure_cpu_ && !cost_.counted()) {
-        simulator->ChargeCpu(staged_->cpu_s);
-      }
-      staged_.reset();
-      OpCounts ops;
-      double cpu_s = 0.0;
-      RunLocalScan(state->subspace, state->variant, state->threshold,
-                   state->filter.get(), state->filter_fp, &state->local,
-                   &state->threshold, &state->scanned, &ops, &cpu_s);
-      ChargeOps(simulator, ops, cpu_s);
-      return;
-    }
-    // Chunked speculative scan under a strictly looser threshold: the
-    // per-chunk seeds would differ, so fall through to the inline rerun.
+    // Otherwise the speculative scan either warmed the trace cache —
+    // replaying it under the refined threshold is exactly the cache-hit
+    // path of the inline scan below — or was chunked under a strictly
+    // looser threshold, whose per-chunk seeds would differ, so the scan
+    // reruns inline.
   }
   staged_.reset();
   OpCounts ops;
-  double cpu_s = 0.0;
   RunLocalScan(state->subspace, state->variant, state->threshold,
                state->filter.get(), state->filter_fp, &state->local,
-               &state->threshold, &state->scanned, &ops, &cpu_s);
-  ChargeOps(simulator, ops, cpu_s);
+               &state->threshold, &state->scanned, &ops);
+  ChargeOps(simulator, ops);
 }
 
 SuperPeer::LastQueryStats SuperPeer::last_query_stats() const {
@@ -1446,7 +1387,7 @@ void SuperPeer::HandlePipeline(sim::Simulator* simulator, int src,
     merged = std::make_shared<const ResultList>(
         MergeSortedSkylines(inputs, state->subspace, options, &stats));
     threshold = std::min(threshold, stats.final_threshold);
-    ChargeOps(simulator, stats.ops, stats.cpu_seconds);
+    ChargeOps(simulator, stats.ops);
   }
   std::vector<int> contributors = message.contributors;
   if (reliable_.enabled) {
@@ -1464,7 +1405,6 @@ void SuperPeer::FinishInitiator(sim::Simulator* simulator,
   SKYPEER_CHECK(state->is_initiator);
   SKYPEER_CHECK(state->local != nullptr);
   {
-    const auto start = std::chrono::steady_clock::now();
     OpCounts ops;
     if (state->variant == Variant::kNaive) {
       // Central dominance-based merge; overlapping inputs (reroute
@@ -1514,7 +1454,7 @@ void SuperPeer::FinishInitiator(sim::Simulator* simulator,
                                          options, &stats);
       ops = stats.ops;
     }
-    ChargeOps(simulator, ops, SecondsSince(start));
+    ChargeOps(simulator, ops);
   }
   state->partial =
       static_cast<int>(state->contributors.size()) < num_super_peers_ ||
@@ -1542,7 +1482,6 @@ void SuperPeer::Complete(sim::Simulator* simulator, QueryState* state) {
         // Canonical input order — children by id, then detoured extras
         // by origin id, own list last — so lossy runs merge exactly like
         // fault-free ones regardless of reply arrival order.
-        const auto start = std::chrono::steady_clock::now();
         std::vector<const ResultList*> inputs;
         for (const auto& [child, lists] : state->collected_by_child) {
           for (const auto& list : lists) {
@@ -1562,7 +1501,7 @@ void SuperPeer::Complete(sim::Simulator* simulator, QueryState* state) {
         reply->lists.push_back(std::make_shared<const ResultList>(
             MergeSortedSkylines(dims_, inputs, state->subspace, options,
                                 &stats)));
-        ChargeOps(simulator, stats.ops, SecondsSince(start));
+        ChargeOps(simulator, stats.ops);
       } else {
         for (const auto& [child, lists] : state->collected_by_child) {
           reply->lists.insert(reply->lists.end(), lists.begin(), lists.end());
@@ -1588,7 +1527,6 @@ void SuperPeer::Complete(sim::Simulator* simulator, QueryState* state) {
     if (UsesProgressiveMerging(state->variant)) {
       // *TPM: merge everything received with the local result before
       // relaying (Algorithm 3 lines 15-16).
-      const auto start = std::chrono::steady_clock::now();
       std::vector<const ResultList*> inputs;
       inputs.reserve(state->collected.size() + 1);
       for (const auto& list : state->collected) {
@@ -1600,7 +1538,7 @@ void SuperPeer::Complete(sim::Simulator* simulator, QueryState* state) {
       ThresholdScanStats stats;
       lists.push_back(std::make_shared<const ResultList>(
           MergeSortedSkylines(inputs, state->subspace, options, &stats)));
-      ChargeOps(simulator, stats.ops, SecondsSince(start));
+      ChargeOps(simulator, stats.ops);
     } else {
       // *TFM / naive: relay children bundles unmerged plus our own list.
       lists = std::move(state->collected);
@@ -1613,7 +1551,6 @@ void SuperPeer::Complete(sim::Simulator* simulator, QueryState* state) {
 
   // Initiator: final merge.
   {
-    const auto start = std::chrono::steady_clock::now();
     OpCounts ops;
     if (state->variant == Variant::kNaive) {
       // Central dominance-based merge of everything, the §3.2 baseline.
@@ -1639,7 +1576,7 @@ void SuperPeer::Complete(sim::Simulator* simulator, QueryState* state) {
           MergeSortedSkylines(inputs, state->subspace, options, &stats);
       ops = stats.ops;
     }
-    ChargeOps(simulator, ops, SecondsSince(start));
+    ChargeOps(simulator, ops);
   }
   state->finished = true;
   state->finish_time = simulator->CurrentNodeClock();

@@ -44,9 +44,9 @@ class ThreadPool;
 /// reply) and routes results towards the initiator — merged (progressive
 /// merging) or bundled unmerged (fixed merging).
 ///
-/// CPU cost of every local computation is measured on the host and charged
-/// to the node's virtual clock, so simulated times reflect this
-/// implementation's real relative costs.
+/// Every local computation counts its operations (`OpCounts`), and the
+/// node's `CostModel` prices them into virtual CPU seconds charged to its
+/// clock, so simulated times are deterministic.
 class SuperPeer : public sim::Node {
  public:
   /// `id` must equal the node's simulator id; `dims` is the data
@@ -74,9 +74,9 @@ class SuperPeer : public sim::Node {
   void AddPeerList(int peer_id, ResultList list);
 
   /// Merges all registered peer lists into the store (ext-dominance
-  /// Algorithm 2). Returns host CPU seconds spent; when `ops` is
-  /// non-null the merge's operation counts are added to it.
-  double FinalizePreprocessing(OpCounts* ops = nullptr);
+  /// Algorithm 2). When `ops` is non-null the merge's operation counts
+  /// are added to it.
+  void FinalizePreprocessing(OpCounts* ops = nullptr);
 
   /// The merged extended skyline this super-peer serves queries from.
   /// Only valid in the default in-memory mode; a paged node keeps its
@@ -298,10 +298,10 @@ class SuperPeer : public sim::Node {
   const ReliabilityStats& reliability_stats() const { return rstats_; }
 
   /// Pre-executes the local scan this node would run for a query on
-  /// `subspace` under `variant` arriving with `threshold`, measuring its
-  /// CPU cost on the executing (worker) thread. When the real query
+  /// `subspace` under `variant` arriving with `threshold` on the
+  /// executing (worker) thread, counting its ops. When the real query
   /// message arrives with exactly these parameters, `ComputeLocal`
-  /// consumes the staged result and charges the recorded cost to the
+  /// consumes the staged result and charges the recorded ops to the
   /// virtual clock; on any parameter mismatch the scan silently reruns
   /// inline, so staging can never change results or metrics — it only
   /// moves host CPU work off the simulator thread. Safe to call
@@ -330,8 +330,8 @@ class SuperPeer : public sim::Node {
   ///    per-chunk seeds depend on the initial threshold, so a trace
   ///    replay would diverge — and otherwise rerun inline.
   /// Like `StageLocalScan` this never changes results or simulated
-  /// metrics (measure_cpu=false); it only moves host CPU off the
-  /// simulator thread. `filter` as in `StageLocalScan`.
+  /// metrics; it only moves host CPU off the simulator thread. `filter`
+  /// as in `StageLocalScan`.
   void StageSpeculativeScan(const Subspace& subspace, Variant variant,
                             double fixed_threshold,
                             std::shared_ptr<const ResultList> filter = nullptr);
@@ -386,14 +386,8 @@ class SuperPeer : public sim::Node {
   };
   LastQueryStats last_query_stats() const;
 
-  /// When false, no CPU is charged to the virtual clock (useful for
-  /// deterministic transfer-only tests). Op counts are accumulated
-  /// either way.
-  void set_measure_cpu(bool measure) { measure_cpu_ = measure; }
-
-  /// How local computation is converted into virtual CPU seconds: the
-  /// measured host time of this run (default), or deterministic
-  /// seconds derived from counted operations (calibrated / unit).
+  /// How counted local operations are converted into virtual CPU
+  /// seconds (calibrated constants by default).
   void SetCostModel(const CostModel& model) { cost_ = model; }
   const CostModel& cost_model() const { return cost_; }
 
@@ -468,9 +462,6 @@ class SuperPeer : public sim::Node {
     std::shared_ptr<const ResultList> local;
     double threshold_out = 0.0;
     size_t scanned = 0;
-    /// Work seconds of the scan as self-measured on the staging thread
-    /// (per-chunk work summed for chunked scans — no pool queue wait).
-    double cpu_s = 0.0;
     /// Operation counts of the staged scan.
     OpCounts ops;
     /// Staged under an upper-bound threshold; `ComputeLocal` may
@@ -551,7 +542,7 @@ class SuperPeer : public sim::Node {
                        std::vector<int> contributors);
 
   /// Computes the local subspace skyline under `state->threshold` and
-  /// stores it in `state->local`, charging measured CPU. Updates
+  /// stores it in `state->local`, charging its ops. Updates
   /// `state->threshold` to the (possibly lower) final scan threshold.
   /// Consumes a matching staged scan instead of recomputing.
   void ComputeLocal(sim::Simulator* simulator, QueryState* state);
@@ -561,9 +552,7 @@ class SuperPeer : public sim::Node {
   /// `threshold_in` for `variant` (including the cache path) and writes
   /// the resulting list, tightened threshold and scan count. `ops`
   /// receives the scan's operation counts (the cache path reports the
-  /// replay's counts only — trace fills are amortized cache warming) and
-  /// `cpu_s` the work seconds self-measured on the executing threads
-  /// (per-chunk times summed for chunked scans, never pool queue wait).
+  /// replay's counts only — trace fills are amortized cache warming).
   /// `filter` / `filter_fp` is the broadcast filter set the scan seeds
   /// its window with (null/0 = none); the fingerprint keys the trace
   /// cache so filtered and unfiltered traces never cross.
@@ -571,24 +560,21 @@ class SuperPeer : public sim::Node {
                     double threshold_in, const ResultList* filter,
                     uint64_t filter_fp,
                     std::shared_ptr<const ResultList>* local,
-                    double* threshold_out, size_t* scanned, OpCounts* ops,
-                    double* cpu_s);
+                    double* threshold_out, size_t* scanned, OpCounts* ops);
 
   /// Initiator only, after its local scan: selects the broadcast filter
   /// set from `state->local` when `filter_set_size_` > 0 and the variant
   /// is not naive, charging the selection pass to the query's ops.
   void MaybeSelectFilter(sim::Simulator* simulator, QueryState* state);
 
-  /// Accumulates `ops` into the per-query counters and charges the
-  /// virtual clock: measured host seconds (`measured_s`) under the
-  /// measured cost model, `cost_.Seconds(ops)` under calibrated/unit.
-  /// Must run inside a simulator handler when `measure_cpu_` is on.
-  void ChargeOps(sim::Simulator* simulator, const OpCounts& ops,
-                 double measured_s);
+  /// Accumulates `ops` into the per-query counters and charges
+  /// `cost_.Seconds(ops)` to the virtual clock. Must run inside a
+  /// simulator handler.
+  void ChargeOps(sim::Simulator* simulator, const OpCounts& ops);
 
-  /// Counts `bytes` as serialization work before a wire send; counted
-  /// cost models additionally charge the (deterministic) CPU seconds,
-  /// shifting the message's departure time like real marshalling would.
+  /// Counts `bytes` as serialization work before a wire send and charges
+  /// its CPU seconds, shifting the message's departure time like real
+  /// marshalling would.
   void ChargeSerialization(sim::Simulator* simulator, size_t bytes);
 
   /// Floods the query to every neighbor except `state->parent`; sets
@@ -678,7 +664,6 @@ class SuperPeer : public sim::Node {
   std::set<std::tuple<int, uint64_t, uint64_t>> seen_;
   uint64_t deadline_timer_id_ = 0;
   ReliabilityStats rstats_;
-  bool measure_cpu_ = true;
   /// Converts local work into virtual CPU seconds (see SetCostModel).
   CostModel cost_;
   /// Operation counts accumulated since the last `ResetProtocolState`

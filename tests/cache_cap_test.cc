@@ -140,7 +140,6 @@ NetworkConfig CachedConfig(size_t cap) {
   config.points_per_peer = 30;
   config.dims = 4;
   config.seed = 7;
-  config.measure_cpu = false;
   config.enable_cache = true;
   config.cache_max_entries = cap;
   return config;

@@ -422,7 +422,6 @@ TEST(ScheduledChurn, MatchesDirectReplayAndRebuildOracle) {
     for (bool paged : {false, true}) {
       for (bool composed : {false, true}) {
         NetworkConfig base = DynamicConfig(21);
-        base.measure_cpu = false;  // Virtual clocks for exact comparison.
         if (paged) {
           base.buffer_pages = 4;
           base.page_size = 4096;

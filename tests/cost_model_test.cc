@@ -71,7 +71,6 @@ TEST(CostModel, UnitSecondsEqualTotalOps) {
   ops.sort_steps = 23;
   ops.bytes_serialized = 29;
   const CostModel unit = CostModel::Unit();
-  EXPECT_TRUE(unit.counted());
   EXPECT_DOUBLE_EQ(unit.Seconds(ops), static_cast<double>(ops.total()));
 }
 
@@ -83,8 +82,6 @@ TEST(CostModel, CalibratedSecondsIsTheDotProduct) {
   const double expected = 1000 * model.dominance_test_s +
                           4096 * model.byte_s;
   EXPECT_DOUBLE_EQ(model.Seconds(ops), expected);
-  EXPECT_EQ(CostModel::Measured().counted(), false);
-  EXPECT_DOUBLE_EQ(CostModel::Measured().Seconds(OpCounts{}), 0.0);
 }
 
 TEST(CostModel, ProfileRoundTripsExactly) {
@@ -117,14 +114,12 @@ TEST(CostModel, ProfileIgnoresCommentsAndRejectsGarbage) {
 
 TEST(CostModel, ModeNamesParseAndPrint) {
   CostModelMode mode;
-  ASSERT_TRUE(ParseCostModelMode("measured", &mode));
-  EXPECT_EQ(mode, CostModelMode::kMeasured);
   ASSERT_TRUE(ParseCostModelMode("calibrated", &mode));
   EXPECT_EQ(mode, CostModelMode::kCalibrated);
   ASSERT_TRUE(ParseCostModelMode("unit", &mode));
   EXPECT_EQ(mode, CostModelMode::kUnit);
   EXPECT_FALSE(ParseCostModelMode("bogus", &mode));
-  EXPECT_STREQ(CostModelModeName(CostModelMode::kMeasured), "measured");
+  EXPECT_FALSE(ParseCostModelMode("measured", &mode));
   EXPECT_STREQ(CostModelModeName(CostModelMode::kCalibrated), "calibrated");
   EXPECT_STREQ(CostModelModeName(CostModelMode::kUnit), "unit");
 }
@@ -226,8 +221,6 @@ NetworkConfig CountedConfig() {
   config.points_per_peer = 30;
   config.dims = 4;
   config.seed = 7;
-  // measure_cpu stays on: calibrated charging must be deterministic even
-  // though the host clock is running.
   config.cost_model = CostModel::Calibrated();
   return config;
 }
@@ -283,8 +276,7 @@ TEST(CountedDeterminism, RepeatedRunsAreBitIdentical) {
 
 TEST(CountedDeterminism, TimesAreThreadCountInvariant) {
   NetworkConfig config = CountedConfig();
-  // Chunked scans exercise the parallel path whose measured-mode charge
-  // used to depend on pool contention.
+  // Chunked scans exercise the parallel scan path.
   config.scan_chunk_size = 16;
   const std::vector<QueryTask> tasks = CountedTasks(config);
 
@@ -384,18 +376,12 @@ TEST(CountedDeterminism, UnitModeExposesOpCountsAsSeconds) {
             static_cast<double>(result.metrics.ops.total()));
 }
 
-// --- measured-mode charging (satellite fix) ---------------------------------
+// --- default charging of chunked scans --------------------------------------
 
-// The pre-fix bug: chunked parallel scans charged the initiator's wall
-// clock — including thread-pool queueing — so running with many threads
-// inflated `computational_time_s` with contention noise. Post-fix the
-// charge is the sum of per-chunk self-measured work times, which is
-// bounded by the actual work regardless of the thread count. Queries run
-// one at a time (only the scan chunks parallelize) and the bounds are
-// generous two-sided ratios with an additive floor, so the test stays
-// robust on loaded CI hosts while still catching the order-of-magnitude
-// drift the bug produced.
-TEST(MeasuredCharging, ChunkedScanChargeExcludesPoolContention) {
+// Chunked scans fan out over the pool, yet their charge is the op count of
+// the chunks summed in chunk order, so the default (calibrated) model gives
+// bit-identical metrics — both time metrics included — at any thread count.
+TEST(DefaultCharging, ChunkedScanChargeIsThreadCountInvariant) {
   NetworkConfig config;
   config.num_peers = 32;
   config.num_super_peers = 4;
@@ -403,39 +389,38 @@ TEST(MeasuredCharging, ChunkedScanChargeExcludesPoolContention) {
   config.dims = 8;
   config.seed = 3;
   config.scan_chunk_size = 64;
-  ASSERT_FALSE(config.cost_model.counted());  // measured is the default
 
   const std::vector<QueryTask> tasks =
       GenerateWorkload(config.dims, 3, 6, config.num_super_peers, 11);
 
-  auto charge_sum = [&](SkypeerNetwork* network) {
-    double sum = 0.0;
-    for (const QueryTask& task : tasks) {
-      const QueryResult result =
-          network->ExecuteQuery(task.subspace, task.initiator_sp,
-                                Variant::kRTPM);
-      sum += result.metrics.computational_time_s;
+  auto run = [&](int threads) {
+    ThreadPool::SetGlobalConcurrency(threads);
+    SkypeerNetwork network(config);
+    const PreprocessStats stats = network.Preprocess();
+    EXPECT_EQ(stats.peer_cpu_s, config.cost_model.Seconds(stats.peer_ops));
+    EXPECT_EQ(stats.super_peer_cpu_s,
+              config.cost_model.Seconds(stats.super_peer_ops));
+    std::vector<QueryMetrics> metrics;
+    for (Variant variant : {Variant::kRTPM, Variant::kFTPM}) {
+      for (const QueryTask& task : tasks) {
+        metrics.push_back(
+            network.ExecuteQuery(task.subspace, task.initiator_sp, variant)
+                .metrics);
+      }
     }
-    return sum;
+    return metrics;
   };
 
-  ThreadPool::SetGlobalConcurrency(1);
-  SkypeerNetwork sequential(config);
-  sequential.Preprocess();
-  const double t1 = charge_sum(&sequential);
-
-  ThreadPool::SetGlobalConcurrency(8);
-  SkypeerNetwork parallel(config);
-  parallel.Preprocess();
-  const double t8 = charge_sum(&parallel);
+  const std::vector<QueryMetrics> sequential = run(1);
+  const std::vector<QueryMetrics> parallel = run(8);
   ThreadPool::SetGlobalConcurrency(1);
 
-  ASSERT_GT(t1, 0.0);
-  const double slack = 0.02;  // absolute floor for tiny workloads
-  EXPECT_LT(t8, t1 * 5.0 + slack)
-      << "threads=8 charge inflated over threads=1: " << t8 << " vs " << t1;
-  EXPECT_GT(t8 + slack, t1 * 0.2)
-      << "threads=8 charge implausibly small: " << t8 << " vs " << t1;
+  ASSERT_EQ(sequential.size(), parallel.size());
+  for (size_t i = 0; i < sequential.size(); ++i) {
+    EXPECT_GT(sequential[i].computational_time_s, 0.0) << i;
+    ExpectMetricsBitIdentical(sequential[i], parallel[i],
+                              "query " + std::to_string(i));
+  }
 }
 
 }  // namespace

@@ -296,15 +296,11 @@ TEST(Metrics, BasicSanity) {
   }
 }
 
-// With zero CPU the byte accounting is fully deterministic, enabling the
-// paper's qualitative claims to be asserted exactly.
+// Op-count CPU charging makes the byte accounting fully deterministic,
+// enabling the paper's qualitative claims to be asserted exactly.
 class DeterministicVolumeTest : public ::testing::Test {
  protected:
-  static NetworkConfig Config(uint64_t seed) {
-    NetworkConfig config = SmallConfig(seed);
-    config.measure_cpu = false;
-    return config;
-  }
+  static NetworkConfig Config(uint64_t seed) { return SmallConfig(seed); }
 };
 
 TEST_F(DeterministicVolumeTest, ProgressiveMergingNeverShipsMore) {
@@ -398,7 +394,6 @@ TEST(CacheEquivalence, FilterPathRepliesMatchFreshScansForAllVariants) {
   // repeating each subspace from several initiators exercises cache hits
   // under different (and progressively tighter) incoming thresholds.
   NetworkConfig scan_config = SmallConfig(19);
-  scan_config.measure_cpu = false;  // Virtual clocks must be exact.
   NetworkConfig cache_config = scan_config;
   cache_config.enable_cache = true;
   cache_config.scan_chunk_size = 37;

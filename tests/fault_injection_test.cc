@@ -38,7 +38,6 @@ NetworkConfig BaseConfig() {
   config.points_per_peer = 30;
   config.dims = 5;
   config.seed = 11;
-  config.measure_cpu = false;
   config.retain_peer_data = true;
   config.reliable = true;
   return config;

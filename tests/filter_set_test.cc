@@ -33,7 +33,6 @@ NetworkConfig SmallConfig(uint64_t seed) {
   config.points_per_peer = 30;
   config.dims = 5;
   config.seed = seed;
-  config.measure_cpu = false;
   return config;
 }
 

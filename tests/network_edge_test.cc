@@ -121,9 +121,7 @@ TEST(NetworkEdge, MaxDimensionalityData) {
 
 TEST(NetworkEdge, HighLatencyLinksOnlyShiftTotalTime) {
   NetworkConfig fast = BaseConfig(6);
-  fast.measure_cpu = false;
   NetworkConfig slow = BaseConfig(6);
-  slow.measure_cpu = false;
   slow.latency = 0.5;
   SkypeerNetwork fast_network(fast);
   fast_network.Preprocess();
@@ -144,10 +142,8 @@ TEST(NetworkEdge, BandwidthScalesTransferTime) {
   // Doubling bandwidth roughly halves transfer-dominated total time
   // (zero CPU, zero latency).
   NetworkConfig narrow = BaseConfig(7);
-  narrow.measure_cpu = false;
   narrow.bandwidth = 2048.0;
   NetworkConfig wide = BaseConfig(7);
-  wide.measure_cpu = false;
   wide.bandwidth = 4096.0;
   SkypeerNetwork narrow_network(narrow);
   narrow_network.Preprocess();

@@ -34,7 +34,6 @@ NetworkConfig BaseConfig() {
   config.points_per_peer = 30;
   config.dims = 4;
   config.seed = 7;
-  config.measure_cpu = false;  // Virtual clocks for exact comparison.
   return config;
 }
 

@@ -95,7 +95,6 @@ NetworkConfig SmallConfig() {
   config.dims = 4;
   config.seed = 7;
   // Virtual clocks must not depend on host timing for exact comparison.
-  config.measure_cpu = false;
   return config;
 }
 
@@ -249,8 +248,8 @@ void ExpectMetricsEqualExceptScanned(const QueryMetrics& a,
 
 TEST(ChunkedScanDeterminism, MatchesSequentialScanAtAnyThreadCount) {
   // The tentpole guarantee: chunk_size > 0 must reproduce the sequential
-  // scan bit-for-bit — skylines, volume, messages, and (with
-  // measure_cpu=false) simulated times — at any thread count.
+  // scan bit-for-bit — skylines, volume, messages and simulated times —
+  // at any thread count.
   const std::vector<QueryTask> tasks =
       GenerateWorkload(4, 2, 6, SmallConfig().num_super_peers, 19);
   std::vector<Variant> variants(kAllVariants, kAllVariants + 5);
@@ -455,7 +454,7 @@ TEST(SpeculativeRtDeterminism, MatchesSequentialAtAnyThreadCount) {
   // The tentpole guarantee: with --speculative-rt the refined-threshold
   // variants (RTFM, RTPM) and the pipeline produce bit-identical
   // skylines, volume, messages, scan counts, per-node final thresholds
-  // and simulated times (measure_cpu=false) at 1, 2 and 8 threads.
+  // and simulated times at 1, 2 and 8 threads.
   const NetworkConfig config = SmallConfig();
   const std::vector<QueryTask> tasks =
       GenerateWorkload(config.dims, 2, 6, config.num_super_peers, 47);
@@ -659,8 +658,8 @@ TEST(PerNetworkPool, CloneSharesTheParentPool) {
 TEST(KernelDispatchDeterminism, ForcedScalarMatchesDispatchedAcrossVariants) {
   // The SIMD tentpole guarantee: the dispatched (AVX2/NEON) dominance
   // kernels reproduce the forced-scalar execution bit-identically —
-  // skylines, scan counts, volume, messages and simulated times
-  // (measure_cpu=false) — across all five variants plus the pipeline, at
+  // skylines, scan counts, volume, messages and simulated times —
+  // across all five variants plus the pipeline, at
   // 1/2/8 threads, composed with --scan-chunk, --speculative-rt and
   // --cache.
   const std::vector<QueryTask> tasks =

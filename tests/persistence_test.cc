@@ -122,6 +122,52 @@ TEST(Persistence, LoadRejectsCorruptedFile) {
   std::remove(path.c_str());
 }
 
+// Overwrites the first store's u64 length field of the snapshot at `path`
+// (right after the 16-byte header) with `length`.
+void PatchFirstStoreLength(const std::string& path, uint64_t length) {
+  std::FILE* file = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(file, nullptr);
+  ASSERT_EQ(std::fseek(file, 16, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&length, sizeof(length), 1, file), 1u);
+  std::fclose(file);
+}
+
+TEST(Persistence, LoadRejectsHugeLengthWithoutAllocating) {
+  const std::string path = TempPath("stores_huge_length.bin");
+  NetworkConfig config = Config(8);
+  SkypeerNetwork original(config);
+  original.Preprocess();
+  ASSERT_TRUE(SaveStores(original, path).ok());
+  // A valid header followed by a corrupt 2^62-byte length must fail with
+  // a status, not abort in the allocator.
+  PatchFirstStoreLength(path, uint64_t{1} << 62);
+  SkypeerNetwork restored(config);
+  const Status status = LoadStores(&restored, path);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(restored.preprocessed());
+  std::remove(path.c_str());
+}
+
+TEST(Persistence, LoadRejectsLengthOneBytePastEof) {
+  const std::string path = TempPath("stores_past_eof.bin");
+  NetworkConfig config = Config(9);
+  SkypeerNetwork original(config);
+  original.Preprocess();
+  ASSERT_TRUE(SaveStores(original, path).ok());
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(file, nullptr);
+  std::fseek(file, 0, SEEK_END);
+  const uint64_t size = static_cast<uint64_t>(std::ftell(file));
+  std::fclose(file);
+  // Header (16 bytes) and the length field itself (8) precede the payload.
+  PatchFirstStoreLength(path, size - 24 + 1);
+  SkypeerNetwork restored(config);
+  EXPECT_EQ(LoadStores(&restored, path).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(restored.preprocessed());
+  std::remove(path.c_str());
+}
+
 TEST(Persistence, LoadIntoPreprocessedNetworkFails) {
   const std::string path = TempPath("stores_twice.bin");
   NetworkConfig config = Config(6);

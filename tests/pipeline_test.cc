@@ -134,7 +134,6 @@ TEST(Pipeline, ExactAcrossDistributionsAndInitiators) {
 
 TEST(Pipeline, MessageCountEqualsWalkLength) {
   NetworkConfig config = SmallConfig(7);
-  config.measure_cpu = false;
   SkypeerNetwork network(config);
   network.Preprocess();
   const std::vector<int> walk = network.overlay().backbone.EulerTourWalk(4);
@@ -164,7 +163,6 @@ TEST(Pipeline, SerialLatencyExceedsTreeVariant) {
   // tree; on a non-trivial backbone with zero CPU the pipeline's total
   // time must be larger.
   NetworkConfig config = SmallConfig(9);
-  config.measure_cpu = false;
   SkypeerNetwork network(config);
   network.Preprocess();
   const Subspace u = Subspace::FromDims({0, 3});
@@ -177,7 +175,6 @@ TEST(Pipeline, SerialLatencyExceedsTreeVariant) {
 
 TEST(Pipeline, ThresholdTravelsAndPrunes) {
   NetworkConfig config = SmallConfig(10);
-  config.measure_cpu = false;
   SkypeerNetwork network(config);
   const PreprocessStats pre = network.Preprocess();
   QueryResult result = network.ExecuteQuery(Subspace::FromDims({1, 4}), 0,

@@ -115,7 +115,6 @@ TEST_P(ReliableFuzzTest, LossAndReorderingNeverCorruptTheAnswer) {
   config.dims = static_cast<int>(rng.UniformInt(2, 6));
   config.degree_sp = rng.Uniform(1.0, 5.0);
   config.retain_peer_data = true;
-  config.measure_cpu = false;
   config.seed = rng.Fork();
   config.reliable = true;
   config.fault_seed = rng.Fork();
@@ -168,7 +167,6 @@ TEST_P(CrashFuzzTest, PartialAnswersAreExactOverTheReportedCoverage) {
   config.points_per_peer = static_cast<int>(rng.UniformInt(1, 40));
   config.dims = static_cast<int>(rng.UniformInt(2, 6));
   config.degree_sp = rng.Uniform(1.0, 5.0);
-  config.measure_cpu = false;
   config.seed = rng.Fork();
   config.reliable = true;
   config.max_retries = 2;

@@ -177,7 +177,6 @@ TEST(ProtocolStats, ThresholdPrunesScans) {
   config.points_per_peer = 100;
   config.dims = 5;
   config.seed = 22;
-  config.measure_cpu = false;
   SkypeerNetwork network(config);
   const PreprocessStats pre = network.Preprocess();
   for (Variant variant :

@@ -71,16 +71,12 @@ void PrintUsageAndExit(const char* binary, int code) {
       "  --threads N      worker threads (default: hardware concurrency;\n"
       "                   1 = sequential). Results and metrics do not\n"
       "                   depend on the thread count\n"
-      "  --no-measure-cpu charge zero CPU to the virtual clocks instead\n"
-      "                   of measured host time; makes every reported\n"
-      "                   metric bit-reproducible across runs\n"
-      "  --cost-model M   how CPU is charged to the virtual clocks:\n"
-      "                   measured (host time, default), calibrated or\n"
-      "                   unit (deterministic seconds from counted ops;\n"
-      "                   makes all metrics bit-reproducible)\n"
+      "  --cost-model M   how counted ops are priced into virtual CPU\n"
+      "                   seconds: calibrated (default) or unit (one\n"
+      "                   second per op). Every metric is bit-reproducible\n"
+      "                   under either\n"
       "  --cost-profile F load per-op cost constants from F (key=value\n"
-      "                   lines, see --calibrate); implies calibrated\n"
-      "                   charging unless --cost-model says otherwise\n"
+      "                   lines, see --calibrate)\n"
       "  --calibrate      measure this host's per-op cost constants and\n"
       "                   print them as a profile on stdout, then exit\n"
       "  --scan-chunk N   split super-peer threshold scans into chunks of\n"
@@ -242,8 +238,6 @@ CliOptions Parse(int argc, char** argv) {
     } else if (std::strcmp(arg, "--net-threads") == 0) {
       options.network.threads = static_cast<int>(
           ParseIntFlag("--net-threads", next_value(&i), 0, 4096));
-    } else if (std::strcmp(arg, "--no-measure-cpu") == 0) {
-      options.network.measure_cpu = false;
     } else if (std::strcmp(arg, "--cost-model") == 0) {
       const std::string name = next_value(&i);
       CostModelMode mode;
@@ -252,9 +246,6 @@ CliOptions Parse(int argc, char** argv) {
         PrintUsageAndExit(argv[0], 1);
       }
       switch (mode) {
-        case CostModelMode::kMeasured:
-          options.network.cost_model = CostModel::Measured();
-          break;
         case CostModelMode::kCalibrated:
           options.network.cost_model = CostModel::Calibrated();
           break;
@@ -538,11 +529,6 @@ int main(int argc, char** argv) {
       text.append(buffer, got);
     }
     std::fclose(file);
-    // A profile only makes sense with counted charging; keep an explicit
-    // `--cost-model unit` but upgrade the measured default to calibrated.
-    if (!options.network.cost_model.counted()) {
-      options.network.cost_model.mode = CostModelMode::kCalibrated;
-    }
     if (!options.network.cost_model.LoadProfileString(text)) {
       std::fprintf(stderr, "malformed cost profile: %s\n",
                    options.cost_profile.c_str());
