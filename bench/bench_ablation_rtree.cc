@@ -36,9 +36,7 @@ int main(int argc, char** argv) {
         scan.use_rtree = variant == 0;
         const auto start = std::chrono::steady_clock::now();
         for (int r = 0; r < repeats; ++r) {
-          // --scan-chunk > 0 measures the chunked parallel scan instead.
-          ResultList result =
-              ParallelSortedSkyline(sorted, u, options.scan_chunk, scan);
+          ResultList result = SortedSkyline(sorted, u, scan);
           skyline_size = result.size();
         }
         elapsed[variant] =

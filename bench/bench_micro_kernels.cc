@@ -133,25 +133,6 @@ void BM_SortedSkylineScan(benchmark::State& state) {
 }
 BENCHMARK(BM_SortedSkylineScan)->Arg(1000)->Arg(10000)->Arg(100000);
 
-void BM_ParallelSortedSkylineScan(benchmark::State& state) {
-  // Chunked parallel form of Algorithm 1 on the global pool:
-  // range(0) = input size, range(1) = chunk size (0 = sequential).
-  const size_t n = static_cast<size_t>(state.range(0));
-  const size_t chunk = static_cast<size_t>(state.range(1));
-  PointSet data = UniformData(8, n, 8);
-  ResultList sorted = BuildSortedByF(data);
-  const Subspace u = Subspace::FromDims({0, 3, 6});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ParallelSortedSkyline(sorted, u, chunk));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_ParallelSortedSkylineScan)
-    ->Args({100000, 0})
-    ->Args({100000, 16384})
-    ->Args({100000, 32768})
-    ->UseRealTime();
-
 void BM_ExtendedSkyline(benchmark::State& state) {
   // The peer-side pre-processing kernel.
   const size_t n = static_cast<size_t>(state.range(0));

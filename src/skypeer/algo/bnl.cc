@@ -109,7 +109,7 @@ PointSet BnlSkylineView(const StoreView& input, Subspace u, bool ext,
   if (ops != nullptr) {
     ops->dominance_tests += tests;
     ops->scan_steps += n;
-    ChargeScanPages(input.layout(), 0, n, n, ops);
+    ChargeScanPages(input.layout(), n, n, ops);
   }
 
   PointSet result(input.dims());

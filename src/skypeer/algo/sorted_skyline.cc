@@ -6,22 +6,26 @@
 
 #include "skypeer/common/dominance_batch.h"
 #include "skypeer/common/mapping.h"
-#include "skypeer/common/thread_pool.h"
 
 namespace skypeer {
 
 namespace {
 
-/// Shared consume loop of every threshold-scan form: scans positions
-/// [begin, end) of `input` in ascending order, offering each point whose
-/// `f` is within the accumulator's running threshold, and returns the
-/// number of points consumed. Scan-level charges (scan steps, page
-/// charges and — under block skipping — summary probes and skipped
-/// blocks) accumulate into `scan_ops`, kept apart from the accumulator's
-/// window-evolution ops so traced scans record replayable `cum_ops`.
-/// When `trace` is non-null, per-position events are recorded exactly as
-/// `TracedSortedSkyline` documents (only the sequential `begin == 0`
-/// forms trace, so eviction tags index the trace directly).
+/// `SkylineAccumulator` compaction policy: evicted window slots are
+/// dropped once the window holds at least `kCompactMinWindow` entries and
+/// fewer than `kCompactLiveFraction` of them are alive.
+constexpr size_t kCompactMinWindow = 64;
+constexpr double kCompactLiveFraction = 0.5;
+
+/// Consume loop of the threshold scan: scans `input` in ascending order,
+/// offering each point whose `f` is within the accumulator's running
+/// threshold, and returns the number of points consumed. Scan-level
+/// charges (scan steps, page charges and — under block skipping —
+/// summary probes and skipped blocks) accumulate into `scan_ops`, kept
+/// apart from the accumulator's window-evolution ops so traced scans
+/// record replayable `cum_ops`. When `trace` is non-null, per-position
+/// events are recorded as `ScanTrace` documents; eviction tags are scan
+/// positions, so they index the trace directly.
 ///
 /// With `block_skip` and a store summary attached, each 8-wide block is
 /// probed before its points: a block whose min-vector is dominated by a
@@ -32,10 +36,10 @@ namespace {
 /// charges then switch from the whole-prefix `ChargeScanPages` to
 /// incremental per-page touches, so pages covered only by wholesale-
 /// skipped blocks are never charged (nor pinned on a paged store).
-size_t RunThresholdScanLoop(const StoreView& input, Subspace u, size_t begin,
-                            size_t end, bool block_skip,
-                            SkylineAccumulator* acc, OpCounts* scan_ops,
-                            ScanTrace* trace) {
+size_t RunThresholdScanLoop(const StoreView& input, Subspace u,
+                            bool block_skip, SkylineAccumulator* acc,
+                            OpCounts* scan_ops, ScanTrace* trace) {
+  const size_t end = input.size();
   const StoreSummary* summary = input.summary();
   const bool skip = block_skip && summary != nullptr;
   if (trace != nullptr) {
@@ -63,7 +67,7 @@ size_t RunThresholdScanLoop(const StoreView& input, Subspace u, size_t begin,
 
   if (!skip) {
     size_t scanned = 0;
-    for (size_t i = begin; i < end; ++i) {
+    for (size_t i = 0; i < end; ++i) {
       const double f = cursor.f(i);
       if (f > acc->threshold()) {
         break;
@@ -72,7 +76,7 @@ size_t RunThresholdScanLoop(const StoreView& input, Subspace u, size_t begin,
       ++scanned;
     }
     scan_ops->scan_steps += scanned;
-    ChargeScanPages(input.layout(), begin, end, scanned, scan_ops);
+    ChargeScanPages(input.layout(), end, scanned, scan_ops);
     return scanned;
   }
 
@@ -121,7 +125,7 @@ size_t RunThresholdScanLoop(const StoreView& input, Subspace u, size_t begin,
   };
 
   size_t scanned = 0;
-  size_t i = begin;
+  size_t i = 0;
   while (i < end) {
     const size_t block = i / kDomBlockWidth;
     const size_t block_end = std::min(end, (block + 1) * kDomBlockWidth);
@@ -217,8 +221,6 @@ SkylineAccumulator::SkylineAccumulator(int dims, Subspace u,
       u_(u),
       strict_(options.ext),
       use_rtree_(options.use_rtree),
-      compact_min_window_(options.compact_min_window),
-      compact_live_fraction_(options.compact_live_fraction),
       threshold_(options.initial_threshold),
       window_points_(dims),
       window_proj_(u.Count()) {
@@ -338,9 +340,9 @@ bool SkylineAccumulator::WindowRejectsSummary(const double* min_row) const {
 }
 
 void SkylineAccumulator::MaybeCompact() {
-  if (window_points_.size() < compact_min_window_ ||
+  if (window_points_.size() < kCompactMinWindow ||
       !(static_cast<double>(alive_) <
-        compact_live_fraction_ * static_cast<double>(window_points_.size()))) {
+        kCompactLiveFraction * static_cast<double>(window_points_.size()))) {
     return;
   }
   const int k = u_.Count();
@@ -446,49 +448,22 @@ void SkylineAccumulator::SeedWindow(const ResultList& seed) {
 
 ResultList SortedSkyline(const StoreView& input, Subspace u,
                          const ThresholdScanOptions& options,
-                         ThresholdScanStats* stats) {
+                         ThresholdScanStats* stats, ScanTrace* trace) {
   SKYPEER_DCHECK(input.list() == nullptr || input.list()->IsSorted());
+  if (trace != nullptr) {
+    *trace = ScanTrace{};
+    trace->threshold_in = options.initial_threshold;
+  }
   SkylineAccumulator accumulator(input.dims(), u, options);
   if (options.filter != nullptr && !options.filter->empty()) {
-    accumulator.SeedWindow(*options.filter);
-  }
-  OpCounts scan_ops;
-  const size_t scanned =
-      RunThresholdScanLoop(input, u, 0, input.size(), options.block_skip,
-                           &accumulator, &scan_ops, nullptr);
-  if (stats != nullptr) {
-    stats->scanned = scanned;
-    stats->final_threshold = accumulator.threshold();
-    stats->ops = accumulator.ops();
-    stats->ops += scan_ops;
-  }
-  return accumulator.TakeResult();
-}
-
-ResultList TracedSortedSkyline(const StoreView& input, Subspace u,
-                               const ThresholdScanOptions& options,
-                               ThresholdScanStats* stats, ScanTrace* trace) {
-  SKYPEER_DCHECK(input.list() == nullptr || input.list()->IsSorted());
-  SKYPEER_CHECK(trace != nullptr);
-  trace->threshold_in = options.initial_threshold;
-  trace->accepted.clear();
-  trace->dist_u.clear();
-  trace->evicted_at.clear();
-  trace->cum_ops.clear();
-  trace->block_skip = false;
-  trace->block_rejected.clear();
-
-  SkylineAccumulator accumulator(input.dims(), u, options);
-  if (options.filter != nullptr && !options.filter->empty()) {
-    // The filter is baked into the recorded accept/evict decisions, so
-    // replays need no filter knowledge — but a trace is only valid for
+    // A trace bakes the filter into its recorded accept/evict decisions,
+    // so replays need no filter knowledge — but it is only valid for
     // scans under the *same* filter (the cache keys on its fingerprint).
     accumulator.SeedWindow(*options.filter);
   }
   OpCounts scan_ops;
-  const size_t scanned =
-      RunThresholdScanLoop(input, u, 0, input.size(), options.block_skip,
-                           &accumulator, &scan_ops, trace);
+  const size_t scanned = RunThresholdScanLoop(
+      input, u, options.block_skip, &accumulator, &scan_ops, trace);
   if (stats != nullptr) {
     stats->scanned = scanned;
     stats->final_threshold = accumulator.threshold();
@@ -537,7 +512,7 @@ ResultList ReplayScanTrace(const StoreView& input, const ScanTrace& trace,
     }
     if (!trace.block_skip) {
       stats->ops.scan_steps += cut;
-      ChargeScanPages(input.layout(), 0, input.size(), cut, &stats->ops);
+      ChargeScanPages(input.layout(), input.size(), cut, &stats->ops);
     } else {
       // Closed-form reconstruction of the skip scan's charges at the
       // replayed cut, exact because the summary probes are
@@ -583,208 +558,6 @@ ResultList ReplayScanTrace(const StoreView& input, const ScanTrace& trace,
     }
   }
   return result;
-}
-
-ResultList ParallelSortedSkyline(const StoreView& input, Subspace u,
-                                 size_t chunk_size,
-                                 const ThresholdScanOptions& options,
-                                 ThresholdScanStats* stats, ThreadPool* pool) {
-  // Whole-page chunks: concurrent chunk cursors never share a buffer
-  // frame, and per-chunk page charges cover disjoint page ranges. The
-  // snap depends only on the layout, so in-memory and paged runs split
-  // identically.
-  chunk_size = SnapChunkToPages(input.layout(), chunk_size);
-  // Pages hold whole 8-wide blocks, so page-snapped chunks are also
-  // block-aligned — in-memory mode included, where pages are purely
-  // logical. Block-skipping chunk scans rely on this: a summary block
-  // never straddles two chunks, so per-chunk probe sequences (and their
-  // charges) are the same ones a sequential skip scan would issue.
-  SKYPEER_DCHECK(chunk_size % kDomBlockWidth == 0);
-  if (chunk_size == 0 || input.size() <= chunk_size) {
-    return SortedSkyline(input, u, options, stats);
-  }
-  SKYPEER_DCHECK(input.list() == nullptr || input.list()->IsSorted());
-  if (pool == nullptr) {
-    pool = ThreadPool::Global();
-  }
-  const int dims = input.dims();
-  const size_t num_chunks = (input.size() + chunk_size - 1) / chunk_size;
-
-  std::vector<ResultList> chunk_results;
-  chunk_results.reserve(num_chunks);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    chunk_results.emplace_back(dims);
-  }
-  std::vector<ThresholdScanStats> chunk_stats(num_chunks);
-
-  const ResultList* broadcast_filter =
-      (options.filter != nullptr && !options.filter->empty()) ? options.filter
-                                                              : nullptr;
-  // Seed list for chunks > 0; assigned after chunk 0 completes, before
-  // the fan-out. With a broadcast filter it is the concatenation of the
-  // filter and chunk 0's survivors (a dominated entry in the combined
-  // list is an inert extra pruner), otherwise chunk 0's survivors alone.
-  ResultList combined_seed(dims);
-  const ResultList* later_seed = nullptr;
-
-  const auto scan_chunk = [&](size_t c, double seed) {
-    ThresholdScanOptions chunk_options = options;
-    chunk_options.initial_threshold = seed;
-    SkylineAccumulator accumulator(dims, u, chunk_options);
-    if (c == 0) {
-      if (broadcast_filter != nullptr) {
-        accumulator.SeedWindow(*broadcast_filter);
-      }
-    } else {
-      // Chunk 0's survivors — the sequential scan's hot window — reject
-      // most duplicated chunk-local survivors up front. They are
-      // computed before the fan-out, so the rejections (and hence every
-      // per-chunk result and scan count) stay deterministic; and they
-      // remain in the survivor union themselves, so the cross-filter
-      // below removes exactly the same points either way. The broadcast
-      // filter rides along uniformly: any point only a filter point
-      // dominates is rejected in every chunk alike, so it never reaches
-      // the survivor union.
-      accumulator.SeedWindow(*later_seed);
-    }
-    const size_t begin = c * chunk_size;
-    const size_t end = std::min(input.size(), begin + chunk_size);
-    OpCounts scan_ops;
-    const size_t scanned =
-        RunThresholdScanLoop(input, u, begin, end, options.block_skip,
-                             &accumulator, &scan_ops, nullptr);
-    chunk_stats[c].scanned = scanned;
-    chunk_stats[c].final_threshold = accumulator.threshold();
-    chunk_stats[c].ops = accumulator.ops();
-    chunk_stats[c].ops += scan_ops;
-    chunk_results[c] = accumulator.TakeResult();
-  };
-
-  // Chunk 0 — the prefix the sequential scan would consume first — runs
-  // before the fan-out so its final threshold seeds every later chunk.
-  scan_chunk(0, options.initial_threshold);
-
-  if (broadcast_filter == nullptr) {
-    later_seed = &chunk_results[0];
-  } else {
-    combined_seed.points.Reserve(broadcast_filter->size() +
-                                 chunk_results[0].size());
-    combined_seed.f.reserve(broadcast_filter->size() +
-                            chunk_results[0].size());
-    for (size_t i = 0; i < broadcast_filter->size(); ++i) {
-      combined_seed.points.AppendFrom(broadcast_filter->points, i);
-      combined_seed.f.push_back(broadcast_filter->f[i]);
-    }
-    for (size_t i = 0; i < chunk_results[0].size(); ++i) {
-      combined_seed.points.AppendFrom(chunk_results[0].points, i);
-      combined_seed.f.push_back(chunk_results[0].f[i]);
-    }
-    later_seed = &combined_seed;
-  }
-
-  // Deterministic seeds: chunk c starts from the tightest bound derivable
-  // from chunk 0's scan and the first point of chunks 1..c-1. Observation 5
-  // holds for the dist_U of any point (accepted or not), so the seed only
-  // prunes dominated points; and because the seeds depend on the input
-  // alone, per-chunk scan counts never vary with scheduling.
-  std::vector<double> seeds(num_chunks);
-  {
-    // Seed rows sit on pages the chunk scans themselves examine (every
-    // chunk reads at least its first position), so they add no page
-    // charges of their own.
-    StoreCursor seed_cursor(input);
-    double bound = chunk_stats[0].final_threshold;
-    for (size_t c = 1; c < num_chunks; ++c) {
-      seeds[c] = bound;
-      bound = std::min(bound, DistU(seed_cursor.row(c * chunk_size), u));
-    }
-  }
-  pool->ParallelFor(num_chunks - 1,
-                    [&](size_t i) { scan_chunk(i + 1, seeds[i + 1]); });
-
-  // Cross-filter: the final skyline is exactly the survivors that no
-  // other survivor dominates. Any input point that dominates a survivor
-  // resolves — through chunk evictions and threshold witnesses, both of
-  // which strictly dominate what they prune — to a survivor that also
-  // dominates it, so filtering against the survivor union alone is
-  // exact. The test is order-independent (a point never dominates
-  // itself or an equal projection), which makes this stage
-  // embarrassingly parallel, unlike a serial Algorithm 2 re-merge whose
-  // single accumulator pass would bound the speedup on skyline-heavy
-  // stores.
-  size_t total = 0;
-  for (const ResultList& r : chunk_results) {
-    total += r.size();
-  }
-  const int k = u.Count();
-  std::vector<double> proj(total * static_cast<size_t>(k));
-  {
-    size_t offset = 0;
-    for (const ResultList& r : chunk_results) {
-      for (size_t i = 0; i < r.size(); ++i, ++offset) {
-        const double* p = r.points[i];
-        double* row = proj.data() + offset * static_cast<size_t>(k);
-        int j = 0;
-        for (int dim : u) {
-          row[j++] = p[dim];
-        }
-      }
-    }
-  }
-  std::vector<uint64_t> payloads(total);
-  std::iota(payloads.begin(), payloads.end(), uint64_t{0});
-  const RTree tree = RTree::BulkLoad(k, proj.data(), payloads.data(), total);
-  std::vector<uint8_t> keep(total, 0);
-  constexpr size_t kFilterBlock = 1024;
-  const size_t num_blocks = (total + kFilterBlock - 1) / kFilterBlock;
-  // Per-block local counters, folded in block order afterwards:
-  // the shared tree is traversed concurrently, so counting through a
-  // shared accumulator would race (and break cross-thread determinism).
-  std::vector<uint64_t> block_visits(num_blocks, 0);
-  pool->ParallelFor(num_blocks, [&](size_t b) {
-    const size_t begin = b * kFilterBlock;
-    const size_t end = std::min(total, begin + kFilterBlock);
-    for (size_t i = begin; i < end; ++i) {
-      keep[i] = !tree.AnyDominates(proj.data() + i * static_cast<size_t>(k),
-                                   options.ext, &block_visits[b]);
-    }
-  });
-
-  // Concatenating in chunk order restores the original (f, position)
-  // order, and the final threshold — min dist_U over the survivors —
-  // matches the sequential accumulator's (every evicted point has an
-  // evictor chain ending in a survivor with dist_U no larger).
-  ResultList merged(dims);
-  double final_threshold = options.initial_threshold;
-  {
-    size_t offset = 0;
-    for (const ResultList& r : chunk_results) {
-      for (size_t i = 0; i < r.size(); ++i, ++offset) {
-        if (!keep[offset]) {
-          continue;
-        }
-        merged.points.AppendFrom(r.points, i);
-        merged.f.push_back(r.f[i]);
-        final_threshold = std::min(final_threshold, DistU(r.points[i], u));
-      }
-    }
-  }
-  if (stats != nullptr) {
-    stats->scanned = 0;
-    stats->ops = OpCounts{};
-    // Fixed summation order (chunks ascending, then the cross-filter's
-    // blocks ascending) keeps the counts independent of scheduling.
-    for (const ThresholdScanStats& chunk : chunk_stats) {
-      stats->scanned += chunk.scanned;
-      stats->ops += chunk.ops;
-    }
-    stats->ops.sort_steps += SortCost(total);
-    for (size_t b = 0; b < num_blocks; ++b) {
-      stats->ops.rtree_node_visits += block_visits[b];
-    }
-    stats->final_threshold = final_threshold;
-  }
-  return merged;
 }
 
 }  // namespace skypeer

@@ -17,8 +17,6 @@
 
 namespace skypeer {
 
-class ThreadPool;
-
 /// Options shared by the threshold-based scan algorithms (paper
 /// Algorithms 1 and 2).
 struct ThresholdScanOptions {
@@ -34,15 +32,6 @@ struct ThresholdScanOptions {
   /// (§5.2.1). When false a linear scan over the window is used, which is
   /// faster for small inputs and serves as a differential-testing twin.
   bool use_rtree = true;
-
-  /// Window compaction policy of `SkylineAccumulator`: evicted slots are
-  /// dropped once the window holds at least `compact_min_window` entries
-  /// and fewer than `compact_live_fraction` of them are alive. The
-  /// defaults reproduce the historical `alive * 2 < size && size >= 64`
-  /// rule exactly; raising the fraction bounds the window more tightly on
-  /// evict-heavy streams at the cost of more frequent copies.
-  size_t compact_min_window = 64;
-  double compact_live_fraction = 0.5;
 
   /// `MergeSortedSkylines` only: skip points whose id was already offered
   /// by an earlier list position. Copies of the same point never dominate
@@ -88,8 +77,7 @@ struct ThresholdScanStats {
   double final_threshold = std::numeric_limits<double>::infinity();
   /// Logical operations the scan performed (machine-independent; see
   /// `OpCounts`). Replays report the counts of the equivalent direct
-  /// scan, and chunked parallel scans sum per-chunk counts in chunk
-  /// order, so `ops` is identical across thread counts and kernels.
+  /// scan, so `ops` is identical across thread counts and kernels.
   OpCounts ops;
 };
 
@@ -186,7 +174,7 @@ class SkylineAccumulator {
 
   /// `Offer` that additionally attaches a caller tag to the point and,
   /// when `evicted_tags` is non-null, appends the tags of the window
-  /// entries this offer evicted. Used by the traced scan to record which
+  /// entries this offer evicted. Used by traced scans to record which
   /// scan position evicted which: the tag is the offer's scan position.
   bool OfferTagged(const double* p, PointId id, double f, uint64_t tag,
                    std::vector<uint64_t>* evicted_tags);
@@ -211,7 +199,7 @@ class SkylineAccumulator {
   size_t alive() const { return alive_; }
 
   /// Number of window slots (alive + not-yet-compacted evicted entries);
-  /// bounded by the compaction policy in `ThresholdScanOptions`.
+  /// bounded by the compaction policy of `MaybeCompact`.
   size_t window_size() const { return window_points_.size(); }
 
   /// Logical operations performed by all offers so far. Dominance tests
@@ -229,8 +217,8 @@ class SkylineAccumulator {
   /// may be evicted by) later offers but never appear in `TakeResult()`.
   /// Seeds need not be mutually non-dominated and need not precede future
   /// offers in `f` order — a dominated seed is an inert extra pruner, and
-  /// no decision depends on a seed's `f` value (chunk seeding satisfies
-  /// the f-order property; broadcast filter sets deliberately do not).
+  /// no decision depends on a seed's `f` value (broadcast filter sets are
+  /// not f-ordered against the scanned store).
   /// Only valid on an empty accumulator; does not tighten `threshold()`
   /// (fold the seed's threshold into `options.initial_threshold` instead).
   void SeedWindow(const ResultList& seed);
@@ -239,9 +227,9 @@ class SkylineAccumulator {
   void EvictDominatedLinear(const double* proj,
                             std::vector<uint64_t>* evicted_tags);
 
-  /// Drops evicted window slots once fewer than `compact_live_fraction_`
-  /// of the entries are alive (and the window holds at least
-  /// `compact_min_window_`), so the batched dominance tests and
+  /// Drops evicted window slots once fewer than half of the entries are
+  /// alive (and the window holds at least 64), so the batched dominance
+  /// tests and
   /// `window_proj_` stay proportional to the running skyline instead of
   /// every point ever offered. Rebuilds the R-tree payload indices when
   /// `use_rtree_`.
@@ -251,8 +239,6 @@ class SkylineAccumulator {
   Subspace u_;
   bool strict_;
   bool use_rtree_;
-  size_t compact_min_window_;
-  double compact_live_fraction_;
   double threshold_;
 
   // Candidate window: points appended in offer order; `alive_flags_[i]`
@@ -287,27 +273,19 @@ class SkylineAccumulator {
 /// requested, `stats->ops` additionally charges the logical store pages
 /// spanning the examined prefix (`ChargeScanPages`), identically for
 /// paged and resident stores of the same page geometry.
+///
+/// A non-null `trace` additionally records the scan's events (the result,
+/// threshold and scan count are unchanged), so it can later be replayed
+/// under any tighter initial threshold via `ReplayScanTrace`.
 ResultList SortedSkyline(const StoreView& input, Subspace u,
                          const ThresholdScanOptions& options = {},
-                         ThresholdScanStats* stats = nullptr);
+                         ThresholdScanStats* stats = nullptr,
+                         ScanTrace* trace = nullptr);
 inline ResultList SortedSkyline(const ResultList& input, Subspace u,
                                 const ThresholdScanOptions& options = {},
-                                ThresholdScanStats* stats = nullptr) {
-  return SortedSkyline(StoreView(&input), u, options, stats);
-}
-
-/// \brief Algorithm 1 with event recording: identical result, threshold
-/// and scan count as `SortedSkyline(input, u, options)`, but additionally
-/// fills `trace` so the scan can later be replayed under any tighter
-/// initial threshold via `ReplayScanTrace`.
-ResultList TracedSortedSkyline(const StoreView& input, Subspace u,
-                               const ThresholdScanOptions& options,
-                               ThresholdScanStats* stats, ScanTrace* trace);
-inline ResultList TracedSortedSkyline(const ResultList& input, Subspace u,
-                                      const ThresholdScanOptions& options,
-                                      ThresholdScanStats* stats,
-                                      ScanTrace* trace) {
-  return TracedSortedSkyline(StoreView(&input), u, options, stats, trace);
+                                ThresholdScanStats* stats = nullptr,
+                                ScanTrace* trace = nullptr) {
+  return SortedSkyline(StoreView(&input), u, options, stats, trace);
 }
 
 /// \brief Replays a recorded scan of `input` under `threshold_in`, which
@@ -324,42 +302,6 @@ inline ResultList ReplayScanTrace(const ResultList& input,
                                   const ScanTrace& trace, double threshold_in,
                                   ThresholdScanStats* stats = nullptr) {
   return ReplayScanTrace(StoreView(&input), trace, threshold_in, stats);
-}
-
-/// \brief Chunked parallel form of Algorithm 1: splits the f-sorted input
-/// into contiguous chunks of `chunk_size` points, scans them concurrently
-/// on `pool` (the process-global pool when null) and cross-filters the
-/// per-chunk survivors — in parallel, against one bulk-loaded R-tree over
-/// their union — down to the exact skyline.
-///
-/// Returns a result bit-identical to `SortedSkyline(input, u, options)` at
-/// any thread count, including `stats->final_threshold`. Chunk 0 — the
-/// sequential scan's hot prefix — runs first; its final threshold plus the
-/// `dist_U` of each earlier chunk's first point seed the remaining chunks
-/// (Observation 5 justifies pruning against the `dist_U` of *any* point,
-/// accepted or not, because `f(p) <= dist_U(p)`). The seeds depend only on
-/// the input, so `stats->scanned` — the sum of the per-chunk scan counts —
-/// is also reproducible across thread counts; it can exceed the sequential
-/// scan count because later chunks cannot see thresholds discovered
-/// concurrently.
-///
-/// `chunk_size` is snapped up to a whole number of store pages
-/// (`SnapChunkToPages`) in both store modes, so concurrent chunk cursors
-/// never share a buffer frame and per-chunk page charges are disjoint.
-/// `chunk_size == 0` (or an input no larger than one snapped chunk) falls
-/// back to the sequential scan.
-ResultList ParallelSortedSkyline(const StoreView& input, Subspace u,
-                                 size_t chunk_size,
-                                 const ThresholdScanOptions& options = {},
-                                 ThresholdScanStats* stats = nullptr,
-                                 ThreadPool* pool = nullptr);
-inline ResultList ParallelSortedSkyline(const ResultList& input, Subspace u,
-                                        size_t chunk_size,
-                                        const ThresholdScanOptions& options = {},
-                                        ThresholdScanStats* stats = nullptr,
-                                        ThreadPool* pool = nullptr) {
-  return ParallelSortedSkyline(StoreView(&input), u, chunk_size, options,
-                               stats, pool);
 }
 
 }  // namespace skypeer

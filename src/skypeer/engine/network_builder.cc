@@ -1,19 +1,44 @@
 #include "skypeer/engine/network_builder.h"
 
 #include <algorithm>
-#include <utility>
-
+#include <cmath>
 #include <limits>
+#include <utility>
 
 #include "skypeer/algo/extended_skyline.h"
 #include "skypeer/algo/filter_set.h"
 #include "skypeer/algo/sfs.h"
 #include "skypeer/common/macros.h"
+#include "skypeer/common/mapping.h"
 #include "skypeer/common/rng.h"
 #include "skypeer/common/thread_pool.h"
 #include "skypeer/engine/peer.h"
 
 namespace skypeer {
+
+namespace {
+
+/// True when some coordinate of row `p` is NaN. Dominance is defined on
+/// a NaN-free domain (common/dominance.h) and only debug builds assert
+/// it, so points entering through the public API are checked here.
+bool HasNaN(const double* p, int dims) {
+  return std::any_of(p, p + dims, [](double x) { return std::isnan(x); });
+}
+
+/// Checks a joining peer's raw dataset: matching dimensionality, no NaN.
+Status ValidatePeerData(const PointSet& data, int dims) {
+  if (data.dims() != dims) {
+    return Status::InvalidArgument("dimensionality mismatch");
+  }
+  for (size_t i = 0; i < data.size(); ++i) {
+    if (HasNaN(data[i], dims)) {
+      return Status::InvalidArgument("peer point has a NaN coordinate");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Status SkypeerNetwork::Validate(const NetworkConfig& config) {
   if (config.dims < 1 || config.dims > kMaxDims) {
@@ -121,7 +146,6 @@ SkypeerNetwork::SkypeerNetwork(const NetworkConfig& config)
   for (int i = 0; i < num_sp; ++i) {
     super_peers_.push_back(
         std::make_unique<SuperPeer>(i, config_.dims, config_.wire));
-    super_peers_.back()->set_thread_pool(pool_);
     super_peers_.back()->SetCostModel(config_.cost_model);
     super_peers_.back()->set_page_size(config_.page_size);
     super_peers_.back()->set_incremental_maintenance(
@@ -303,7 +327,6 @@ PreprocessStats SkypeerNetwork::Preprocess() {
   for (int sp = 0; sp < overlay_.num_super_peers(); ++sp) {
     super_peers_[sp]->set_retain_peer_lists(config_.dynamic_membership);
     super_peers_[sp]->set_enable_cache(config_.enable_cache);
-    super_peers_[sp]->set_scan_chunk_size(config_.scan_chunk_size);
     super_peers_[sp]->set_block_skip(config_.block_skip);
     super_peers_[sp]->set_filter_set_size(config_.filter_set_size);
     // The clustered workload has each super-peer pick a centroid; its
@@ -409,11 +432,20 @@ Status SkypeerNetwork::AdoptStores(std::vector<ResultList> stores) {
     if (!store.IsSorted()) {
       return Status::InvalidArgument("store is not f-sorted");
     }
+    for (size_t i = 0; i < store.size(); ++i) {
+      if (HasNaN(store.points[i], config_.dims)) {
+        return Status::InvalidArgument("store point has a NaN coordinate");
+      }
+      // `!=` also rejects a NaN `f`.
+      if (store.f[i] != MinCoord(store.points[i], config_.dims)) {
+        return Status::InvalidArgument(
+            "store f value differs from the point's minimum coordinate");
+      }
+    }
     total += store.size();
   }
   for (int sp = 0; sp < num_super_peers(); ++sp) {
     super_peers_[sp]->set_enable_cache(config_.enable_cache);
-    super_peers_[sp]->set_scan_chunk_size(config_.scan_chunk_size);
     super_peers_[sp]->set_block_skip(config_.block_skip);
     super_peers_[sp]->set_filter_set_size(config_.filter_set_size);
     super_peers_[sp]->SetStore(std::move(stores[sp]));
@@ -436,9 +468,7 @@ Status SkypeerNetwork::JoinPeer(int super_peer, PointSet data,
   if (super_peer < 0 || super_peer >= num_super_peers()) {
     return Status::OutOfRange("no such super-peer");
   }
-  if (data.dims() != config_.dims) {
-    return Status::InvalidArgument("dimensionality mismatch");
-  }
+  SKYPEER_RETURN_IF_ERROR(ValidatePeerData(data, config_.dims));
 
   // Re-identify the points so ids stay globally unique.
   PointSet fresh(config_.dims);
@@ -752,9 +782,6 @@ std::unique_ptr<SkypeerNetwork> SkypeerNetwork::CloneForQueries() const {
   config.threads = 0;
   auto clone = std::make_unique<SkypeerNetwork>(config);
   clone->pool_ = pool_;
-  for (auto& sp : clone->super_peers_) {
-    sp->set_thread_pool(pool_);
-  }
   std::vector<ResultList> stores;
   stores.reserve(super_peers_.size());
   for (const auto& sp : super_peers_) {
@@ -785,9 +812,7 @@ Status SkypeerNetwork::ReplacePeerData(int peer_id, PointSet data,
   if (range_it == peer_point_ranges_.end()) {
     return Status::NotFound("unknown peer id");
   }
-  if (data.dims() != config_.dims) {
-    return Status::InvalidArgument("dimensionality mismatch");
-  }
+  SKYPEER_RETURN_IF_ERROR(ValidatePeerData(data, config_.dims));
   const int super_peer = overlay_.peer_super_peer[peer_id];
   SKYPEER_RETURN_IF_ERROR(RemovePeer(peer_id, maintenance_ops));
   // Rejoin under the same super-peer; the peer receives a fresh id (point

@@ -107,14 +107,6 @@ struct NetworkConfig {
   /// counts included) are bit-identical to the in-memory default (0);
   /// only physical pool statistics (hits/misses/evictions) differ.
   size_t buffer_pages = 0;
-  /// Chunk size of the chunked parallel threshold scan at super-peers
-  /// (`ParallelSortedSkyline`): local scans over stores larger than one
-  /// chunk split into contiguous chunks executed on the global thread
-  /// pool and merged. 0 keeps Algorithm 1 sequential. Results, simulated
-  /// times, volume and messages are identical either way; only
-  /// `store_points_scanned` may differ from the sequential scan's count
-  /// (deterministically, for a fixed chunk size).
-  size_t scan_chunk_size = 0;
   /// Zone-map block skipping in every super-peer's threshold scans (see
   /// `ThresholdScanOptions::block_skip`): 8-wide store blocks whose
   /// summary min-vector is dominated by the live scan window are consumed
@@ -147,9 +139,9 @@ struct NetworkConfig {
   /// disables the filter; naive ignores it (it floods before the
   /// initiator computes anything to sample from).
   size_t filter_set_size = 0;
-  /// Worker threads scoped to this network: staging waves, preprocessing
-  /// and chunked scans of this instance run on a private pool of this
-  /// size instead of the process-wide `ThreadPool::Global()`. 0 (default)
+  /// Worker threads scoped to this network: staging waves and
+  /// preprocessing of this instance run on a private pool of this size
+  /// instead of the process-wide `ThreadPool::Global()`. 0 (default)
   /// keeps using the global pool; 1 forces this network sequential
   /// regardless of the global setting. Replica clones share the parent's
   /// pool.
@@ -222,6 +214,9 @@ class SkypeerNetwork {
   /// Installs externally produced stores (snapshot restore; see
   /// engine/persistence.h), one f-sorted list per super-peer, and marks
   /// the network query-ready. Ground truth and churn remain unavailable.
+  /// Returns `InvalidArgument` when a store has the wrong dimensionality,
+  /// is not f-sorted, holds a NaN coordinate, or carries an `f` that is
+  /// not its point's minimum coordinate.
   Status AdoptStores(std::vector<ResultList> stores);
 
   bool preprocessed() const { return preprocessed_; }
@@ -287,7 +282,8 @@ class SkypeerNetwork {
   /// extended skyline is computed and merged incrementally into the
   /// super-peer's store. Returns the new peer's id via `out_peer_id`
   /// (optional). When `maintenance_ops` is non-null the super-peer
-  /// merge's logical operation counts are added to it.
+  /// merge's logical operation counts are added to it. Returns
+  /// `InvalidArgument` on a dimensionality mismatch or a NaN coordinate.
   Status JoinPeer(int super_peer, PointSet data, int* out_peer_id = nullptr,
                   OpCounts* maintenance_ops = nullptr);
 

@@ -17,9 +17,9 @@ namespace skypeer {
 /// keyed by (super-peer id, store epoch, subspace mask, filter
 /// fingerprint).
 ///
-/// The cached value is the event trace of the sequential threshold scan
-/// over the owning super-peer's store with no threshold (see
-/// `TracedSortedSkyline`); `ReplayScanTrace` then reproduces the exact
+/// The cached value is the event trace of the threshold scan over the
+/// owning super-peer's store with no threshold (see `SortedSkyline`'s
+/// `trace` argument); `ReplayScanTrace` then reproduces the exact
 /// scan result — survivors, consumed-point count, final threshold — for
 /// *any* incoming threshold without a single dominance test. A trace is
 /// a pure function of (store, mask, broadcast filter set), so any filler

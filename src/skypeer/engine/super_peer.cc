@@ -826,9 +826,7 @@ void SuperPeer::RunLocalScan(const Subspace& subspace, Variant variant,
     // order. The filter fingerprint is part of the key: a filtered scan's
     // accept/evict events differ from an unfiltered one's, so replaying
     // across filter configurations would be exactly the PR 3 class of
-    // cache inexactness. The fill must be the sequential scan — a chunked
-    // scan cannot produce the sequential event order — so
-    // `scan_chunk_size_` does not apply here.
+    // cache inexactness.
     if (cache_ == nullptr) {
       cache_ = std::make_shared<SubspaceScanTraceCache>();
     }
@@ -839,8 +837,7 @@ void SuperPeer::RunLocalScan(const Subspace& subspace, Variant variant,
       ThresholdScanOptions fill_options;
       fill_options.block_skip = block_skip_;
       fill_options.filter = filter;
-      TracedSortedSkyline(view, subspace, fill_options, nullptr,
-                          trace.get());
+      SortedSkyline(view, subspace, fill_options, nullptr, trace.get());
       // Keyed by the epoch the scan actually read (`scan_epoch_`), so a
       // pinned query's old-epoch fill can never serve queries of a newer
       // store.
@@ -864,11 +861,8 @@ void SuperPeer::RunLocalScan(const Subspace& subspace, Variant variant,
   options.block_skip = block_skip_;
   options.filter = filter;
   ThresholdScanStats stats;
-  // Bit-identical to the sequential scan; chunk size 0 or a store no
-  // larger than one chunk runs sequentially.
   *local = std::make_shared<const ResultList>(
-      ParallelSortedSkyline(view, subspace, scan_chunk_size_, options,
-                            &stats, pool_));
+      SortedSkyline(view, subspace, options, &stats));
   // The scan threshold only ever tightens; RT*M forwards this value.
   *threshold_out = stats.final_threshold;
   *scanned = stats.scanned;
@@ -915,24 +909,18 @@ void SuperPeer::StageSpeculativeScan(const Subspace& subspace, Variant variant,
   staged.threshold_in = fixed_threshold;
   staged.filter_fp = filter != nullptr ? FilterFingerprint(*filter) : 0;
   staged.speculative = true;
-  const StoreView view = View();
-  // Mirrors ParallelSortedSkyline's sequential fallback, including the
-  // page-snapped chunk size, so "sequential" is decided identically here
-  // and inside the scan.
-  const size_t chunk = SnapChunkToPages(view.layout(), scan_chunk_size_);
-  if (variant != Variant::kNaive && !cache_enabled_ &&
-      (chunk == 0 || view.size() <= chunk)) {
-    // Sequential scan: record the event trace so the reconcile can replay
-    // the scan under the refined threshold without any dominance test.
-    // The filter seeds are baked into the recorded events; the staged
-    // fingerprint guards the match.
+  if (!cache_enabled_) {
+    // Record the event trace so the reconcile can replay the scan under
+    // the refined threshold without any dominance test. The filter seeds
+    // are baked into the recorded events; the staged fingerprint guards
+    // the match.
     ThresholdScanOptions options;
     options.initial_threshold = fixed_threshold;
     options.block_skip = block_skip_;
     options.filter = filter.get();
     ThresholdScanStats stats;
-    staged.local = std::make_shared<const ResultList>(TracedSortedSkyline(
-        view, subspace, options, &stats, &staged.trace));
+    staged.local = std::make_shared<const ResultList>(
+        SortedSkyline(View(), subspace, options, &stats, &staged.trace));
     staged.threshold_out = stats.final_threshold;
     staged.scanned = stats.scanned;
     staged.ops = stats.ops;
@@ -941,10 +929,6 @@ void SuperPeer::StageSpeculativeScan(const Subspace& subspace, Variant variant,
     // Cache path: the scan warms the shared trace cache (a pure function
     // of the store and filter, so identical to what the protocol run
     // would insert) and the reconcile replays it at the refined value.
-    // Chunked path: per-chunk threshold seeds depend on the initial
-    // threshold, so the staged result is only valid on an exact match
-    // (hop-1 RT*M nodes, which receive precisely the initiator's
-    // threshold); deeper nodes rerun inline.
     RunLocalScan(subspace, variant, fixed_threshold, filter.get(),
                  staged.filter_fp, &staged.local, &staged.threshold_out,
                  &staged.scanned, &staged.ops);
@@ -1003,11 +987,9 @@ void SuperPeer::ComputeLocal(sim::Simulator* simulator, QueryState* state) {
       ChargeOps(simulator, stats.ops);
       return;
     }
-    // Otherwise the speculative scan either warmed the trace cache —
-    // replaying it under the refined threshold is exactly the cache-hit
-    // path of the inline scan below — or was chunked under a strictly
-    // looser threshold, whose per-chunk seeds would differ, so the scan
-    // reruns inline.
+    // Otherwise the speculative scan warmed the trace cache; replaying
+    // it under the refined threshold is exactly the cache-hit path of
+    // the inline scan below.
   }
   staged_.reset();
   OpCounts ops;

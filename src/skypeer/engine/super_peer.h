@@ -26,8 +26,6 @@
 
 namespace skypeer {
 
-class ThreadPool;
-
 /// \brief A super-peer node: stores the merged extended skyline of its
 /// associated peers and executes the SKYPEER protocol (paper Algorithm 3)
 /// for all variants plus the naive baseline.
@@ -223,18 +221,6 @@ class SuperPeer : public sim::Node {
     cache_ = std::move(cache);
   }
 
-  /// Thread pool the chunked parallel scan uses; nullptr (the default)
-  /// resolves `ThreadPool::Global()` at call time (so replacing the
-  /// global pool never leaves a dangling pointer here).
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-
-  /// Chunk size of the chunked parallel threshold scan (Algorithm 1 split
-  /// over the global thread pool; see `ParallelSortedSkyline`). 0 keeps
-  /// the scan sequential. Results, thresholds and scan counts are
-  /// identical at any thread count for a fixed chunk size; the scan count
-  /// can exceed the sequential scan's for the same store.
-  void set_scan_chunk_size(size_t chunk) { scan_chunk_size_ = chunk; }
-
   /// Enables zone-map block skipping in this node's threshold scans (see
   /// `ThresholdScanOptions::block_skip`): store blocks whose summary
   /// min-vector is dominated by the live window are consumed without
@@ -322,13 +308,10 @@ class SuperPeer : public sim::Node {
   /// arrives. `ComputeLocal` then reproduces the result, final threshold
   /// and scan count the sequential execution under the refined threshold
   /// would have produced, bit-identically:
-  ///  - sequential scans record a `ScanTrace` replayed in O(scan length);
+  ///  - without the cache the scan records a `ScanTrace`, replayed in
+  ///    O(scan length);
   ///  - with the cache enabled the speculative scan warms the shared
-  ///    trace cache and the reconcile replays it at the refined value;
-  ///  - chunked scans (`set_scan_chunk_size` > 0 and a store larger than
-  ///    one chunk) are only consumed on an exact threshold match — their
-  ///    per-chunk seeds depend on the initial threshold, so a trace
-  ///    replay would diverge — and otherwise rerun inline.
+  ///    trace cache and the reconcile replays it at the refined value.
   /// Like `StageLocalScan` this never changes results or simulated
   /// metrics; it only moves host CPU off the simulator thread. `filter`
   /// as in `StageLocalScan`.
@@ -468,8 +451,7 @@ class SuperPeer : public sim::Node {
     /// reconcile it against any arriving threshold <= `threshold_in`.
     bool speculative = false;
     /// Event log of the speculative sequential scan, replayable under
-    /// tighter thresholds. Unset (`has_trace` false) on the cache and
-    /// chunked-scan paths.
+    /// tighter thresholds. Unset (`has_trace` false) on the cache path.
     bool has_trace = false;
     ScanTrace trace;
   };
@@ -670,14 +652,12 @@ class SuperPeer : public sim::Node {
   /// (both simulation runs of a query charge identically).
   OpCounts query_ops_;
   bool cache_enabled_ = false;
-  size_t scan_chunk_size_ = 0;
   /// Zone-map block skipping in local threshold scans (see
   /// set_block_skip).
   bool block_skip_ = false;
   /// Broadcast filter-set size bound this node uses as initiator
   /// (see set_filter_set_size); 0 disables the filter axis.
   size_t filter_set_size_ = 0;
-  ThreadPool* pool_ = nullptr;  // nullptr resolves the global pool.
   /// Unconstrained per-subspace skylines under this node's id; possibly
   /// shared with replica clones (see SetResultCache). Created on first
   /// use when `cache_enabled_` and none was installed.

@@ -62,44 +62,28 @@ struct PageLayout {
   }
 };
 
-/// Positions whose `f` value a threshold scan over [begin, end) read:
-/// every consumed point plus, when the scan stopped on the threshold
-/// before `end`, the first rejected position. A pure function of the
-/// scan outcome, so replays and chunked scans charge identically to the
+/// Positions whose `f` value a threshold scan over a store of `size`
+/// points read: every consumed point plus, when the scan stopped on the
+/// threshold before the end, the first rejected position. A pure
+/// function of the scan outcome, so replays charge identically to the
 /// direct scan they reproduce.
-inline size_t ScanExamined(size_t begin, size_t end, size_t scanned) {
-  return scanned + ((begin + scanned < end) ? 1 : 0);
+inline size_t ScanExamined(size_t size, size_t scanned) {
+  return scanned + (scanned < size ? 1 : 0);
 }
 
-/// Charges the logical page reads of a threshold scan over [begin, end)
-/// that consumed `scanned` points: the pages spanning the examined
-/// prefix, whole pages each. Charged identically for paged and
+/// Charges the logical page reads of a threshold scan over a store of
+/// `size` points that consumed `scanned` points: the pages spanning the
+/// examined prefix, whole pages each. Charged identically for paged and
 /// in-memory stores (see `PageLayout`).
-inline void ChargeScanPages(const PageLayout& layout, size_t begin, size_t end,
+inline void ChargeScanPages(const PageLayout& layout, size_t size,
                             size_t scanned, OpCounts* ops) {
-  const size_t examined = ScanExamined(begin, end, scanned);
+  const size_t examined = ScanExamined(size, scanned);
   if (examined == 0) {
     return;
   }
-  const size_t ppp = layout.points_per_page();
-  const size_t first = begin / ppp;
-  const size_t last = (begin + examined - 1) / ppp;
-  const uint64_t pages = static_cast<uint64_t>(last - first + 1);
+  const uint64_t pages = layout.PagesForPoints(examined);
   ops->page_reads += pages;
   ops->page_bytes += pages * static_cast<uint64_t>(layout.page_size);
-}
-
-/// Rounds `chunk` up to a whole number of pages (0 stays 0, meaning
-/// "sequential"). Chunked parallel scans snap their chunk size with this
-/// in both store modes, so concurrent chunk cursors never share a frame
-/// and per-chunk page charges stay disjoint.
-inline size_t SnapChunkToPages(const PageLayout& layout, size_t chunk) {
-  if (chunk == 0) {
-    return 0;
-  }
-  const size_t ppp = layout.points_per_page();
-  const size_t rem = chunk % ppp;
-  return rem == 0 ? chunk : chunk + (ppp - rem);
 }
 
 }  // namespace skypeer

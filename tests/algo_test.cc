@@ -462,7 +462,7 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<3>(info.param) ? "_ext" : "_sky");
     });
 
-// --- chunked parallel scan ----------------------------------------------
+// --- traced scans and replays ------------------------------------------
 
 /// Full-content equality: ids, f and coordinates in list order.
 void ExpectSameList(const ResultList& actual, const ResultList& expected,
@@ -477,93 +477,7 @@ void ExpectSameList(const ResultList& actual, const ResultList& expected,
   }
 }
 
-TEST(ParallelSortedSkyline, BitIdenticalToSequentialScan) {
-  ThreadPool pool(4);
-  for (Distribution distribution :
-       {Distribution::kUniform, Distribution::kAnticorrelated,
-        Distribution::kCorrelated}) {
-    for (int dims : {2, 4, 6}) {
-      const PointSet data =
-          MakeData(distribution, dims, 600, 131 * dims + 7);
-      const ResultList sorted = BuildSortedByF(data);
-      std::vector<Subspace> subspaces = {Subspace::FullSpace(dims),
-                                         Subspace::FromDims({0})};
-      if (dims >= 3) {
-        subspaces.push_back(Subspace::FromDims({1, 2}));
-      }
-      for (Subspace u : subspaces) {
-        for (bool ext : {false, true}) {
-          for (bool use_rtree : {false, true}) {
-            ThresholdScanOptions options;
-            options.ext = ext;
-            options.use_rtree = use_rtree;
-            ThresholdScanStats seq_stats;
-            const ResultList reference =
-                SortedSkyline(sorted, u, options, &seq_stats);
-            for (size_t chunk : {size_t{1}, size_t{7}, size_t{64},
-                                 size_t{599}, size_t{4096}}) {
-              const std::string context =
-                  std::string(DistributionName(distribution)) + " d" +
-                  std::to_string(dims) + " u=" + u.ToString() +
-                  (ext ? " ext" : "") + (use_rtree ? " rtree" : " linear") +
-                  " chunk=" + std::to_string(chunk);
-              ThresholdScanStats par_stats;
-              const ResultList chunked = ParallelSortedSkyline(
-                  sorted, u, chunk, options, &par_stats, &pool);
-              ExpectSameList(chunked, reference, context);
-              EXPECT_EQ(par_stats.final_threshold, seq_stats.final_threshold)
-                  << context;
-              // The sum of per-chunk scans can only see *more* of the
-              // input than the sequential scan's single prefix.
-              EXPECT_GE(par_stats.scanned, seq_stats.scanned) << context;
-              EXPECT_LE(par_stats.scanned, sorted.size()) << context;
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(ParallelSortedSkyline, RespectsInitialThreshold) {
-  ThreadPool pool(3);
-  const PointSet data = MakeData(Distribution::kUniform, 4, 500, 77);
-  const ResultList sorted = BuildSortedByF(data);
-  const Subspace u = Subspace::FromDims({0, 2});
-  for (double threshold : {0.05, 0.3, 0.8}) {
-    ThresholdScanOptions options;
-    options.initial_threshold = threshold;
-    ThresholdScanStats seq_stats;
-    const ResultList reference = SortedSkyline(sorted, u, options, &seq_stats);
-    ThresholdScanStats par_stats;
-    const ResultList chunked =
-        ParallelSortedSkyline(sorted, u, 32, options, &par_stats, &pool);
-    ExpectSameList(chunked, reference,
-                   "threshold=" + std::to_string(threshold));
-    EXPECT_EQ(par_stats.final_threshold, seq_stats.final_threshold);
-  }
-}
-
-TEST(ParallelSortedSkyline, ScanCountIsThreadCountInvariant) {
-  // The chunk seeds depend only on the input, so `scanned` must be
-  // reproducible at any pool size for a fixed chunk size.
-  const PointSet data = MakeData(Distribution::kAnticorrelated, 5, 800, 13);
-  const ResultList sorted = BuildSortedByF(data);
-  const Subspace u = Subspace::FromDims({0, 1, 3});
-  std::vector<size_t> counts;
-  for (int threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    ThresholdScanStats stats;
-    const ResultList result =
-        ParallelSortedSkyline(sorted, u, 50, {}, &stats, &pool);
-    EXPECT_FALSE(result.empty());
-    counts.push_back(stats.scanned);
-  }
-  EXPECT_EQ(counts[0], counts[1]);
-  EXPECT_EQ(counts[0], counts[2]);
-}
-
-TEST(TracedSortedSkyline, RecordingMatchesPlainScan) {
+TEST(SortedSkyline, TraceRecordingMatchesPlainScan) {
   // Recording the trace must not perturb the scan itself.
   for (Distribution distribution :
        {Distribution::kUniform, Distribution::kAnticorrelated}) {
@@ -580,7 +494,7 @@ TEST(TracedSortedSkyline, RecordingMatchesPlainScan) {
       ThresholdScanStats traced_stats;
       ScanTrace trace;
       const ResultList traced =
-          TracedSortedSkyline(sorted, u, options, &traced_stats, &trace);
+          SortedSkyline(sorted, u, options, &traced_stats, &trace);
       const std::string context = "threshold=" + std::to_string(threshold);
       ExpectSameList(traced, reference, context);
       EXPECT_EQ(traced_stats.scanned, plain_stats.scanned) << context;
@@ -607,7 +521,7 @@ TEST(ReplayScanTrace, ReproducesTighterScansExactly) {
       ThresholdScanOptions fixed_options;
       ThresholdScanStats fixed_stats;
       ScanTrace trace;
-      TracedSortedSkyline(sorted, u, fixed_options, &fixed_stats, &trace);
+      SortedSkyline(sorted, u, fixed_options, &fixed_stats, &trace);
       // Refine across the whole useful range, including the fixed
       // threshold itself and values far below it.
       std::vector<double> refined = {trace.threshold_in,
@@ -646,7 +560,7 @@ TEST(ReplayScanTrace, TraceRecordedUnderFiniteThresholdReplays) {
   fixed_options.initial_threshold = 0.9;
   ScanTrace trace;
   ThresholdScanStats fixed_stats;
-  TracedSortedSkyline(sorted, u, fixed_options, &fixed_stats, &trace);
+  SortedSkyline(sorted, u, fixed_options, &fixed_stats, &trace);
   for (double threshold : {0.9, 0.7, 0.35, 0.05}) {
     ThresholdScanOptions options;
     options.initial_threshold = threshold;
@@ -659,22 +573,6 @@ TEST(ReplayScanTrace, TraceRecordedUnderFiniteThresholdReplays) {
     EXPECT_EQ(replay_stats.scanned, seq_stats.scanned);
     EXPECT_EQ(replay_stats.final_threshold, seq_stats.final_threshold);
   }
-}
-
-TEST(ParallelSortedSkyline, EmptyAndTinyInputs) {
-  ThreadPool pool(2);
-  const ResultList empty(3);
-  const ResultList result =
-      ParallelSortedSkyline(empty, Subspace::FullSpace(3), 16, {}, nullptr,
-                            &pool);
-  EXPECT_TRUE(result.empty());
-
-  const PointSet one(2, {{0.4, 0.6}});
-  const ResultList single = BuildSortedByF(one);
-  ExpectSameList(
-      ParallelSortedSkyline(single, Subspace::FullSpace(2), 1, {}, nullptr,
-                            &pool),
-      SortedSkyline(single, Subspace::FullSpace(2)), "single point");
 }
 
 // Ties are where skyline algorithms usually break: duplicate coordinates

@@ -9,8 +9,7 @@
 // skylines, scan counts, final thresholds and window evolution
 // (recorded traces), plus bit-identical op counts across store modes
 // and kernels. Replays of skip traces must reproduce the direct scan
-// under any tighter threshold, and chunked scans must stay
-// thread-count invariant — the properties the speculative-RT path
+// under any tighter threshold — the property the speculative-RT path
 // depends on.
 
 #include <gtest/gtest.h>
@@ -35,14 +34,12 @@
 namespace skypeer {
 namespace {
 
-// --- satellite: chunk/block alignment ---------------------------------------
+// --- satellite: page/block alignment ----------------------------------------
 
 TEST(BlockSkipAlignment, PagesHoldWholeBlocksAndChunksSnapToBlocks) {
   // The skip-aware cursor and the summary index both assume a store
-  // block never straddles a page and a parallel chunk never splits a
-  // block. Both hold by construction: pages hold whole blocks
-  // (`PageLayout::points_per_page`) and `SnapChunkToPages` rounds
-  // chunks up to whole pages.
+  // block never straddles a page. This holds by construction: pages hold
+  // whole blocks (`PageLayout::points_per_page`).
   for (int dims = 1; dims <= 16; ++dims) {
     for (size_t page_size : {1024u, 2048u, 4096u, 8192u, 65536u}) {
       const size_t bytes_per_block =
@@ -53,11 +50,6 @@ TEST(BlockSkipAlignment, PagesHoldWholeBlocksAndChunksSnapToBlocks) {
       const PageLayout layout(page_size, dims);
       EXPECT_EQ(layout.points_per_page() % kDomBlockWidth, 0u)
           << "dims=" << dims << " page_size=" << page_size;
-      for (size_t chunk : {1u, 7u, 8u, 63u, 100u, 1024u}) {
-        EXPECT_EQ(SnapChunkToPages(layout, chunk) % kDomBlockWidth, 0u)
-            << "dims=" << dims << " page_size=" << page_size
-            << " chunk=" << chunk;
-      }
     }
   }
 }
@@ -136,12 +128,12 @@ TEST(BlockSkipProperty, RandomizedScanEquivalence) {
     const std::string context = "trial " + std::to_string(trial);
     ThresholdScanStats plain_stats;
     ScanTrace plain_trace;
-    const ResultList plain = TracedSortedSkyline(plain_view, u, plain_options,
-                                                 &plain_stats, &plain_trace);
+    const ResultList plain = SortedSkyline(plain_view, u, plain_options,
+                                           &plain_stats, &plain_trace);
     ThresholdScanStats skip_stats;
     ScanTrace skip_trace;
-    const ResultList skip = TracedSortedSkyline(skip_view, u, skip_options,
-                                                &skip_stats, &skip_trace);
+    const ResultList skip = SortedSkyline(skip_view, u, skip_options,
+                                          &skip_stats, &skip_trace);
 
     // Identical answer, scan count, threshold and window evolution.
     ExpectSameResult(plain, skip, context);
@@ -233,7 +225,7 @@ TEST(BlockSkipProperty, ReplayMatchesDirectScanUnderTighterThresholds) {
     options.block_skip = true;
     ThresholdScanStats recorded_stats;
     ScanTrace trace;
-    TracedSortedSkyline(view, u, options, &recorded_stats, &trace);
+    SortedSkyline(view, u, options, &recorded_stats, &trace);
 
     for (int probe = 0; probe < 6; ++probe) {
       const double tighter =
@@ -255,49 +247,6 @@ TEST(BlockSkipProperty, ReplayMatchesDirectScanUnderTighterThresholds) {
       EXPECT_TRUE(direct_stats.ops == replay_stats.ops)
           << context << "\n  direct: " << direct_stats.ops.ToString()
           << "\n  replay: " << replay_stats.ops.ToString();
-    }
-  }
-}
-
-// --- chunked scans -----------------------------------------------------------
-
-TEST(BlockSkipProperty, ChunkedMatchesSequentialResultAndIsThreadInvariant) {
-  Rng rng(11);
-  const int dims = 5;
-  const ResultList sorted =
-      BuildSortedByF(GenerateCorrelated(dims, 3000, &rng));
-  const PageLayout layout(1024, dims);
-  const StoreSummary summary = StoreSummary::Build(sorted, layout);
-  const StoreView view(&sorted, 1024, &summary);
-
-  for (const Subspace u :
-       {Subspace::FromDims({0, 3}), Subspace::FullSpace(dims)}) {
-    ThresholdScanOptions options;
-    options.block_skip = true;
-    ThresholdScanStats seq_stats;
-    const ResultList seq = SortedSkyline(view, u, options, &seq_stats);
-
-    for (size_t chunk : {64u, 256u}) {
-      ThreadPool::SetGlobalConcurrency(1);
-      ThresholdScanStats one_stats;
-      const ResultList one =
-          ParallelSortedSkyline(view, u, chunk, options, &one_stats);
-      ThreadPool::SetGlobalConcurrency(8);
-      ThresholdScanStats eight_stats;
-      const ResultList eight =
-          ParallelSortedSkyline(view, u, chunk, options, &eight_stats);
-      ThreadPool::SetGlobalConcurrency(1);
-
-      const std::string context = "chunk " + std::to_string(chunk);
-      // Chunked result identical to sequential; chunked op counts are
-      // their own deterministic quantity, identical across thread
-      // counts.
-      ExpectSameResult(seq, one, context);
-      ExpectSameResult(seq, eight, context);
-      EXPECT_EQ(one_stats.scanned, eight_stats.scanned) << context;
-      EXPECT_TRUE(one_stats.ops == eight_stats.ops)
-          << context << "\n  t1: " << one_stats.ops.ToString()
-          << "\n  t8: " << eight_stats.ops.ToString();
     }
   }
 }

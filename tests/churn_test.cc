@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -72,6 +73,16 @@ TEST(Churn, JoinRejectsBadArguments) {
             StatusCode::kOutOfRange);
   EXPECT_EQ(network.JoinPeer(0, GenerateUniform(3, 10, &rng)).code(),
             StatusCode::kInvalidArgument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  PointSet with_nan = GenerateUniform(4, 10, &rng);
+  with_nan.Append(std::vector<double>{0.5, 0.5, nan, 0.5}.data(), 10);
+  EXPECT_EQ(network.JoinPeer(0, with_nan).code(),
+            StatusCode::kInvalidArgument);
+  // The update path rejects it too, before dropping the peer's old data.
+  const int peer = network.overlay().super_peer_peers[1].front();
+  EXPECT_EQ(network.ReplacePeerData(peer, with_nan).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(network.RemovePeer(peer).ok());
 }
 
 TEST(Churn, JoinedPeerContributesToQueries) {
@@ -168,12 +179,9 @@ TEST(Churn, DrainAllPeersOfOneSuperPeer) {
 TEST(Churn, DrainedSuperPeerStillAnswersWithChunkedScans) {
   // Regression: rebuilding a store from zero retained lists used to trip
   // `SKYPEER_CHECK(dims > 0)` inside MergeSortedSkylines (no dims
-  // source). The drained super-peer must keep serving exact answers —
-  // here additionally with the chunked parallel scan path enabled at the
-  // surviving super-peers.
-  NetworkConfig config = DynamicConfig(11);
-  config.scan_chunk_size = 16;
-  SkypeerNetwork network(config);
+  // source). The drained super-peer must keep serving exact answers and
+  // initiating queries.
+  SkypeerNetwork network(DynamicConfig(11));
   network.Preprocess();
   const std::vector<int> victims = network.overlay().super_peer_peers[3];
   ASSERT_FALSE(victims.empty());

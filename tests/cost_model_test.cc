@@ -276,8 +276,6 @@ TEST(CountedDeterminism, RepeatedRunsAreBitIdentical) {
 
 TEST(CountedDeterminism, TimesAreThreadCountInvariant) {
   NetworkConfig config = CountedConfig();
-  // Chunked scans exercise the parallel scan path.
-  config.scan_chunk_size = 16;
   const std::vector<QueryTask> tasks = CountedTasks(config);
 
   ThreadPool::SetGlobalConcurrency(1);
@@ -322,11 +320,6 @@ TEST(CountedDeterminism, FeatureCompositionsAreDeterministic) {
       {"speculative-rt",
        [](NetworkConfig* c) { c->speculative_rt = true; }},
       {"cache", [](NetworkConfig* c) { c->enable_cache = true; }},
-      {"chunked+speculative",
-       [](NetworkConfig* c) {
-         c->scan_chunk_size = 16;
-         c->speculative_rt = true;
-       }},
       {"faulted",
        [](NetworkConfig* c) {
          c->reliable = true;
@@ -376,11 +369,11 @@ TEST(CountedDeterminism, UnitModeExposesOpCountsAsSeconds) {
             static_cast<double>(result.metrics.ops.total()));
 }
 
-// --- default charging of chunked scans --------------------------------------
+// --- default charging of staged scans ---------------------------------------
 
-// Chunked scans fan out over the pool, yet their charge is the op count of
-// the chunks summed in chunk order, so the default (calibrated) model gives
-// bit-identical metrics — both time metrics included — at any thread count.
+// Local scans run on the staging pool, yet each one's charge is its own op
+// count, so the default (calibrated) model gives bit-identical metrics —
+// both time metrics included — at any thread count.
 TEST(DefaultCharging, ChunkedScanChargeIsThreadCountInvariant) {
   NetworkConfig config;
   config.num_peers = 32;
@@ -388,7 +381,6 @@ TEST(DefaultCharging, ChunkedScanChargeIsThreadCountInvariant) {
   config.points_per_peer = 600;
   config.dims = 8;
   config.seed = 3;
-  config.scan_chunk_size = 64;
 
   const std::vector<QueryTask> tasks =
       GenerateWorkload(config.dims, 3, 6, config.num_super_peers, 11);

@@ -202,59 +202,30 @@ TEST(KernelDispatchTest, ForceScalarPinsTheMode) {
 
 // A pathological evict-heavy stream — every offer dominates and evicts the
 // previous survivor, so one point is alive while the window accretes dead
-// slots — must stay bounded by the compaction policy, including a custom
-// tighter `compact_min_window`.
+// slots — must stay bounded by the compaction policy's 64-slot window.
 TEST(AccumulatorCompactionTest, EvictHeavyStreamKeepsWindowBounded) {
+  constexpr size_t kMinWindow = 64;
   for (bool use_rtree : {false, true}) {
-    for (size_t min_window : {size_t{64}, size_t{16}}) {
-      ThresholdScanOptions options;
-      options.use_rtree = use_rtree;
-      options.compact_min_window = min_window;
-      SkylineAccumulator accumulator(2, Subspace::FullSpace(2), options);
-      size_t max_window = 0;
-      const size_t kOffers = 4000;
-      for (size_t i = 0; i < kOffers; ++i) {
-        // Constant first coordinate keeps f = min coord non-decreasing;
-        // the strictly shrinking second coordinate means each point
-        // dominates (and evicts) its predecessor.
-        const double p[2] = {0.25, 1.0 - static_cast<double>(i) / 8000.0};
-        EXPECT_TRUE(accumulator.Offer(p, i, 0.25));
-        max_window = std::max(max_window, accumulator.window_size());
-        EXPECT_EQ(accumulator.alive(), 1u);
-      }
-      // alive == 1 < fraction * size triggers compaction as soon as the
-      // window reaches `min_window`, so it can never exceed it.
-      EXPECT_LE(max_window, min_window)
-          << "use_rtree=" << use_rtree << " min_window=" << min_window;
-      ResultList result = accumulator.TakeResult();
-      ASSERT_EQ(result.size(), 1u);
-      EXPECT_EQ(result.points.id(0), kOffers - 1);
+    ThresholdScanOptions options;
+    options.use_rtree = use_rtree;
+    SkylineAccumulator accumulator(2, Subspace::FullSpace(2), options);
+    size_t max_window = 0;
+    const size_t kOffers = 4000;
+    for (size_t i = 0; i < kOffers; ++i) {
+      // Constant first coordinate keeps f = min coord non-decreasing;
+      // the strictly shrinking second coordinate means each point
+      // dominates (and evicts) its predecessor.
+      const double p[2] = {0.25, 1.0 - static_cast<double>(i) / 8000.0};
+      EXPECT_TRUE(accumulator.Offer(p, i, 0.25));
+      max_window = std::max(max_window, accumulator.window_size());
+      EXPECT_EQ(accumulator.alive(), 1u);
     }
-  }
-}
-
-// The compaction policy defaults reproduce the historical rule exactly, so
-// scan results and stats must not depend on the thresholds chosen — only
-// the window footprint does.
-TEST(AccumulatorCompactionTest, PolicyDoesNotChangeResults) {
-  PointSet data = RandomPoints(4, 600, 77, /*gridded=*/true);
-  ResultList sorted = BuildSortedByF(data);
-  const Subspace u = Subspace::FullSpace(4);
-  ThresholdScanOptions defaults;
-  ThresholdScanStats default_stats;
-  ResultList expect = SortedSkyline(sorted, u, defaults, &default_stats);
-  for (size_t min_window : {size_t{4}, size_t{16}, size_t{1000000}}) {
-    for (double fraction : {0.25, 0.5, 0.9}) {
-      ThresholdScanOptions options;
-      options.compact_min_window = min_window;
-      options.compact_live_fraction = fraction;
-      ThresholdScanStats stats;
-      ResultList got = SortedSkyline(sorted, u, options, &stats);
-      EXPECT_EQ(got.points.Ids(), expect.points.Ids());
-      EXPECT_EQ(got.f, expect.f);
-      EXPECT_EQ(stats.scanned, default_stats.scanned);
-      EXPECT_EQ(stats.final_threshold, default_stats.final_threshold);
-    }
+    // alive == 1 < half the window triggers compaction as soon as the
+    // window reaches 64 slots, so it can never exceed it.
+    EXPECT_LE(max_window, kMinWindow) << "use_rtree=" << use_rtree;
+    ResultList result = accumulator.TakeResult();
+    ASSERT_EQ(result.size(), 1u);
+    EXPECT_EQ(result.points.id(0), kOffers - 1);
   }
 }
 

@@ -396,7 +396,6 @@ TEST(CacheEquivalence, FilterPathRepliesMatchFreshScansForAllVariants) {
   NetworkConfig scan_config = SmallConfig(19);
   NetworkConfig cache_config = scan_config;
   cache_config.enable_cache = true;
-  cache_config.scan_chunk_size = 37;
 
   SkypeerNetwork scan_network(scan_config);
   scan_network.Preprocess();

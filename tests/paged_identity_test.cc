@@ -6,8 +6,8 @@
 // modes — and simulated times are bit-identical between the in-memory
 // and the paged store, for all five variants plus the pipeline, at 1, 2
 // and 8 threads, with forced-scalar and dispatched SIMD kernels,
-// composed with --scan-chunk, --speculative-rt, --cache, --filter-set
-// and fault injection. Only the out-of-band physical pool counters may
+// composed with --speculative-rt, --cache, --filter-set and fault
+// injection. Only the out-of-band physical pool counters may
 // differ.
 
 #include <gtest/gtest.h>
@@ -92,11 +92,6 @@ TEST(PagedIdentity, MatchesInMemoryForAllVariantsThreadsKernelsCompositions) {
   std::vector<std::pair<std::string, NetworkConfig>> compositions;
   compositions.emplace_back("plain", BaseConfig());
   {
-    NetworkConfig chunked = BaseConfig();
-    chunked.scan_chunk_size = 16;
-    compositions.emplace_back("chunked", chunked);
-  }
-  {
     NetworkConfig speculative = BaseConfig();
     speculative.speculative_rt = true;
     compositions.emplace_back("speculative", speculative);
@@ -119,7 +114,6 @@ TEST(PagedIdentity, MatchesInMemoryForAllVariantsThreadsKernelsCompositions) {
   {
     // Everything at once, under injected faults.
     NetworkConfig faulted = BaseConfig();
-    faulted.scan_chunk_size = 64;
     faulted.speculative_rt = true;
     faulted.enable_cache = true;
     faulted.filter_set_size = 6;

@@ -229,147 +229,6 @@ TEST(ParallelDeterminism, WorkloadAggregatesMatchSequential) {
   ThreadPool::SetGlobalConcurrency(1);
 }
 
-// --- chunked threshold scans ------------------------------------------------
-
-/// Same as ExpectMetricsEqual minus store_points_scanned: chunked scans
-/// may scan extra points past per-chunk thresholds, so the scan count is
-/// comparable only between runs with the same chunk size.
-void ExpectMetricsEqualExceptScanned(const QueryMetrics& a,
-                                     const QueryMetrics& b,
-                                     const char* context) {
-  EXPECT_EQ(a.computational_time_s, b.computational_time_s) << context;
-  EXPECT_EQ(a.total_time_s, b.total_time_s) << context;
-  EXPECT_EQ(a.bytes_transferred, b.bytes_transferred) << context;
-  EXPECT_EQ(a.messages, b.messages) << context;
-  EXPECT_EQ(a.result_size, b.result_size) << context;
-  EXPECT_EQ(a.local_result_points, b.local_result_points) << context;
-  EXPECT_EQ(a.super_peers_participated, b.super_peers_participated) << context;
-}
-
-TEST(ChunkedScanDeterminism, MatchesSequentialScanAtAnyThreadCount) {
-  // The tentpole guarantee: chunk_size > 0 must reproduce the sequential
-  // scan bit-for-bit — skylines, volume, messages and simulated times —
-  // at any thread count.
-  const std::vector<QueryTask> tasks =
-      GenerateWorkload(4, 2, 6, SmallConfig().num_super_peers, 19);
-  std::vector<Variant> variants(kAllVariants, kAllVariants + 5);
-  variants.push_back(Variant::kPipeline);
-
-  struct Reference {
-    std::vector<std::vector<double>> skyline;
-    QueryMetrics metrics;
-  };
-
-  ThreadPool::SetGlobalConcurrency(1);
-  SkypeerNetwork sequential(SmallConfig());
-  sequential.Preprocess();
-  std::vector<std::vector<Reference>> references;
-  for (Variant variant : variants) {
-    std::vector<Reference> per_task;
-    for (const QueryTask& task : tasks) {
-      const QueryResult result =
-          sequential.ExecuteQuery(task.subspace, task.initiator_sp, variant);
-      per_task.push_back({Signature(result.skyline), result.metrics});
-    }
-    references.push_back(std::move(per_task));
-  }
-
-  for (int threads : {1, 2, 8}) {
-    ThreadPool::SetGlobalConcurrency(threads);
-    NetworkConfig chunked_config = SmallConfig();
-    chunked_config.scan_chunk_size = 16;
-    SkypeerNetwork chunked(chunked_config);
-    chunked.Preprocess();
-    for (size_t v = 0; v < variants.size(); ++v) {
-      for (size_t t = 0; t < tasks.size(); ++t) {
-        const QueryResult result = chunked.ExecuteQuery(
-            tasks[t].subspace, tasks[t].initiator_sp, variants[v]);
-        const std::string context = std::string(VariantName(variants[v])) +
-                                    " task " + std::to_string(t) +
-                                    " threads " + std::to_string(threads);
-        EXPECT_EQ(Signature(result.skyline), references[v][t].skyline)
-            << context;
-        ExpectMetricsEqualExceptScanned(result.metrics,
-                                        references[v][t].metrics,
-                                        context.c_str());
-      }
-    }
-  }
-  ThreadPool::SetGlobalConcurrency(1);
-}
-
-TEST(ChunkedScanDeterminism, ScanCountsInvariantAcrossThreadCounts) {
-  // For a FIXED chunk size, every metric — including the scan count — is
-  // a pure function of the data, independent of scheduling.
-  const std::vector<QueryTask> tasks =
-      GenerateWorkload(4, 2, 5, SmallConfig().num_super_peers, 23);
-
-  std::vector<std::vector<std::vector<double>>> ref_skylines;
-  std::vector<QueryMetrics> ref_metrics;
-  for (int threads : {1, 2, 8}) {
-    ThreadPool::SetGlobalConcurrency(threads);
-    NetworkConfig config = SmallConfig();
-    config.scan_chunk_size = 16;
-    SkypeerNetwork network(config);
-    network.Preprocess();
-    size_t index = 0;
-    for (const QueryTask& task : tasks) {
-      for (Variant variant : kAllVariants) {
-        const QueryResult result =
-            network.ExecuteQuery(task.subspace, task.initiator_sp, variant);
-        if (threads == 1) {
-          ref_skylines.push_back(Signature(result.skyline));
-          ref_metrics.push_back(result.metrics);
-        } else {
-          const std::string context = std::string(VariantName(variant)) +
-                                      " threads " + std::to_string(threads);
-          ASSERT_LT(index, ref_metrics.size());
-          EXPECT_EQ(Signature(result.skyline), ref_skylines[index])
-              << context;
-          ExpectMetricsEqual(result.metrics, ref_metrics[index],
-                             context.c_str());
-        }
-        ++index;
-      }
-    }
-  }
-  ThreadPool::SetGlobalConcurrency(1);
-}
-
-TEST(ChunkedScanDeterminism, ChunkedWorkloadAggregatesMatchSequential) {
-  const std::vector<QueryTask> tasks =
-      GenerateWorkload(4, 3, 8, SmallConfig().num_super_peers, 31);
-
-  ThreadPool::SetGlobalConcurrency(1);
-  SkypeerNetwork sequential(SmallConfig());
-  sequential.Preprocess();
-
-  NetworkConfig chunked_config = SmallConfig();
-  chunked_config.scan_chunk_size = 64;
-  ThreadPool::SetGlobalConcurrency(4);
-  SkypeerNetwork chunked(chunked_config);
-  chunked.Preprocess();
-  EXPECT_TRUE(chunked.SupportsParallelWorkloads());
-
-  for (Variant variant : kAllVariants) {
-    ThreadPool::SetGlobalConcurrency(1);
-    const AggregateMetrics seq = RunWorkload(&sequential, tasks, variant);
-    ThreadPool::SetGlobalConcurrency(4);
-    const AggregateMetrics par = RunWorkload(&chunked, tasks, variant);
-    EXPECT_EQ(seq.queries, par.queries) << VariantName(variant);
-    EXPECT_EQ(seq.comp_s.samples(), par.comp_s.samples())
-        << VariantName(variant);
-    EXPECT_EQ(seq.total_s.samples(), par.total_s.samples())
-        << VariantName(variant);
-    EXPECT_EQ(seq.kb.samples(), par.kb.samples()) << VariantName(variant);
-    EXPECT_EQ(seq.messages.samples(), par.messages.samples())
-        << VariantName(variant);
-    EXPECT_EQ(seq.result.samples(), par.result.samples())
-        << VariantName(variant);
-  }
-  ThreadPool::SetGlobalConcurrency(1);
-}
-
 // --- speculative RT*M / pipeline staging -------------------------------------
 
 const std::vector<Variant> kRefinedVariants = {
@@ -415,8 +274,7 @@ std::vector<std::vector<Reference>> SequentialReferences(
 
 void ExpectSpeculativeMatchesReferences(
     NetworkConfig config, const std::vector<QueryTask>& tasks,
-    const std::vector<std::vector<Reference>>& references,
-    bool compare_scanned) {
+    const std::vector<std::vector<Reference>>& references) {
   config.speculative_rt = true;
   for (int threads : {1, 2, 8}) {
     ThreadPool::SetGlobalConcurrency(threads);
@@ -431,14 +289,8 @@ void ExpectSpeculativeMatchesReferences(
             std::to_string(t) + " threads " + std::to_string(threads);
         EXPECT_EQ(Signature(result.skyline), references[v][t].skyline)
             << context;
-        if (compare_scanned) {
-          ExpectMetricsEqual(result.metrics, references[v][t].metrics,
-                             context.c_str());
-        } else {
-          ExpectMetricsEqualExceptScanned(result.metrics,
-                                          references[v][t].metrics,
-                                          context.c_str());
-        }
+        ExpectMetricsEqual(result.metrics, references[v][t].metrics,
+                           context.c_str());
         // The refined thresholds every node ended with — the values RT*M
         // forwards — must survive the reconcile bit-identically.
         EXPECT_EQ(CollectFinalThresholds(speculative),
@@ -459,23 +311,7 @@ TEST(SpeculativeRtDeterminism, MatchesSequentialAtAnyThreadCount) {
   const std::vector<QueryTask> tasks =
       GenerateWorkload(config.dims, 2, 6, config.num_super_peers, 47);
   const auto references = SequentialReferences(config, tasks);
-  ExpectSpeculativeMatchesReferences(config, tasks, references,
-                                     /*compare_scanned=*/true);
-}
-
-TEST(SpeculativeRtDeterminism, ComposesWithChunkedScans) {
-  // Speculation + --scan-chunk: hop-1 nodes consume the staged chunked
-  // scan on the exact-threshold match, deeper nodes rerun inline — both
-  // reproduce the non-speculative chunked execution exactly (including
-  // the chunked scan counters, which are compared against a chunked
-  // sequential reference of the same chunk size).
-  NetworkConfig config = SmallConfig();
-  config.scan_chunk_size = 16;
-  const std::vector<QueryTask> tasks =
-      GenerateWorkload(config.dims, 2, 5, config.num_super_peers, 53);
-  const auto references = SequentialReferences(config, tasks);
-  ExpectSpeculativeMatchesReferences(config, tasks, references,
-                                     /*compare_scanned=*/true);
+  ExpectSpeculativeMatchesReferences(config, tasks, references);
 }
 
 TEST(SpeculativeRtDeterminism, ComposesWithResultCache) {
@@ -489,8 +325,7 @@ TEST(SpeculativeRtDeterminism, ComposesWithResultCache) {
   const std::vector<QueryTask> tasks =
       GenerateWorkload(config.dims, 2, 5, config.num_super_peers, 59);
   const auto references = SequentialReferences(config, tasks);
-  ExpectSpeculativeMatchesReferences(config, tasks, references,
-                                     /*compare_scanned=*/true);
+  ExpectSpeculativeMatchesReferences(config, tasks, references);
 }
 
 TEST(SpeculativeRtDeterminism, SpeculativeWorkloadAggregatesMatch) {
@@ -611,7 +446,6 @@ TEST(PerNetworkPool, ScopedPoolMatchesGlobalSequential) {
   NetworkConfig pooled_config = config;
   pooled_config.threads = 4;
   pooled_config.speculative_rt = true;
-  pooled_config.scan_chunk_size = 16;
   SkypeerNetwork pooled(pooled_config);
   EXPECT_EQ(pooled.pool()->num_threads(), 4);
   EXPECT_EQ(ThreadPool::Global()->num_threads(), 1);
@@ -629,9 +463,7 @@ TEST(PerNetworkPool, ScopedPoolMatchesGlobalSequential) {
           pooled.ExecuteQuery(task.subspace, task.initiator_sp, variant);
       const std::string context = std::string(VariantName(variant));
       EXPECT_EQ(Signature(seq.skyline), Signature(par.skyline)) << context;
-      // Chunked scans may consume more points than sequential ones.
-      ExpectMetricsEqualExceptScanned(par.metrics, seq.metrics,
-                                      context.c_str());
+      ExpectMetricsEqual(par.metrics, seq.metrics, context.c_str());
     }
   }
 }
@@ -660,8 +492,7 @@ TEST(KernelDispatchDeterminism, ForcedScalarMatchesDispatchedAcrossVariants) {
   // kernels reproduce the forced-scalar execution bit-identically —
   // skylines, scan counts, volume, messages and simulated times —
   // across all five variants plus the pipeline, at
-  // 1/2/8 threads, composed with --scan-chunk, --speculative-rt and
-  // --cache.
+  // 1/2/8 threads, composed with --speculative-rt and --cache.
   const std::vector<QueryTask> tasks =
       GenerateWorkload(4, 2, 4, SmallConfig().num_super_peers, 83);
   std::vector<Variant> variants(kAllVariants, kAllVariants + 5);
@@ -669,11 +500,6 @@ TEST(KernelDispatchDeterminism, ForcedScalarMatchesDispatchedAcrossVariants) {
 
   std::vector<NetworkConfig> compositions;
   compositions.push_back(SmallConfig());  // plain
-  {
-    NetworkConfig chunked = SmallConfig();
-    chunked.scan_chunk_size = 16;
-    compositions.push_back(chunked);
-  }
   {
     NetworkConfig speculative = SmallConfig();
     speculative.speculative_rt = true;
@@ -736,8 +562,8 @@ TEST(ParallelDeterminism, FaultedRunsAreThreadCountInvariant) {
   // Fault injection composes with every parallel-execution feature: the
   // fault pattern is a pure function of the (virtual-time) event
   // sequence and the fault seed, so results, coverage and transport
-  // statistics are bit-identical at any thread count — also when chunked
-  // scans, speculative staging and the subspace cache are on.
+  // statistics are bit-identical at any thread count — also when
+  // speculative staging, the subspace cache and the filter set are on.
   constexpr Variant kFaultedVariants[] = {Variant::kNaive, Variant::kFTPM,
                                           Variant::kRTFM, Variant::kRTPM,
                                           Variant::kPipeline};
@@ -752,7 +578,6 @@ TEST(ParallelDeterminism, FaultedRunsAreThreadCountInvariant) {
     config.crashed_sps = {5};
     config.max_retries = 2;
     if (features) {
-      config.scan_chunk_size = 64;
       config.speculative_rt = true;
       config.enable_cache = true;
       config.filter_set_size = 6;
@@ -824,7 +649,7 @@ TEST(FilterBroadcastDeterminism, MatchesUnfilteredOracleAcrossCompositions) {
   // the flooded query changes what is *shipped*, never what is
   // *answered*. For all five variants plus the pipeline the filtered
   // skyline is bit-identical to the unfiltered oracle's at 1, 2 and 8
-  // threads, composed with --scan-chunk, --speculative-rt and --cache —
+  // threads, composed with --speculative-rt and --cache —
   // and the filtered run's own simulated metrics are thread-count
   // invariant.
   const std::vector<QueryTask> tasks =
@@ -834,11 +659,6 @@ TEST(FilterBroadcastDeterminism, MatchesUnfilteredOracleAcrossCompositions) {
 
   std::vector<NetworkConfig> compositions;
   compositions.push_back(SmallConfig());  // plain
-  {
-    NetworkConfig chunked = SmallConfig();
-    chunked.scan_chunk_size = 16;
-    compositions.push_back(chunked);
-  }
   {
     NetworkConfig speculative = SmallConfig();
     speculative.speculative_rt = true;

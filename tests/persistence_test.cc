@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -203,6 +204,30 @@ TEST(Persistence, AdoptStoresValidatesInput) {
   unsorted[0].f = {0.9, 0.1};  // Not sorted.
   EXPECT_EQ(network.AdoptStores(std::move(unsorted)).code(),
             StatusCode::kInvalidArgument);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<ResultList> with_nan;
+  for (int i = 0; i < 10; ++i) {
+    with_nan.emplace_back(5);
+  }
+  with_nan[3].points.AppendAll(
+      PointSet(5, {{0.1, 0.2, 0.3, 0.4, 0.5}, {0.2, nan, 0.3, 0.4, 0.5}}));
+  with_nan[3].f = {0.1, 0.2};  // Sorted, and min over the non-NaN coords.
+  EXPECT_EQ(network.AdoptStores(std::move(with_nan)).code(),
+            StatusCode::kInvalidArgument);
+
+  std::vector<ResultList> wrong_f;
+  for (int i = 0; i < 10; ++i) {
+    wrong_f.emplace_back(5);
+  }
+  wrong_f[6].points.AppendAll(
+      PointSet(5, {{0.1, 0.2, 0.3, 0.4, 0.5}, {0.3, 0.4, 0.5, 0.6, 0.7}}));
+  wrong_f[6].f = {0.1, 0.35};  // Sorted, but the second f is not 0.3.
+  EXPECT_EQ(network.AdoptStores(std::move(wrong_f)).code(),
+            StatusCode::kInvalidArgument);
+
+  // A rejected adoption leaves the network unpreprocessed.
+  EXPECT_FALSE(network.preprocessed());
 }
 
 }  // namespace

@@ -79,10 +79,6 @@ void PrintUsageAndExit(const char* binary, int code) {
       "                   lines, see --calibrate)\n"
       "  --calibrate      measure this host's per-op cost constants and\n"
       "                   print them as a profile on stdout, then exit\n"
-      "  --scan-chunk N   split super-peer threshold scans into chunks of\n"
-      "                   N points run on the thread pool (default 0 =\n"
-      "                   sequential scan). Results are identical either\n"
-      "                   way\n"
       "  --block-skip     consult per-block zone-map summaries during\n"
       "                   threshold scans: store blocks dominated by the\n"
       "                   live window are consumed without per-point\n"
@@ -225,9 +221,6 @@ CliOptions Parse(int argc, char** argv) {
     } else if (std::strcmp(arg, "--threads") == 0) {
       options.threads = static_cast<int>(
           ParseIntFlag("--threads", next_value(&i), 0, 4096));
-    } else if (std::strcmp(arg, "--scan-chunk") == 0) {
-      options.network.scan_chunk_size =
-          static_cast<size_t>(ParseU64Flag("--scan-chunk", next_value(&i)));
     } else if (std::strcmp(arg, "--filter-set") == 0) {
       options.network.filter_set_size =
           static_cast<size_t>(ParseU64Flag("--filter-set", next_value(&i)));
