@@ -144,13 +144,12 @@ inline std::string JsonNumber(double value) {
 inline std::string JsonOpCounts(const OpCounts& ops) {
   char buffer[640];
   std::snprintf(buffer, sizeof(buffer),
-                "{\"dominance_tests\":%llu,\"rtree_node_visits\":%llu,"
-                "\"scan_steps\":%llu,\"merge_pulls\":%llu,"
-                "\"sort_steps\":%llu,\"bytes_serialized\":%llu,"
-                "\"page_reads\":%llu,\"page_bytes\":%llu,"
-                "\"summary_tests\":%llu,\"blocks_skipped\":%llu}",
+                "{\"dominance_tests\":%llu,\"scan_steps\":%llu,"
+                "\"merge_pulls\":%llu,\"sort_steps\":%llu,"
+                "\"bytes_serialized\":%llu,\"page_reads\":%llu,"
+                "\"page_bytes\":%llu,\"summary_tests\":%llu,"
+                "\"blocks_skipped\":%llu}",
                 static_cast<unsigned long long>(ops.dominance_tests),
-                static_cast<unsigned long long>(ops.rtree_node_visits),
                 static_cast<unsigned long long>(ops.scan_steps),
                 static_cast<unsigned long long>(ops.merge_pulls),
                 static_cast<unsigned long long>(ops.sort_steps),

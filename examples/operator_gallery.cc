@@ -1,19 +1,18 @@
 // A tour of every skyline-family operator in the library on one small
 // hotel-style dataset: skyline, extended skyline, k-skyband, top-k
-// dominating, constrained skyline, NN-skyline and the cluster-anchored
-// index — all computing over the same points so their relationships are
-// visible side by side.
+// dominating, constrained skyline and the f-sorted threshold scan — all
+// computing over the same points so their relationships are visible side
+// by side.
 //
 //   $ ./operator_gallery
 
 #include <cstdio>
 
-#include "skypeer/algo/anchored_skyline.h"
 #include "skypeer/algo/bnl.h"
 #include "skypeer/algo/constrained.h"
 #include "skypeer/algo/extended_skyline.h"
-#include "skypeer/algo/nn_skyline.h"
 #include "skypeer/algo/skyband.h"
+#include "skypeer/algo/sorted_skyline.h"
 #include "skypeer/algo/top_k_dominating.h"
 #include "skypeer/common/rng.h"
 
@@ -68,28 +67,20 @@ int main() {
               "[0.3, 0.6])\n",
               constrained.size());
 
-  NnSkylineStats nn_stats;
-  const PointSet nn = NnSkyline(hotels, u, &nn_stats);
-  std::printf("NN-skyline:         %3zu hotels via %zu NN searches "
-              "(progressive)\n",
-              nn.size(), nn_stats.nn_queries);
-
-  AnchoredSkylineIndex::Options anchored_options;
-  anchored_options.num_anchors = 4;
-  AnchoredSkylineIndex index(hotels, anchored_options);
-  ThresholdScanStats anchored_stats;
-  const PointSet anchored = index.Query(u, &anchored_stats);
-  std::printf("anchored index:     %3zu hotels scanning %zu of %zu "
+  ThresholdScanStats scan_stats;
+  const ResultList scanned =
+      SortedSkyline(BuildSortedByF(hotels), u, {}, &scan_stats);
+  std::printf("threshold scan:     %3zu hotels scanning %zu of %zu "
               "points\n",
-              anchored.size(), anchored_stats.scanned, hotels.size());
+              scanned.size(), scan_stats.scanned, hotels.size());
 
-  // All exact-skyline methods agree.
-  if (skyline.size() != nn.size() || skyline.size() != anchored.size()) {
+  // Both exact-skyline methods agree.
+  if (skyline.size() != scanned.size()) {
     std::printf("\nMISMATCH between exact methods!\n");
     return 1;
   }
-  std::printf("\nskyline == NN-skyline == anchored query; every other "
-              "operator is a\nsuperset (skybands, ext) or a re-ranking "
-              "(top-k, constrained).\n");
+  std::printf("\nskyline == threshold scan; every other operator is a\n"
+              "superset (skybands, ext) or a re-ranking (top-k, "
+              "constrained).\n");
   return 0;
 }

@@ -220,17 +220,11 @@ SkylineAccumulator::SkylineAccumulator(int dims, Subspace u,
     : dims_(dims),
       u_(u),
       strict_(options.ext),
-      use_rtree_(options.use_rtree),
       threshold_(options.initial_threshold),
       window_points_(dims),
       window_proj_(u.Count()) {
   SKYPEER_CHECK(!u.empty());
-  if (use_rtree_) {
-    rtree_ = std::make_unique<RTree>(u.Count());
-  }
 }
-
-SkylineAccumulator::~SkylineAccumulator() = default;
 
 void SkylineAccumulator::EvictDominatedLinear(
     const double* proj, std::vector<uint64_t>* evicted_tags) {
@@ -279,34 +273,16 @@ bool SkylineAccumulator::OfferTagged(const double* p, PointId id, double f,
     return false;
   }
 
-  if (use_rtree_) {
-    if (rtree_->AnyDominates(proj, strict_, &ops_.rtree_node_visits)) {
-      return false;
-    }
-    scratch_payloads_ =
-        rtree_->EraseDominated(proj, strict_, &ops_.rtree_node_visits);
-    for (uint64_t idx : scratch_payloads_) {
-      alive_flags_[idx] = 0;
-      window_proj_.Kill(idx);
-      --alive_;
-      if (evicted_tags != nullptr && window_tags_[idx] != kNoTag) {
-        evicted_tags->push_back(window_tags_[idx]);
-      }
-    }
-  } else {
-    // Killed lanes are +inf and never dominate, so the batched test needs
-    // no liveness filtering. Count the logical window size, not the
-    // kernel's internal lane count, so scalar and SIMD dispatch report
-    // identical work.
-    ops_.dominance_tests += window_points_.size();
-    if (AnyDominates(window_proj_, proj, strict_)) {
-      return false;
-    }
-    EvictDominatedLinear(proj, evicted_tags);
+  // Killed lanes are +inf and never dominate, so the batched test needs no
+  // liveness filtering. Count the logical window size, not the kernel's
+  // internal lane count, so scalar and SIMD dispatch report identical work.
+  ops_.dominance_tests += window_points_.size();
+  if (AnyDominates(window_proj_, proj, strict_)) {
+    return false;
   }
+  EvictDominatedLinear(proj, evicted_tags);
   MaybeCompact();
 
-  const uint64_t index = window_points_.size();
   window_points_.Append(p, id);
   window_f_.push_back(f);
   alive_flags_.push_back(1);
@@ -314,9 +290,6 @@ bool SkylineAccumulator::OfferTagged(const double* p, PointId id, double f,
   window_tags_.push_back(tag);
   window_proj_.Append(proj);
   ++alive_;
-  if (use_rtree_) {
-    rtree_->Insert(proj, index, &ops_.rtree_node_visits);
-  }
 
   // A dominator has dist_U no larger than any point it dominates, so the
   // minimum only ever decreases; track it incrementally.
@@ -332,10 +305,9 @@ bool SkylineAccumulator::WindowRejectsSummary(const double* min_row) const {
       proj[j++] = min_row[dim];
     }
   }
-  // `window_proj_` is maintained by both the R-tree and the linear offer
-  // paths, so the probe is one batched kernel call either way; killed
-  // lanes are +inf and never dominate. Deliberately uncharged here —
-  // callers account `summary_tests` in scan-level ops (see header).
+  // One batched kernel call over the window; killed lanes are +inf and
+  // never dominate. Deliberately uncharged here — callers account
+  // `summary_tests` in scan-level ops (see header).
   return AnyDominatesSummary(window_proj_, proj, strict_);
 }
 
@@ -345,7 +317,6 @@ void SkylineAccumulator::MaybeCompact() {
         kCompactLiveFraction * static_cast<double>(window_points_.size()))) {
     return;
   }
-  const int k = u_.Count();
   PointSet points(dims_);
   points.Reserve(alive_);
   std::vector<double> f;
@@ -354,10 +325,8 @@ void SkylineAccumulator::MaybeCompact() {
   emit.reserve(alive_);
   std::vector<uint64_t> tags;
   tags.reserve(alive_);
-  // Gather alive projections into a row-major scratch (also the bulk-load
-  // input when `use_rtree_`), then re-block.
-  std::vector<double> proj_rows;
-  proj_rows.reserve(alive_ * static_cast<size_t>(k));
+  BlockedProjection proj(u_.Count());
+  proj.Reserve(alive_);
   double row[kMaxDims];
   for (size_t i = 0; i < window_points_.size(); ++i) {
     if (!alive_flags_[i]) {
@@ -368,26 +337,14 @@ void SkylineAccumulator::MaybeCompact() {
     emit.push_back(emit_flags_[i]);
     tags.push_back(window_tags_[i]);
     window_proj_.Row(i, row);
-    proj_rows.insert(proj_rows.end(), row, row + k);
+    proj.Append(row);
   }
   window_points_ = std::move(points);
   window_f_ = std::move(f);
   emit_flags_ = std::move(emit);
   window_tags_ = std::move(tags);
-  window_proj_.Clear();
-  window_proj_.Reserve(alive_);
-  for (size_t i = 0; i < alive_; ++i) {
-    window_proj_.Append(proj_rows.data() + i * static_cast<size_t>(k));
-  }
+  window_proj_ = std::move(proj);
   alive_flags_.assign(alive_, 1);
-  if (use_rtree_) {
-    // The payloads are window indices; renumber them 0..alive-1 to match
-    // the compacted arrays.
-    std::vector<uint64_t> payloads(alive_);
-    std::iota(payloads.begin(), payloads.end(), uint64_t{0});
-    *rtree_ = RTree::BulkLoad(k, proj_rows.data(), payloads.data(), alive_);
-    ops_.sort_steps += SortCost(alive_);
-  }
 }
 
 ResultList SkylineAccumulator::TakeResult() {
@@ -407,43 +364,30 @@ ResultList SkylineAccumulator::TakeResult() {
   window_tags_.clear();
   window_proj_.Clear();
   alive_ = 0;
-  if (use_rtree_) {
-    rtree_->Clear();
-  }
   return result;
 }
 
 void SkylineAccumulator::SeedWindow(const ResultList& seed) {
   SKYPEER_CHECK(window_points_.empty());
-  const int k = u_.Count();
   const size_t n = seed.size();
   window_points_.Reserve(n);
   window_f_.reserve(n);
   window_proj_.Reserve(n);
-  // Row-major copy of the seed projections, kept as bulk-load input.
-  std::vector<double> proj_rows;
-  proj_rows.reserve(n * static_cast<size_t>(k));
+  double proj[kMaxDims];
   for (size_t i = 0; i < n; ++i) {
     window_points_.AppendFrom(seed.points, i);
     window_f_.push_back(seed.f[i]);
     const double* p = seed.points[i];
+    int j = 0;
     for (int dim : u_) {
-      proj_rows.push_back(p[dim]);
+      proj[j++] = p[dim];
     }
-    window_proj_.Append(proj_rows.data() + i * static_cast<size_t>(k));
+    window_proj_.Append(proj);
   }
   alive_flags_.assign(n, 1);
   emit_flags_.assign(n, 0);
   window_tags_.assign(n, kNoTag);
   alive_ = n;
-  if (use_rtree_ && n > 0) {
-    // Seeds arrive all at once on an empty window: bulk loading beats n
-    // incremental inserts.
-    std::vector<uint64_t> payloads(n);
-    std::iota(payloads.begin(), payloads.end(), uint64_t{0});
-    *rtree_ = RTree::BulkLoad(k, proj_rows.data(), payloads.data(), n);
-    ops_.sort_steps += SortCost(n);
-  }
 }
 
 ResultList SortedSkyline(const StoreView& input, Subspace u,

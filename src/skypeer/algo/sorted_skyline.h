@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "skypeer/algo/result_list.h"
@@ -12,7 +11,6 @@
 #include "skypeer/common/op_counts.h"
 #include "skypeer/common/point_set.h"
 #include "skypeer/common/subspace.h"
-#include "skypeer/rtree/rtree.h"
 #include "skypeer/storage/store_view.h"
 
 namespace skypeer {
@@ -27,11 +25,6 @@ struct ThresholdScanOptions {
   /// Threshold the scan starts from. SKYPEER propagates the initiator's
   /// threshold here (paper §5.2.3); infinity means unconstrained.
   double initial_threshold = std::numeric_limits<double>::infinity();
-
-  /// Index the running skyline in an R-tree of query dimensionality
-  /// (§5.2.1). When false a linear scan over the window is used, which is
-  /// faster for small inputs and serves as a differential-testing twin.
-  bool use_rtree = true;
 
   /// `MergeSortedSkylines` only: skip points whose id was already offered
   /// by an earlier list position. Copies of the same point never dominate
@@ -156,7 +149,6 @@ class SkylineAccumulator {
  public:
   /// `u` is the query subspace over points of dimensionality `dims`.
   SkylineAccumulator(int dims, Subspace u, const ThresholdScanOptions& options);
-  ~SkylineAccumulator();
 
   SkylineAccumulator(const SkylineAccumulator&) = delete;
   SkylineAccumulator& operator=(const SkylineAccumulator&) = delete;
@@ -202,10 +194,9 @@ class SkylineAccumulator {
   /// bounded by the compaction policy of `MaybeCompact`.
   size_t window_size() const { return window_points_.size(); }
 
-  /// Logical operations performed by all offers so far. Dominance tests
-  /// count the window entries examined per offer (not kernel-internal
-  /// work), R-tree visits count nodes entered, and compaction rebuilds
-  /// count as sort steps — all independent of kernel dispatch.
+  /// Logical operations performed by all offers so far: dominance tests,
+  /// counting the window entries examined per offer (not kernel-internal
+  /// work), so they are independent of kernel dispatch.
   const OpCounts& ops() const { return ops_; }
 
   /// Extracts the result, sorted ascending by `f` (insertion order with
@@ -229,16 +220,14 @@ class SkylineAccumulator {
 
   /// Drops evicted window slots once fewer than half of the entries are
   /// alive (and the window holds at least 64), so the batched dominance
-  /// tests and
-  /// `window_proj_` stay proportional to the running skyline instead of
-  /// every point ever offered. Rebuilds the R-tree payload indices when
-  /// `use_rtree_`.
+  /// tests and `window_proj_` stay proportional to the running skyline
+  /// instead of every point ever offered. Uncharged: compaction is
+  /// bookkeeping, not dominance work.
   void MaybeCompact();
 
   int dims_;
   Subspace u_;
   bool strict_;
-  bool use_rtree_;
   double threshold_;
 
   // Candidate window: points appended in offer order; `alive_flags_[i]`
@@ -256,8 +245,6 @@ class SkylineAccumulator {
   BlockedProjection window_proj_;
   size_t alive_ = 0;
 
-  std::unique_ptr<RTree> rtree_;  // over u-projections, when use_rtree_
-  std::vector<uint64_t> scratch_payloads_;
   std::vector<uint8_t> scratch_masks_;  // per-block eviction bit masks
   OpCounts ops_;
 };

@@ -46,7 +46,7 @@ inline bool ExtDominates(const double* p, const double* q, Subspace u) {
   return true;
 }
 
-/// Three-way dominance relation on subspace `u`, used by divide & conquer.
+/// Three-way dominance relation on subspace `u`, used by top-k dominating.
 enum class DomRelation {
   kPDominatesQ,
   kQDominatesP,

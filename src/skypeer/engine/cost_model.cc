@@ -29,7 +29,6 @@ bool ParseCostModelMode(const std::string& name, CostModelMode* mode) {
 
 double CostModel::Seconds(const OpCounts& ops) const {
   return static_cast<double>(ops.dominance_tests) * dominance_test_s +
-         static_cast<double>(ops.rtree_node_visits) * rtree_node_visit_s +
          static_cast<double>(ops.scan_steps) * scan_step_s +
          static_cast<double>(ops.merge_pulls) * merge_pull_s +
          static_cast<double>(ops.sort_steps) * sort_step_s +
@@ -44,7 +43,6 @@ std::string CostModel::ToProfileString() const {
   char buffer[512];
   std::snprintf(buffer, sizeof(buffer),
                 "dominance_test_s=%.6e\n"
-                "rtree_node_visit_s=%.6e\n"
                 "scan_step_s=%.6e\n"
                 "merge_pull_s=%.6e\n"
                 "sort_step_s=%.6e\n"
@@ -53,9 +51,9 @@ std::string CostModel::ToProfileString() const {
                 "page_byte_s=%.6e\n"
                 "summary_test_s=%.6e\n"
                 "block_skip_s=%.6e\n",
-                dominance_test_s, rtree_node_visit_s, scan_step_s,
-                merge_pull_s, sort_step_s, byte_s, page_read_s, page_byte_s,
-                summary_test_s, block_skip_s);
+                dominance_test_s, scan_step_s, merge_pull_s, sort_step_s,
+                byte_s, page_read_s, page_byte_s, summary_test_s,
+                block_skip_s);
   return buffer;
 }
 
@@ -79,8 +77,6 @@ bool CostModel::LoadProfileString(const std::string& text) {
     }
     if (key == "dominance_test_s") {
       dominance_test_s = parsed;
-    } else if (key == "rtree_node_visit_s") {
-      rtree_node_visit_s = parsed;
     } else if (key == "scan_step_s") {
       scan_step_s = parsed;
     } else if (key == "merge_pull_s") {

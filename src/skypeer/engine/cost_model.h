@@ -38,7 +38,6 @@ struct CostModel {
 
   // Per-operation costs in seconds.
   double dominance_test_s = 2.0e-9;
-  double rtree_node_visit_s = 2.5e-8;
   double scan_step_s = 1.2e-8;
   double merge_pull_s = 4.0e-8;
   double sort_step_s = 1.0e-8;
@@ -49,8 +48,9 @@ struct CostModel {
   double page_read_s = 2.0e-5;
   double page_byte_s = 5.0e-10;
   // Block-skipping scans: one zone-map probe is a batched dominance test
-  // against the whole window (priced like an R-tree node visit), and a
-  // skipped block costs only the bookkeeping of jumping it.
+  // against the whole window (priced as a flat per-probe cost, not per
+  // window entry), and a skipped block costs only the bookkeeping of
+  // jumping it.
   double summary_test_s = 2.5e-8;
   double block_skip_s = 1.0e-9;
 
@@ -63,7 +63,6 @@ struct CostModel {
   static CostModel Unit() {
     CostModel model{CostModelMode::kUnit};
     model.dominance_test_s = 1.0;
-    model.rtree_node_visit_s = 1.0;
     model.scan_step_s = 1.0;
     model.merge_pull_s = 1.0;
     model.sort_step_s = 1.0;

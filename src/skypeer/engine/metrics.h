@@ -38,9 +38,10 @@ struct QueryMetrics {
   /// backbone).
   int super_peers_participated = 0;
   /// Machine-independent operation counts summed over all super-peers
-  /// (node-id order): dominance tests, R-tree visits, scan steps, merge
-  /// pulls, sorts and serialized bytes. Identical across runs, thread
-  /// counts and kernel dispatch regardless of the cost-model mode.
+  /// (node-id order): dominance tests, scan steps, merge pulls, sorts,
+  /// serialized bytes, page reads and block-skip probes. Identical across
+  /// runs, thread counts and kernel dispatch regardless of the cost-model
+  /// mode.
   OpCounts ops;
 
   // --- reliability / fault-injection (reliable protocol only) ----------

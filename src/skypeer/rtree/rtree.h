@@ -15,9 +15,12 @@ namespace skypeer {
 ///
 /// The paper (§5.2.1) speeds up the dominance test of Algorithm 1 with "a
 /// main-memory R-tree with dimensionality equal to the query
-/// dimensionality"; this is that structure. It indexes k-dimensional
-/// points (leaf MBRs are degenerate boxes) tagged with a 64-bit payload,
-/// and supports the three operations the skyline scan needs:
+/// dimensionality"; this is that structure. Algorithm 1 here uses the
+/// blocked linear window instead, which measured faster (DESIGN.md,
+/// "Measured departure"); the tree remains the index of `NnSkyline`.
+/// It indexes k-dimensional points (leaf MBRs are degenerate boxes)
+/// tagged with a 64-bit payload, and supports the three dominance
+/// operations of a skyline window:
 ///
 ///  * `AnyDominates(q)` — is some indexed point dominating `q`?
 ///  * `EraseDominated(p)` — remove all indexed points dominated by `p`.

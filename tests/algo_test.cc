@@ -1,5 +1,5 @@
 // Tests for the centralized skyline substrate: cross-algorithm
-// equivalence (BNL = SFS = D&C = SortedSkyline) over a parameterized
+// equivalence (BNL = SFS = SortedSkyline) over a parameterized
 // sweep, SkylineAccumulator semantics, Algorithm 2 merging, and the
 // f-sorted list builder.
 
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "skypeer/algo/bnl.h"
-#include "skypeer/algo/divide_conquer.h"
 #include "skypeer/algo/merge.h"
 #include "skypeer/algo/result_list.h"
 #include "skypeer/algo/sfs.h"
@@ -207,20 +206,6 @@ TEST(SkylineAccumulator, ThresholdMonotonicallyDecreases) {
   }
 }
 
-TEST(SkylineAccumulator, LinearAndRTreeAgree) {
-  for (int dims : {2, 3, 5}) {
-    PointSet data = MakeData(Distribution::kUniform, dims, 500, 11 * dims);
-    ResultList sorted = BuildSortedByF(data);
-    Subspace u = Subspace::FullSpace(dims);
-    ThresholdScanOptions with_tree;
-    with_tree.use_rtree = true;
-    ThresholdScanOptions without_tree;
-    without_tree.use_rtree = false;
-    EXPECT_EQ(SortedIds(SortedSkyline(sorted, u, with_tree).points),
-              SortedIds(SortedSkyline(sorted, u, without_tree).points));
-  }
-}
-
 TEST(SkylineAccumulator, TakeResultResetsState) {
   ThresholdScanOptions options;
   SkylineAccumulator acc(2, Subspace::FullSpace(2), options);
@@ -370,22 +355,19 @@ TEST(SkylineAccumulator, CompactionKeepsResultsUnchanged) {
   const PointSet data = EvictionHeavyData(300);
   const ResultList sorted = BuildSortedByF(data);
   const Subspace u = Subspace::FromDims({0});
-  for (bool use_rtree : {false, true}) {
-    for (bool ext : {false, true}) {
-      ThresholdScanOptions options;
-      options.use_rtree = use_rtree;
-      options.ext = ext;
-      const ResultList result = SortedSkyline(sorted, u, options);
-      EXPECT_EQ(SortedIds(result.points), ReferenceSkyline(data, u, ext))
-          << "rtree=" << use_rtree << " ext=" << ext;
-    }
+  for (bool ext : {false, true}) {
+    ThresholdScanOptions options;
+    options.ext = ext;
+    const ResultList result = SortedSkyline(sorted, u, options);
+    EXPECT_EQ(SortedIds(result.points), ReferenceSkyline(data, u, ext))
+        << "ext=" << ext;
   }
 }
 
 TEST(SkylineAccumulator, CompactionWithInterleavedSurvivors) {
   // Mix the evicting sequence with incomparable survivors so compaction
-  // must preserve several alive entries, their f-order and the R-tree
-  // payload renumbering, not just a single point.
+  // must preserve several alive entries and their f-order, not just a
+  // single point.
   Rng rng(91);
   PointSet data(3);
   PointId id = 0;
@@ -399,14 +381,10 @@ TEST(SkylineAccumulator, CompactionWithInterleavedSurvivors) {
   const ResultList sorted = BuildSortedByF(data);
   for (Subspace u : {Subspace::FromDims({0}), Subspace::FromDims({0, 2}),
                      Subspace::FullSpace(3)}) {
-    for (bool use_rtree : {false, true}) {
-      ThresholdScanOptions options;
-      options.use_rtree = use_rtree;
-      const ResultList result = SortedSkyline(sorted, u, options);
-      EXPECT_EQ(SortedIds(result.points), ReferenceSkyline(data, u, false))
-          << "u=" << u.ToString() << " rtree=" << use_rtree;
-      EXPECT_TRUE(result.IsSorted());
-    }
+    const ResultList result = SortedSkyline(sorted, u);
+    EXPECT_EQ(SortedIds(result.points), ReferenceSkyline(data, u, false))
+        << "u=" << u.ToString();
+    EXPECT_TRUE(result.IsSorted());
   }
 }
 
@@ -437,8 +415,6 @@ TEST_P(SkylineEquivalenceTest, AllAlgorithmsAgree) {
         << "BNL " << u.ToString();
     EXPECT_EQ(SortedIds(SfsSkyline(data, u, ext())), expected)
         << "SFS " << u.ToString();
-    EXPECT_EQ(SortedIds(DivideConquerSkyline(data, u, ext())), expected)
-        << "D&C " << u.ToString();
     ThresholdScanOptions options;
     options.ext = ext();
     EXPECT_EQ(SortedIds(SortedSkyline(sorted, u, options).points), expected)
@@ -593,7 +569,6 @@ TEST(SkylineEquivalence, GriddedDataWithManyTies) {
       const std::vector<PointId> expected = ReferenceSkyline(data, u, ext);
       EXPECT_EQ(SortedIds(BnlSkyline(data, u, ext)), expected);
       EXPECT_EQ(SortedIds(SfsSkyline(data, u, ext)), expected);
-      EXPECT_EQ(SortedIds(DivideConquerSkyline(data, u, ext)), expected);
       ThresholdScanOptions options;
       options.ext = ext;
       EXPECT_EQ(SortedIds(SortedSkyline(sorted, u, options).points),

@@ -36,7 +36,7 @@ namespace {
 
 // --- satellite: page/block alignment ----------------------------------------
 
-TEST(BlockSkipAlignment, PagesHoldWholeBlocksAndChunksSnapToBlocks) {
+TEST(BlockSkipAlignment, PagesHoldWholeBlocks) {
   // The skip-aware cursor and the summary index both assume a store
   // block never straddles a page. This holds by construction: pages hold
   // whole blocks (`PageLayout::points_per_page`).
@@ -105,7 +105,6 @@ TEST(BlockSkipProperty, RandomizedScanEquivalence) {
     const Subspace u = RandomSubspace(dims, &rng);
     ThresholdScanOptions plain_options;
     plain_options.ext = rng.Uniform() < 0.3;
-    plain_options.use_rtree = rng.Uniform() < 0.5;
 
     // Sometimes seed the window with a broadcast filter set from a
     // disjoint list, sometimes constrain the initial threshold.
@@ -221,7 +220,6 @@ TEST(BlockSkipProperty, ReplayMatchesDirectScanUnderTighterThresholds) {
     const Subspace u = RandomSubspace(dims, &rng);
 
     ThresholdScanOptions options;
-    options.use_rtree = rng.Uniform() < 0.5;
     options.block_skip = true;
     ThresholdScanStats recorded_stats;
     ScanTrace trace;

@@ -176,7 +176,7 @@ TEST(Churn, DrainAllPeersOfOneSuperPeer) {
   ExpectAllVariantsExact(&network, Subspace::FromDims({0, 3}));
 }
 
-TEST(Churn, DrainedSuperPeerStillAnswersWithChunkedScans) {
+TEST(Churn, DrainedSuperPeerStillAnswersAndInitiates) {
   // Regression: rebuilding a store from zero retained lists used to trip
   // `SKYPEER_CHECK(dims > 0)` inside MergeSortedSkylines (no dims
   // source). The drained super-peer must keep serving exact answers and

@@ -26,7 +26,6 @@ namespace {
 TEST(OpCounts, AccumulatesFieldwise) {
   OpCounts a;
   a.dominance_tests = 3;
-  a.rtree_node_visits = 5;
   a.scan_steps = 7;
   OpCounts b;
   b.dominance_tests = 10;
@@ -35,12 +34,11 @@ TEST(OpCounts, AccumulatesFieldwise) {
   b.bytes_serialized = 100;
   a += b;
   EXPECT_EQ(a.dominance_tests, 13u);
-  EXPECT_EQ(a.rtree_node_visits, 5u);
   EXPECT_EQ(a.scan_steps, 7u);
   EXPECT_EQ(a.merge_pulls, 2u);
   EXPECT_EQ(a.sort_steps, 4u);
   EXPECT_EQ(a.bytes_serialized, 100u);
-  EXPECT_EQ(a.total(), 13u + 5u + 7u + 2u + 4u + 100u);
+  EXPECT_EQ(a.total(), 13u + 7u + 2u + 4u + 100u);
 
   const OpCounts c = a + OpCounts{};
   EXPECT_EQ(c, a);
@@ -65,7 +63,6 @@ TEST(OpCounts, SortCostIsNCeilLogN) {
 TEST(CostModel, UnitSecondsEqualTotalOps) {
   OpCounts ops;
   ops.dominance_tests = 11;
-  ops.rtree_node_visits = 13;
   ops.scan_steps = 17;
   ops.merge_pulls = 19;
   ops.sort_steps = 23;
@@ -87,20 +84,25 @@ TEST(CostModel, CalibratedSecondsIsTheDotProduct) {
 TEST(CostModel, ProfileRoundTripsExactly) {
   CostModel model = CostModel::Calibrated();
   model.dominance_test_s = 3.25e-9;
-  model.rtree_node_visit_s = 1.75e-8;
   model.scan_step_s = 1.0e-12;
   model.merge_pull_s = 6.5e-8;
   model.sort_step_s = 9.125e-9;
   model.byte_s = 2.0e-10;
 
-  CostModel loaded = CostModel::Calibrated();
-  ASSERT_TRUE(loaded.LoadProfileString(model.ToProfileString()));
-  EXPECT_EQ(loaded.dominance_test_s, model.dominance_test_s);
-  EXPECT_EQ(loaded.rtree_node_visit_s, model.rtree_node_visit_s);
-  EXPECT_EQ(loaded.scan_step_s, model.scan_step_s);
-  EXPECT_EQ(loaded.merge_pull_s, model.merge_pull_s);
-  EXPECT_EQ(loaded.sort_step_s, model.sort_step_s);
-  EXPECT_EQ(loaded.byte_s, model.byte_s);
+  // Profiles saved while the threshold scan had an R-tree window carry a
+  // line for the deleted R-tree node-visit price; they must keep loading,
+  // the key ignored.
+  for (const std::string& profile :
+       {model.ToProfileString(),
+        "rtree_node_visit" "_s=2.5e-08\n" + model.ToProfileString()}) {
+    CostModel loaded = CostModel::Calibrated();
+    ASSERT_TRUE(loaded.LoadProfileString(profile)) << profile;
+    EXPECT_EQ(loaded.dominance_test_s, model.dominance_test_s);
+    EXPECT_EQ(loaded.scan_step_s, model.scan_step_s);
+    EXPECT_EQ(loaded.merge_pull_s, model.merge_pull_s);
+    EXPECT_EQ(loaded.sort_step_s, model.sort_step_s);
+    EXPECT_EQ(loaded.byte_s, model.byte_s);
+  }
 }
 
 TEST(CostModel, ProfileIgnoresCommentsAndRejectsGarbage) {
@@ -182,7 +184,6 @@ std::vector<std::vector<double>> Signature(const ResultList& list) {
 void ExpectOpsEqual(const OpCounts& a, const OpCounts& b,
                     const std::string& context) {
   EXPECT_EQ(a.dominance_tests, b.dominance_tests) << context;
-  EXPECT_EQ(a.rtree_node_visits, b.rtree_node_visits) << context;
   EXPECT_EQ(a.scan_steps, b.scan_steps) << context;
   EXPECT_EQ(a.merge_pulls, b.merge_pulls) << context;
   EXPECT_EQ(a.sort_steps, b.sort_steps) << context;
@@ -374,7 +375,7 @@ TEST(CountedDeterminism, UnitModeExposesOpCountsAsSeconds) {
 // Local scans run on the staging pool, yet each one's charge is its own op
 // count, so the default (calibrated) model gives bit-identical metrics —
 // both time metrics included — at any thread count.
-TEST(DefaultCharging, ChunkedScanChargeIsThreadCountInvariant) {
+TEST(DefaultCharging, StagedScanChargeIsThreadCountInvariant) {
   NetworkConfig config;
   config.num_peers = 32;
   config.num_super_peers = 4;

@@ -205,60 +205,52 @@ TEST(KernelDispatchTest, ForceScalarPinsTheMode) {
 // slots — must stay bounded by the compaction policy's 64-slot window.
 TEST(AccumulatorCompactionTest, EvictHeavyStreamKeepsWindowBounded) {
   constexpr size_t kMinWindow = 64;
-  for (bool use_rtree : {false, true}) {
-    ThresholdScanOptions options;
-    options.use_rtree = use_rtree;
-    SkylineAccumulator accumulator(2, Subspace::FullSpace(2), options);
-    size_t max_window = 0;
-    const size_t kOffers = 4000;
-    for (size_t i = 0; i < kOffers; ++i) {
-      // Constant first coordinate keeps f = min coord non-decreasing;
-      // the strictly shrinking second coordinate means each point
-      // dominates (and evicts) its predecessor.
-      const double p[2] = {0.25, 1.0 - static_cast<double>(i) / 8000.0};
-      EXPECT_TRUE(accumulator.Offer(p, i, 0.25));
-      max_window = std::max(max_window, accumulator.window_size());
-      EXPECT_EQ(accumulator.alive(), 1u);
-    }
-    // alive == 1 < half the window triggers compaction as soon as the
-    // window reaches 64 slots, so it can never exceed it.
-    EXPECT_LE(max_window, kMinWindow) << "use_rtree=" << use_rtree;
-    ResultList result = accumulator.TakeResult();
-    ASSERT_EQ(result.size(), 1u);
-    EXPECT_EQ(result.points.id(0), kOffers - 1);
+  SkylineAccumulator accumulator(2, Subspace::FullSpace(2), {});
+  size_t max_window = 0;
+  const size_t kOffers = 4000;
+  for (size_t i = 0; i < kOffers; ++i) {
+    // Constant first coordinate keeps f = min coord non-decreasing; the
+    // strictly shrinking second coordinate means each point dominates
+    // (and evicts) its predecessor.
+    const double p[2] = {0.25, 1.0 - static_cast<double>(i) / 8000.0};
+    EXPECT_TRUE(accumulator.Offer(p, i, 0.25));
+    max_window = std::max(max_window, accumulator.window_size());
+    EXPECT_EQ(accumulator.alive(), 1u);
   }
+  // alive == 1 < half the window triggers compaction as soon as the window
+  // reaches 64 slots, so it can never exceed it.
+  EXPECT_LE(max_window, kMinWindow);
+  ResultList result = accumulator.TakeResult();
+  ASSERT_EQ(result.size(), 1u);
+  EXPECT_EQ(result.points.id(0), kOffers - 1);
 }
 
 // End-to-end scan bit-identity between the forced-scalar and dispatched
-// kernels, on both the linear-window and the R-tree paths.
+// kernels.
 TEST(KernelDispatchTest, SortedSkylineBitIdenticalAcrossModes) {
   for (int dims : {2, 4, 8}) {
     PointSet data = RandomPoints(dims, 800, 13 * dims, /*gridded=*/true);
     const Subspace u = Subspace::FullSpace(dims);
-    for (bool use_rtree : {false, true}) {
-      ThresholdScanOptions options;
-      options.use_rtree = use_rtree;
-      ResultList scalar_result(dims);
-      ThresholdScanStats scalar_stats;
-      {
-        ScopedKernelMode mode(/*force_scalar=*/true);
-        ResultList sorted = BuildSortedByF(data);
-        scalar_result = SortedSkyline(sorted, u, options, &scalar_stats);
-      }
-      ResultList dispatched_result(dims);
-      ThresholdScanStats dispatched_stats;
-      {
-        ScopedKernelMode mode(/*force_scalar=*/false);
-        ResultList sorted = BuildSortedByF(data);
-        dispatched_result = SortedSkyline(sorted, u, options, &dispatched_stats);
-      }
-      EXPECT_EQ(scalar_result.points.Ids(), dispatched_result.points.Ids());
-      EXPECT_EQ(scalar_result.f, dispatched_result.f);
-      EXPECT_EQ(scalar_result.points.values(),
-                dispatched_result.points.values());
-      EXPECT_EQ(scalar_stats.scanned, dispatched_stats.scanned);
-      EXPECT_EQ(scalar_stats.final_threshold, dispatched_stats.final_threshold);
+    ResultList scalar_result(dims);
+    ThresholdScanStats scalar_stats;
+    {
+      ScopedKernelMode mode(/*force_scalar=*/true);
+      ResultList sorted = BuildSortedByF(data);
+      scalar_result = SortedSkyline(sorted, u, {}, &scalar_stats);
     }
+    ResultList dispatched_result(dims);
+    ThresholdScanStats dispatched_stats;
+    {
+      ScopedKernelMode mode(/*force_scalar=*/false);
+      ResultList sorted = BuildSortedByF(data);
+      dispatched_result = SortedSkyline(sorted, u, {}, &dispatched_stats);
+    }
+    EXPECT_EQ(scalar_result.points.Ids(), dispatched_result.points.Ids());
+    EXPECT_EQ(scalar_result.f, dispatched_result.f);
+    EXPECT_EQ(scalar_result.points.values(),
+              dispatched_result.points.values());
+    EXPECT_EQ(scalar_stats.scanned, dispatched_stats.scanned);
+    EXPECT_EQ(scalar_stats.final_threshold, dispatched_stats.final_threshold);
   }
 }
 

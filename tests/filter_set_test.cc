@@ -213,7 +213,7 @@ TEST(SeededScan, FilteredResultIsASubsetAndMergesToTheSameSkyline) {
             SortedIds(BnlSkyline(merged_unfiltered, u)));
 }
 
-TEST(SeededScan, ChunkedTracedAndReplayedScansAgreeWithTheDirectScan) {
+TEST(SeededScan, TracedAndReplayedScansAgreeWithTheDirectScan) {
   SkypeerNetwork network(SmallConfig(41));
   network.Preprocess();
   const Subspace u = Subspace::FromDims({0, 2, 4});

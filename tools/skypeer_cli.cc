@@ -386,15 +386,13 @@ CostModel Calibrate(uint64_t seed) {
         wall / static_cast<double>(std::max<uint64_t>(1, ops.dominance_tests)));
   }
 
-  // scan_step_s: linear-window threshold scan; the non-dominance residual
-  // is the per-point scan overhead.
+  // scan_step_s: threshold scan; the non-dominance residual is the
+  // per-point scan overhead.
   {
-    ThresholdScanOptions opts;
-    opts.use_rtree = false;
     ThresholdScanStats stats;
     const double wall = BestWallSeconds(3, [&] {
       stats = ThresholdScanStats{};
-      SortedSkyline(sorted, sub4, opts, &stats);
+      SortedSkyline(sorted, sub4, {}, &stats);
     });
     const double known =
         static_cast<double>(stats.ops.dominance_tests) *
@@ -403,25 +401,6 @@ CostModel Calibrate(uint64_t seed) {
     model.scan_step_s = ClampCost(
         (wall - known) /
         static_cast<double>(std::max<uint64_t>(1, stats.ops.scan_steps)));
-  }
-
-  // rtree_node_visit_s: the same scan with the R-tree window index; the
-  // residual over the already-known classes is tree traversal.
-  {
-    ThresholdScanOptions opts;  // use_rtree defaults to true
-    ThresholdScanStats stats;
-    const double wall = BestWallSeconds(3, [&] {
-      stats = ThresholdScanStats{};
-      SortedSkyline(sorted, sub4, opts, &stats);
-    });
-    const double known =
-        static_cast<double>(stats.ops.dominance_tests) *
-            model.dominance_test_s +
-        static_cast<double>(stats.ops.scan_steps) * model.scan_step_s +
-        static_cast<double>(stats.ops.sort_steps) * model.sort_step_s;
-    model.rtree_node_visit_s = ClampCost(
-        (wall - known) /
-        static_cast<double>(std::max<uint64_t>(1, stats.ops.rtree_node_visits)));
   }
 
   // merge_pull_s: k-way merge of f-sorted lists; the residual over all
@@ -440,9 +419,7 @@ CostModel Calibrate(uint64_t seed) {
         static_cast<double>(stats.ops.dominance_tests) *
             model.dominance_test_s +
         static_cast<double>(stats.ops.scan_steps) * model.scan_step_s +
-        static_cast<double>(stats.ops.sort_steps) * model.sort_step_s +
-        static_cast<double>(stats.ops.rtree_node_visits) *
-            model.rtree_node_visit_s;
+        static_cast<double>(stats.ops.sort_steps) * model.sort_step_s;
     model.merge_pull_s = ClampCost(
         (wall - known) /
         static_cast<double>(std::max<uint64_t>(1, stats.ops.merge_pulls)));
