@@ -292,6 +292,7 @@ void SkypeerNetwork::ResetProtocolState() {
   simulator_.Reset();
   for (auto& sp : super_peers_) {
     sp->ResetProtocolState();
+    sp->ClearQueryMemo();
   }
 }
 
@@ -535,32 +536,14 @@ Status SkypeerNetwork::RemovePeer(int peer_id, OpCounts* maintenance_ops) {
   return Status::OK();
 }
 
-SkypeerNetwork::RunOutcome SkypeerNetwork::RunOnce(
-    Subspace subspace, int initiator_sp, Variant variant,
-    const sim::LinkParams& params, ResultList* result) {
-  simulator_.Reset();
-  simulator_.SetAllLinkParams(params);
-  for (auto& sp : super_peers_) {
-    sp->ResetProtocolState();
-  }
-
-  // Scheduled-churn maintenance ticks riding on this query (see
-  // ExecuteQuery): identical timers in both simulation runs, so the
-  // charged maintenance cost shapes both measured times the same way.
-  // A tick whose node is crashed at fire time is suppressed by the
-  // simulator like any other timer — churn composes with crash windows.
-  for (const ChurnTick& tick : pending_ticks_) {
-    auto body = std::make_shared<ChurnTickMessage>();
-    body->ops = tick.ops;
-    simulator_.ScheduleTimer(tick.node, tick.time, std::move(body));
-  }
-
+void SkypeerNetwork::StageLocalScans(Subspace subspace, int initiator_sp,
+                                     Variant variant) {
   // Stage the per-super-peer local scans concurrently when the variant's
   // scan thresholds are known up front: infinity everywhere for naive;
   // for FT*M the initiator computes first (threshold infinity) and every
-  // other node then scans under the initiator's flooded value. The
-  // simulator consumes the staged results when it replays the protocol,
-  // so results and simulated metrics match the sequential run exactly.
+  // other node then scans under the initiator's flooded value. Each staged
+  // scan is its node's memo entry, which both simulation runs consume, so
+  // results and simulated metrics match the sequential run exactly.
   ThreadPool* staging_pool = pool();
   const int num_sp = num_super_peers();
   if (staging_pool->num_threads() > 1 && num_sp > 1) {
@@ -612,6 +595,27 @@ SkypeerNetwork::RunOutcome SkypeerNetwork::RunOnce(
       });
     }
   }
+}
+
+SkypeerNetwork::RunOutcome SkypeerNetwork::RunOnce(
+    Subspace subspace, int initiator_sp, Variant variant,
+    const sim::LinkParams& params, ResultList* result) {
+  simulator_.Reset();
+  simulator_.SetAllLinkParams(params);
+  for (auto& sp : super_peers_) {
+    sp->ResetProtocolState();
+  }
+
+  // Scheduled-churn maintenance ticks riding on this query (see
+  // ExecuteQuery): identical timers in both simulation runs, so the
+  // charged maintenance cost shapes both measured times the same way.
+  // A tick whose node is crashed at fire time is suppressed by the
+  // simulator like any other timer — churn composes with crash windows.
+  for (const ChurnTick& tick : pending_ticks_) {
+    auto body = std::make_shared<ChurnTickMessage>();
+    body->ops = tick.ops;
+    simulator_.ScheduleTimer(tick.node, tick.time, std::move(body));
+  }
 
   auto start = std::make_shared<StartQueryMessage>();
   start->query_id = next_query_id_++;
@@ -654,7 +658,13 @@ SkypeerNetwork::RunOutcome SkypeerNetwork::RunOnce(
   outcome.bytes = simulator_.total_bytes();
   outcome.messages = simulator_.num_messages();
   for (const auto& sp : super_peers_) {
-    outcome.ops += sp->last_query_stats().ops;
+    const SuperPeer::LastQueryStats stats = sp->last_query_stats();
+    outcome.ops += stats.ops;
+    if (stats.participated) {
+      ++outcome.participated;
+      outcome.scanned += stats.scanned;
+      outcome.local_points += stats.local_result;
+    }
   }
   if (config_.reliable) {
     outcome.dropped = simulator_.dropped_messages();
@@ -662,12 +672,6 @@ SkypeerNetwork::RunOutcome SkypeerNetwork::RunOnce(
       const SuperPeer::ReliabilityStats& rstats = sp->reliability_stats();
       outcome.retransmits += rstats.retransmits;
       outcome.gave_up += rstats.gave_up;
-      const SuperPeer::LastQueryStats stats = sp->last_query_stats();
-      if (stats.participated) {
-        ++outcome.participated;
-        outcome.scanned += stats.scanned;
-        outcome.local_points += stats.local_result;
-      }
     }
   }
   return outcome;
@@ -710,12 +714,24 @@ QueryResult SkypeerNetwork::ExecuteQuery(Subspace subspace, int initiator_sp,
 
   QueryResult query_result;
 
+  // The query memo starts empty; the staging wave (if any) fills each
+  // node's scan entry before run 1, and run 1 records every scan and
+  // merge it computes.
+  for (auto& sp : super_peers_) {
+    sp->ClearQueryMemo();
+  }
+  StageLocalScans(subspace, initiator_sp, variant);
+
   // Run 1: configured links — total response time and traffic volume.
   const sim::LinkParams network_params{config_.bandwidth, config_.latency};
   const RunOutcome total = RunOnce(subspace, initiator_sp, variant,
                                    network_params, &query_result.skyline);
 
-  // Run 2: infinite bandwidth — pure computational critical path.
+  // Run 2: infinite bandwidth — pure computational critical path. Every
+  // scan or merge whose inputs match run 1's exactly is recalled from the
+  // memo and charged run 1's ops; the rest (refined thresholds along a
+  // different flood tree, replies in a different order, other drops)
+  // are recomputed.
   const sim::LinkParams compute_params{sim::kInfiniteBandwidth, 0.0};
   ResultList compute_result(config_.dims);
   const RunOutcome compute = RunOnce(subspace, initiator_sp, variant,
@@ -724,8 +740,12 @@ QueryResult SkypeerNetwork::ExecuteQuery(Subspace subspace, int initiator_sp,
     SKYPEER_DCHECK(compute_result.size() == query_result.skyline.size());
   }
 
-  // Both runs are done: release the pinned pre-churn epochs (retired
-  // stores drop now — pages included) and retire the ticks.
+  // Both runs are done: drop the memo, release the pinned pre-churn
+  // epochs (retired stores drop now — pages included) and retire the
+  // ticks.
+  for (auto& sp : super_peers_) {
+    sp->ClearQueryMemo();
+  }
   pending_ticks_.clear();
   for (size_t sp = 0; sp < pinned_epochs.size(); ++sp) {
     super_peers_[sp]->UnpinStoreEpoch(pinned_epochs[sp]);
@@ -736,13 +756,15 @@ QueryResult SkypeerNetwork::ExecuteQuery(Subspace subspace, int initiator_sp,
   query_result.metrics.bytes_transferred = total.bytes;
   query_result.metrics.messages = total.messages;
   query_result.metrics.result_size = query_result.skyline.size();
-  // Like volume/messages this reports run 1 — under faults the compute
-  // run can realize a different pattern; fault-free runs count the same.
+  // Every counter reports run 1 (configured links), the run the answer
+  // came from: the compute run can refine RT*M thresholds along a
+  // different flood tree and, under faults, realize a different fault
+  // pattern.
   query_result.metrics.ops = total.ops;
+  query_result.metrics.super_peers_participated = total.participated;
+  query_result.metrics.store_points_scanned = total.scanned;
+  query_result.metrics.local_result_points = total.local_points;
   if (config_.reliable) {
-    // Reliable mode reports run 1 (configured links): under faults the
-    // two runs realize different timings and thus potentially different
-    // fault patterns, and run 1 is the measurement the answer came from.
     query_result.metrics.partial = total.partial;
     query_result.metrics.super_peers_reached =
         static_cast<int>(total.coverage.size());
@@ -751,20 +773,6 @@ QueryResult SkypeerNetwork::ExecuteQuery(Subspace subspace, int initiator_sp,
     query_result.metrics.retransmits = total.retransmits;
     query_result.metrics.hops_gave_up = total.gave_up;
     query_result.metrics.messages_dropped = total.dropped;
-    query_result.metrics.super_peers_participated = total.participated;
-    query_result.metrics.store_points_scanned = total.scanned;
-    query_result.metrics.local_result_points = total.local_points;
-    return query_result;
-  }
-  // Per-node counters of the compute run (identical protocol trace; the
-  // states are still live after RunOnce).
-  for (const auto& sp : super_peers_) {
-    const SuperPeer::LastQueryStats stats = sp->last_query_stats();
-    if (stats.participated) {
-      ++query_result.metrics.super_peers_participated;
-      query_result.metrics.store_points_scanned += stats.scanned;
-      query_result.metrics.local_result_points += stats.local_result;
-    }
   }
   return query_result;
 }

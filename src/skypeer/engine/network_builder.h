@@ -193,9 +193,14 @@ struct QueryResult {
 ///
 /// Lifecycle: construct, `Preprocess()` once (peers compute and upload
 /// extended skylines; super-peers merge), then `ExecuteQuery` any number
-/// of times. Each query runs twice under the hood — once with configured
-/// links for total time/volume, once with infinite bandwidth for the
-/// computational-time critical path (the two measurements of §6).
+/// of times. Each query is simulated twice under the hood — once with
+/// configured links for total time/volume, once with infinite bandwidth
+/// for the computational-time critical path (the two measurements of §6).
+/// Both simulations share one per-query memo: the second recalls every
+/// local scan and merge whose inputs match the first's exactly, charging
+/// the recorded operation counts, and recomputes only the rest. Every
+/// counter the query reports (volume, messages, ops, scan counts) comes
+/// from the first run.
 class SkypeerNetwork {
  public:
   /// Checks a configuration without building anything.
@@ -226,10 +231,10 @@ class SkypeerNetwork {
   ///
   /// When the global thread pool (see common/thread_pool.h) has more than
   /// one thread and the variant's local scans are threshold-independent
-  /// (naive, FT*M), the per-super-peer scans are staged concurrently
-  /// before the simulator replays the protocol. Results and simulated
-  /// metrics are identical to the sequential execution — only host
-  /// wall-clock time changes.
+  /// (naive, FT*M), the per-super-peer scans are staged concurrently,
+  /// once per query, before the simulator runs the protocol. Results and
+  /// simulated metrics are identical to the sequential execution — only
+  /// host wall-clock time changes.
   QueryResult ExecuteQuery(Subspace subspace, int initiator_sp,
                            Variant variant);
 
@@ -270,8 +275,8 @@ class SkypeerNetwork {
   void SetFaultPlan(sim::FaultPlan plan);
 
   /// Clears all per-query protocol state — simulator events, timers and
-  /// statistics plus every super-peer's query and reliable-transport
-  /// state. Query execution does this implicitly before each run; call it
+  /// statistics plus every super-peer's query, reliable-transport and
+  /// memo state. Query execution does this implicitly before each run; call it
   /// when driving the simulator directly between executions.
   void ResetProtocolState();
 
@@ -370,14 +375,19 @@ class SkypeerNetwork {
     uint64_t retransmits = 0;
     uint64_t gave_up = 0;
     uint64_t dropped = 0;
-    /// Per-node counters of *this* run (reliable mode reports run 1;
-    /// under faults the two runs can realize different fault patterns).
+    /// Per-node counters of *this* run.
     int participated = 0;
     size_t scanned = 0;
     size_t local_points = 0;
     /// Operation counts summed over all super-peers in node-id order.
     OpCounts ops;
   };
+
+  /// The staging wave: pre-executes the local scans whose thresholds are
+  /// known before the protocol runs, concurrently on the pool, as each
+  /// node's memo scan entry. Runs once per query, before run 1; a no-op
+  /// on one thread.
+  void StageLocalScans(Subspace subspace, int initiator_sp, Variant variant);
 
   RunOutcome RunOnce(Subspace subspace, int initiator_sp, Variant variant,
                      const sim::LinkParams& params, ResultList* result);

@@ -422,13 +422,19 @@ std::vector<int> SuperPeer::coverage() const {
 }
 
 void SuperPeer::ResetProtocolState() {
-  ResetQueryState();
+  query_.reset();
   outbound_.clear();
   seen_.clear();
   next_hop_seq_ = 1;
   deadline_timer_id_ = 0;
   rstats_ = ReliabilityStats{};
   query_ops_ = OpCounts{};
+}
+
+void SuperPeer::ClearQueryMemo() {
+  scan_memo_.reset();
+  merge_memo_.clear();
+  staged_.reset();
 }
 
 void SuperPeer::HandleMessage(sim::Simulator* simulator,
@@ -789,22 +795,21 @@ void SuperPeer::SendReplyReliable(sim::Simulator* simulator, int dst,
 
 // --- local computation ---------------------------------------------------
 
-void SuperPeer::RunLocalScan(const Subspace& subspace, Variant variant,
-                             double threshold_in, const ResultList* filter,
-                             uint64_t filter_fp,
-                             std::shared_ptr<const ResultList>* local,
-                             double* threshold_out, size_t* scanned,
-                             OpCounts* ops) {
-  *ops = OpCounts{};
+void SuperPeer::RunLocalScan(const Subspace& subspace, const ResultList* filter,
+                             ScanMemo* scan) {
+  const double threshold_in = scan->key.threshold_in;
+  const uint64_t filter_fp = scan->key.filter_fp;
+  scan->ops = OpCounts{};
   const StoreView view = View();
-  if (variant == Variant::kNaive) {
+  if (scan->key.variant == Variant::kNaive) {
     // The baseline ignores the f-ordering and the threshold: a plain BNL
     // over the store, then sorted for shipping.
-    PointSet skyline = BnlSkylineView(view, subspace, /*ext=*/false, ops);
-    ops->sort_steps += SortCost(skyline.size());
-    *local = std::make_shared<const ResultList>(BuildSortedByF(skyline));
-    *threshold_out = threshold_in;
-    *scanned = view.size();
+    PointSet skyline =
+        BnlSkylineView(view, subspace, /*ext=*/false, &scan->ops);
+    scan->ops.sort_steps += SortCost(skyline.size());
+    scan->local = std::make_shared<const ResultList>(BuildSortedByF(skyline));
+    scan->threshold_out = threshold_in;
+    scan->scanned = view.size();
     return;
   }
 
@@ -845,14 +850,14 @@ void SuperPeer::RunLocalScan(const Subspace& subspace, Variant variant,
                              std::move(trace));
     }
     ThresholdScanStats stats;
-    *local = std::make_shared<const ResultList>(
+    scan->local = std::make_shared<const ResultList>(
         ReplayScanTrace(view, *entry, threshold_in, &stats));
-    *threshold_out = stats.final_threshold;
-    *scanned = stats.scanned;
+    scan->threshold_out = stats.final_threshold;
+    scan->scanned = stats.scanned;
     // Only the replay is counted: the fill is amortized cache warming, and
     // excluding it keeps charges independent of hit/miss order (replicas
     // sharing a cache see different orders).
-    *ops = stats.ops;
+    scan->ops = stats.ops;
     return;
   }
 
@@ -861,12 +866,12 @@ void SuperPeer::RunLocalScan(const Subspace& subspace, Variant variant,
   options.block_skip = block_skip_;
   options.filter = filter;
   ThresholdScanStats stats;
-  *local = std::make_shared<const ResultList>(
+  scan->local = std::make_shared<const ResultList>(
       SortedSkyline(view, subspace, options, &stats));
   // The scan threshold only ever tightens; RT*M forwards this value.
-  *threshold_out = stats.final_threshold;
-  *scanned = stats.scanned;
-  *ops = stats.ops;
+  scan->threshold_out = stats.final_threshold;
+  scan->scanned = stats.scanned;
+  scan->ops = stats.ops;
 }
 
 void SuperPeer::StageLocalScan(const Subspace& subspace, Variant variant,
@@ -875,64 +880,59 @@ void SuperPeer::StageLocalScan(const Subspace& subspace, Variant variant,
   if (filter != nullptr && filter->empty()) {
     filter = nullptr;
   }
-  StagedScan staged;
-  staged.mask = subspace.mask();
-  staged.variant = variant;
-  staged.threshold_in = threshold;
-  staged.filter_fp = filter != nullptr ? FilterFingerprint(*filter) : 0;
-  RunLocalScan(subspace, variant, threshold, filter.get(), staged.filter_fp,
-               &staged.local, &staged.threshold_out, &staged.scanned,
-               &staged.ops);
-  staged_ = std::move(staged);
+  ScanMemo memo;
+  memo.key = {scan_epoch_, subspace.mask(), variant,
+              filter != nullptr ? FilterFingerprint(*filter) : 0, threshold};
+  RunLocalScan(subspace, filter.get(), &memo);
+  scan_memo_ = std::move(memo);
 }
 
 double SuperPeer::StagedThreshold() const {
-  SKYPEER_CHECK(staged_.has_value());
-  return staged_->threshold_out;
+  SKYPEER_CHECK(scan_memo_.has_value());
+  return scan_memo_->threshold_out;
 }
 
 std::shared_ptr<const ResultList> SuperPeer::StagedLocal() const {
-  SKYPEER_CHECK(staged_.has_value());
-  return staged_->local;
+  SKYPEER_CHECK(scan_memo_.has_value());
+  return scan_memo_->local;
 }
 
 void SuperPeer::StageSpeculativeScan(const Subspace& subspace, Variant variant,
                                      double fixed_threshold,
                                      std::shared_ptr<const ResultList> filter) {
   SKYPEER_CHECK(RefinesThresholdOnPath(variant));
+  if (cache_enabled_) {
+    // Cache path: the scan warms the shared trace cache (a pure function
+    // of the store and filter, so identical to what the protocol run
+    // would insert), and the inline scan under the refined value replays
+    // it.
+    StageLocalScan(subspace, variant, fixed_threshold, std::move(filter));
+    return;
+  }
   if (filter != nullptr && filter->empty()) {
     filter = nullptr;
   }
   StagedScan staged;
-  staged.mask = subspace.mask();
-  staged.variant = variant;
-  staged.threshold_in = fixed_threshold;
-  staged.filter_fp = filter != nullptr ? FilterFingerprint(*filter) : 0;
-  staged.speculative = true;
-  if (!cache_enabled_) {
-    // Record the event trace so the reconcile can replay the scan under
-    // the refined threshold without any dominance test. The filter seeds
-    // are baked into the recorded events; the staged fingerprint guards
-    // the match.
-    ThresholdScanOptions options;
-    options.initial_threshold = fixed_threshold;
-    options.block_skip = block_skip_;
-    options.filter = filter.get();
-    ThresholdScanStats stats;
-    staged.local = std::make_shared<const ResultList>(
-        SortedSkyline(View(), subspace, options, &stats, &staged.trace));
-    staged.threshold_out = stats.final_threshold;
-    staged.scanned = stats.scanned;
-    staged.ops = stats.ops;
-    staged.has_trace = true;
-  } else {
-    // Cache path: the scan warms the shared trace cache (a pure function
-    // of the store and filter, so identical to what the protocol run
-    // would insert) and the reconcile replays it at the refined value.
-    RunLocalScan(subspace, variant, fixed_threshold, filter.get(),
-                 staged.filter_fp, &staged.local, &staged.threshold_out,
-                 &staged.scanned, &staged.ops);
-  }
+  staged.key = {scan_epoch_, subspace.mask(), variant,
+                filter != nullptr ? FilterFingerprint(*filter) : 0,
+                fixed_threshold};
+  // Record the event trace so the reconcile can replay the scan under
+  // the refined threshold without any dominance test. The filter seeds
+  // are baked into the recorded events; the staged fingerprint guards
+  // the match. The scan itself is the direct scan under the fixed value.
+  ThresholdScanOptions options;
+  options.initial_threshold = fixed_threshold;
+  options.block_skip = block_skip_;
+  options.filter = filter.get();
+  ThresholdScanStats stats;
+  ScanMemo memo;
+  memo.key = staged.key;
+  memo.local = std::make_shared<const ResultList>(
+      SortedSkyline(View(), subspace, options, &stats, &staged.trace));
+  memo.threshold_out = stats.final_threshold;
+  memo.scanned = stats.scanned;
+  memo.ops = stats.ops;
+  scan_memo_ = std::move(memo);
   staged_ = std::move(staged);
 }
 
@@ -954,49 +954,98 @@ void SuperPeer::MaybeSelectFilter(sim::Simulator* simulator,
 }
 
 void SuperPeer::ComputeLocal(sim::Simulator* simulator, QueryState* state) {
-  if (staged_.has_value() && staged_->mask == state->subspace.mask() &&
-      staged_->variant == state->variant &&
-      staged_->filter_fp == state->filter_fp &&
-      staged_->threshold_in == state->threshold) {
-    // Exact match: the staged scan is the inline scan, so its ops are the
-    // inline charge.
-    ChargeOps(simulator, staged_->ops);
-    state->local = std::move(staged_->local);
-    state->threshold = staged_->threshold_out;
-    state->scanned = staged_->scanned;
-    staged_.reset();
-    return;
-  }
-  if (staged_.has_value() && staged_->speculative &&
-      staged_->mask == state->subspace.mask() &&
-      staged_->variant == state->variant &&
-      staged_->filter_fp == state->filter_fp &&
-      state->threshold < staged_->threshold_in) {
-    // Reconcile a speculative scan against the refined threshold the
-    // protocol actually delivered. Only the replay's ops are charged —
-    // they equal the ops of the direct scan under the refined threshold,
-    // so speculative staging leaves charges bit-identical to the
-    // non-speculative execution.
-    if (staged_->has_trace) {
+  const ScanKey key{scan_epoch_, state->subspace.mask(), state->variant,
+                    state->filter_fp, state->threshold};
+  if (!scan_memo_.has_value() || !(scan_memo_->key == key)) {
+    ScanMemo memo;
+    memo.key = key;
+    // A speculative scan staged for the same key under a higher threshold.
+    if (staged_.has_value() && key.threshold_in < staged_->key.threshold_in &&
+        staged_->key == ScanKey{key.epoch, key.mask, key.variant,
+                                key.filter_fp, staged_->key.threshold_in}) {
+      // Reconcile the speculative scan against the refined threshold the
+      // protocol actually delivered. The replay's ops equal those of the
+      // direct scan under the refined threshold, so speculative staging
+      // leaves charges bit-identical to the non-speculative execution.
       ThresholdScanStats stats;
-      state->local = std::make_shared<const ResultList>(ReplayScanTrace(
-          View(), staged_->trace, state->threshold, &stats));
-      state->threshold = stats.final_threshold;
-      state->scanned = stats.scanned;
-      staged_.reset();
-      ChargeOps(simulator, stats.ops);
-      return;
+      memo.local = std::make_shared<const ResultList>(
+          ReplayScanTrace(View(), staged_->trace, key.threshold_in, &stats));
+      memo.threshold_out = stats.final_threshold;
+      memo.scanned = stats.scanned;
+      memo.ops = stats.ops;
+    } else {
+      RunLocalScan(state->subspace, state->filter.get(), &memo);
     }
-    // Otherwise the speculative scan warmed the trace cache; replaying
-    // it under the refined threshold is exactly the cache-hit path of
-    // the inline scan below.
+    scan_memo_ = std::move(memo);
   }
-  staged_.reset();
-  OpCounts ops;
-  RunLocalScan(state->subspace, state->variant, state->threshold,
-               state->filter.get(), state->filter_fp, &state->local,
-               &state->threshold, &state->scanned, &ops);
-  ChargeOps(simulator, ops);
+  // A memo hit is the identical scan, so its recorded ops are the charge.
+  ChargeOps(simulator, scan_memo_->ops);
+  state->local = scan_memo_->local;
+  state->threshold = scan_memo_->threshold_out;
+  state->scanned = scan_memo_->scanned;
+}
+
+std::shared_ptr<const ResultList> SuperPeer::Merge(
+    sim::Simulator* simulator, MergeKind kind, const Subspace& subspace,
+    double threshold_in, std::vector<std::shared_ptr<const ResultList>> inputs,
+    double* threshold_out) {
+  auto entry = std::find_if(
+      merge_memo_.begin(), merge_memo_.end(), [&](const MergeMemo& memo) {
+        return memo.kind == kind && memo.mask == subspace.mask() &&
+               memo.threshold_in == threshold_in && memo.inputs == inputs;
+      });
+  if (entry == merge_memo_.end()) {
+    MergeMemo memo;
+    memo.kind = kind;
+    memo.mask = subspace.mask();
+    memo.threshold_in = threshold_in;
+    memo.threshold_out = threshold_in;
+    if (kind == MergeKind::kBnl || kind == MergeKind::kBnlDedup) {
+      // Central dominance-based merge of everything, the §3.2 baseline.
+      // Overlapping inputs (reroute detours) are deduplicated by point id
+      // — copies of a point never dominate each other, so BNL alone would
+      // keep both.
+      PointSet all(dims_);
+      std::unordered_set<PointId> seen_points;
+      for (const auto& list : inputs) {
+        if (kind == MergeKind::kBnl) {
+          all.AppendAll(list->points);
+          continue;
+        }
+        for (size_t i = 0; i < list->size(); ++i) {
+          if (seen_points.insert(list->points.id(i)).second) {
+            all.AppendFrom(list->points, i);
+          }
+        }
+      }
+      PointSet skyline = BnlSkyline(all, subspace, /*ext=*/false, &memo.ops);
+      memo.ops.sort_steps += SortCost(skyline.size());
+      memo.output = std::make_shared<const ResultList>(BuildSortedByF(skyline));
+    } else {
+      std::vector<const ResultList*> lists;
+      lists.reserve(inputs.size());
+      for (const auto& list : inputs) {
+        lists.push_back(list.get());
+      }
+      ThresholdScanOptions options;
+      options.initial_threshold = threshold_in;
+      options.dedup_ids = kind == MergeKind::kSortedDedup;
+      ThresholdScanStats stats;
+      memo.output = std::make_shared<const ResultList>(
+          MergeSortedSkylines(dims_, lists, subspace, options, &stats));
+      memo.threshold_out = stats.final_threshold;
+      memo.ops = stats.ops;
+    }
+    memo.inputs = std::move(inputs);
+    merge_memo_.push_back(std::move(memo));
+    entry = std::prev(merge_memo_.end());
+  }
+  // A memo hit is the identical merge, so its recorded ops are the charge.
+  ChargeOps(simulator, entry->ops);
+  if (threshold_out != nullptr) {
+    *threshold_out = entry->threshold_out;
+  }
+  return entry->output;
 }
 
 SuperPeer::LastQueryStats SuperPeer::last_query_stats() const {
@@ -1357,20 +1406,13 @@ void SuperPeer::HandlePipeline(sim::Simulator* simulator, int src,
   state->is_initiator = false;
   ComputeLocal(simulator, state);
 
-  std::shared_ptr<const ResultList> merged;
-  double threshold = state->threshold;
-  {
-    std::vector<const ResultList*> inputs = {message.accumulated.get(),
-                                             state->local.get()};
-    ThresholdScanOptions options;
-    options.initial_threshold = message.threshold;
-    options.dedup_ids = reliable_.enabled;
-    ThresholdScanStats stats;
-    merged = std::make_shared<const ResultList>(
-        MergeSortedSkylines(inputs, state->subspace, options, &stats));
-    threshold = std::min(threshold, stats.final_threshold);
-    ChargeOps(simulator, stats.ops);
-  }
+  double merge_threshold = message.threshold;
+  std::shared_ptr<const ResultList> merged =
+      Merge(simulator,
+            reliable_.enabled ? MergeKind::kSortedDedup : MergeKind::kSorted,
+            state->subspace, message.threshold,
+            {message.accumulated, state->local}, &merge_threshold);
+  const double threshold = std::min(state->threshold, merge_threshold);
   std::vector<int> contributors = message.contributors;
   if (reliable_.enabled) {
     contributors.push_back(id_);
@@ -1381,63 +1423,33 @@ void SuperPeer::HandlePipeline(sim::Simulator* simulator, int src,
 
 // --- completion ----------------------------------------------------------
 
+std::vector<std::shared_ptr<const ResultList>> SuperPeer::ReliableMergeInputs(
+    const QueryState& state) {
+  // Canonical input order — children by id, then detoured extras by origin
+  // id, own list last — so lossy runs merge exactly like fault-free ones
+  // regardless of reply arrival order.
+  std::vector<std::shared_ptr<const ResultList>> inputs;
+  for (const auto& [child, lists] : state.collected_by_child) {
+    inputs.insert(inputs.end(), lists.begin(), lists.end());
+  }
+  for (const auto& [origin, lists] : state.extras) {
+    inputs.insert(inputs.end(), lists.begin(), lists.end());
+  }
+  inputs.push_back(state.local);
+  return inputs;
+}
+
 void SuperPeer::FinishInitiator(sim::Simulator* simulator,
                                 QueryState* state) {
   SKYPEER_CHECK(reliable_.enabled);
   SKYPEER_CHECK(state->is_initiator);
   SKYPEER_CHECK(state->local != nullptr);
-  {
-    OpCounts ops;
-    if (state->variant == Variant::kNaive) {
-      // Central dominance-based merge; overlapping inputs (reroute
-      // detours) are deduplicated by point id — copies of a point never
-      // dominate each other, so BNL alone would keep both.
-      PointSet all(dims_);
-      std::unordered_set<PointId> seen_points;
-      const auto append = [&](const ResultList& list) {
-        for (size_t i = 0; i < list.size(); ++i) {
-          if (seen_points.insert(list.points.id(i)).second) {
-            all.Append(list.points[i], list.points.id(i));
-          }
-        }
-      };
-      for (const auto& [child, lists] : state->collected_by_child) {
-        for (const auto& list : lists) {
-          append(*list);
-        }
-      }
-      for (const auto& [origin, lists] : state->extras) {
-        for (const auto& list : lists) {
-          append(*list);
-        }
-      }
-      append(*state->local);
-      PointSet skyline = BnlSkyline(all, state->subspace, /*ext=*/false, &ops);
-      ops.sort_steps += SortCost(skyline.size());
-      state->final = BuildSortedByF(skyline);
-    } else {
-      std::vector<const ResultList*> inputs;
-      for (const auto& [child, lists] : state->collected_by_child) {
-        for (const auto& list : lists) {
-          inputs.push_back(list.get());
-        }
-      }
-      for (const auto& [origin, lists] : state->extras) {
-        for (const auto& list : lists) {
-          inputs.push_back(list.get());
-        }
-      }
-      inputs.push_back(state->local.get());
-      ThresholdScanOptions options;
-      options.initial_threshold = state->threshold;
-      options.dedup_ids = true;
-      ThresholdScanStats stats;
-      state->final = MergeSortedSkylines(dims_, inputs, state->subspace,
-                                         options, &stats);
-      ops = stats.ops;
-    }
-    ChargeOps(simulator, ops);
-  }
+  state->final = *Merge(simulator,
+                        state->variant == Variant::kNaive
+                            ? MergeKind::kBnlDedup
+                            : MergeKind::kSortedDedup,
+                        state->subspace, state->threshold,
+                        ReliableMergeInputs(*state));
   state->partial =
       static_cast<int>(state->contributors.size()) < num_super_peers_ ||
       state->deadline_fired;
@@ -1461,37 +1473,11 @@ void SuperPeer::Complete(sim::Simulator* simulator, QueryState* state) {
       reply->query_id = state->query_id;
       reply->duplicate = false;
       if (UsesProgressiveMerging(state->variant)) {
-        // Canonical input order — children by id, then detoured extras
-        // by origin id, own list last — so lossy runs merge exactly like
-        // fault-free ones regardless of reply arrival order.
-        std::vector<const ResultList*> inputs;
-        for (const auto& [child, lists] : state->collected_by_child) {
-          for (const auto& list : lists) {
-            inputs.push_back(list.get());
-          }
-        }
-        for (const auto& [origin, lists] : state->extras) {
-          for (const auto& list : lists) {
-            inputs.push_back(list.get());
-          }
-        }
-        inputs.push_back(state->local.get());
-        ThresholdScanOptions options;
-        options.initial_threshold = state->threshold;
-        options.dedup_ids = true;
-        ThresholdScanStats stats;
-        reply->lists.push_back(std::make_shared<const ResultList>(
-            MergeSortedSkylines(dims_, inputs, state->subspace, options,
-                                &stats)));
-        ChargeOps(simulator, stats.ops);
+        reply->lists.push_back(Merge(simulator, MergeKind::kSortedDedup,
+                                     state->subspace, state->threshold,
+                                     ReliableMergeInputs(*state)));
       } else {
-        for (const auto& [child, lists] : state->collected_by_child) {
-          reply->lists.insert(reply->lists.end(), lists.begin(), lists.end());
-        }
-        for (const auto& [origin, lists] : state->extras) {
-          reply->lists.insert(reply->lists.end(), lists.begin(), lists.end());
-        }
-        reply->lists.push_back(state->local);
+        reply->lists = ReliableMergeInputs(*state);
       }
       reply->contributors.assign(state->contributors.begin(),
                                  state->contributors.end());
@@ -1504,62 +1490,28 @@ void SuperPeer::Complete(sim::Simulator* simulator, QueryState* state) {
     return;
   }
 
+  std::vector<std::shared_ptr<const ResultList>> lists =
+      std::move(state->collected);
+  lists.push_back(state->local);
   if (!state->is_initiator) {
-    std::vector<std::shared_ptr<const ResultList>> lists;
     if (UsesProgressiveMerging(state->variant)) {
       // *TPM: merge everything received with the local result before
       // relaying (Algorithm 3 lines 15-16).
-      std::vector<const ResultList*> inputs;
-      inputs.reserve(state->collected.size() + 1);
-      for (const auto& list : state->collected) {
-        inputs.push_back(list.get());
-      }
-      inputs.push_back(state->local.get());
-      ThresholdScanOptions options;
-      options.initial_threshold = state->threshold;
-      ThresholdScanStats stats;
-      lists.push_back(std::make_shared<const ResultList>(
-          MergeSortedSkylines(inputs, state->subspace, options, &stats)));
-      ChargeOps(simulator, stats.ops);
-    } else {
-      // *TFM / naive: relay children bundles unmerged plus our own list.
-      lists = std::move(state->collected);
-      lists.push_back(state->local);
+      lists = {Merge(simulator, MergeKind::kSorted, state->subspace,
+                     state->threshold, std::move(lists))};
     }
+    // Otherwise (*TFM / naive) the children's bundles travel unmerged,
+    // with our own list appended.
     SendReply(simulator, state->parent, state->query_id, /*duplicate=*/false,
               std::move(lists), state->subspace.Count());
     return;
   }
 
   // Initiator: final merge.
-  {
-    OpCounts ops;
-    if (state->variant == Variant::kNaive) {
-      // Central dominance-based merge of everything, the §3.2 baseline.
-      PointSet all(dims_);
-      for (const auto& list : state->collected) {
-        all.AppendAll(list->points);
-      }
-      all.AppendAll(state->local->points);
-      PointSet skyline = BnlSkyline(all, state->subspace, /*ext=*/false, &ops);
-      ops.sort_steps += SortCost(skyline.size());
-      state->final = BuildSortedByF(skyline);
-    } else {
-      std::vector<const ResultList*> inputs;
-      inputs.reserve(state->collected.size() + 1);
-      for (const auto& list : state->collected) {
-        inputs.push_back(list.get());
-      }
-      inputs.push_back(state->local.get());
-      ThresholdScanOptions options;
-      options.initial_threshold = state->threshold;
-      ThresholdScanStats stats;
-      state->final =
-          MergeSortedSkylines(inputs, state->subspace, options, &stats);
-      ops = stats.ops;
-    }
-    ChargeOps(simulator, ops);
-  }
+  state->final = *Merge(simulator,
+                        state->variant == Variant::kNaive ? MergeKind::kBnl
+                                                          : MergeKind::kSorted,
+                        state->subspace, state->threshold, std::move(lists));
   state->finished = true;
   state->finish_time = simulator->CurrentNodeClock();
 }

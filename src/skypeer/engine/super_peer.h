@@ -252,19 +252,24 @@ class SuperPeer : public sim::Node {
   /// mode).
   void set_num_super_peers(int n) { num_super_peers_ = n; }
 
-  /// Clears any in-flight query state; call between query executions.
-  void ResetQueryState() {
-    query_.reset();
-    staged_.reset();
-  }
-
-  /// Clears *all* per-query protocol state: the query state proper
-  /// (`ResetQueryState`), plus the reliable transport's in-flight
-  /// envelopes, acknowledgement bookkeeping, duplicate-suppression sets
-  /// and counters. `Simulator::Reset` discards pending events and timers;
-  /// this is the matching node-side reset the simulator docs require —
-  /// call both before re-running a query on the same network.
+  /// Clears *all* per-query protocol state: the in-flight query state,
+  /// the reliable transport's in-flight envelopes, acknowledgement
+  /// bookkeeping, duplicate-suppression sets and counters.
+  /// `Simulator::Reset` discards pending events and timers; this is the
+  /// matching node-side reset the simulator docs require — call both
+  /// before re-running a query on the same network. The query memo (see
+  /// `ClearQueryMemo`) survives it, so a re-run of the same query can
+  /// recall run 1's computations.
   void ResetProtocolState();
+
+  /// Drops the per-query memo: the recorded local scan, every recorded
+  /// merge and the speculative staged scan. A memo entry answers a later
+  /// computation only on an exact key match — the same inputs, so the
+  /// same output and the same operation counts — and is charged exactly
+  /// those recorded ops; any mismatch recomputes. The network clears the
+  /// memo when a query starts and after its second simulation run, so no
+  /// entry outlives its query.
+  void ClearQueryMemo();
 
   /// Counters of the reliable transport since the last
   /// `ResetProtocolState`.
@@ -285,17 +290,17 @@ class SuperPeer : public sim::Node {
 
   /// Pre-executes the local scan this node would run for a query on
   /// `subspace` under `variant` arriving with `threshold` on the
-  /// executing (worker) thread, counting its ops. When the real query
-  /// message arrives with exactly these parameters, `ComputeLocal`
-  /// consumes the staged result and charges the recorded ops to the
-  /// virtual clock; on any parameter mismatch the scan silently reruns
-  /// inline, so staging can never change results or metrics — it only
-  /// moves host CPU work off the simulator thread. Safe to call
-  /// concurrently on *different* SuperPeer instances (it touches only
-  /// this node's store and cache). Cleared by `ResetQueryState`.
-  /// `filter` is the broadcast filter set the query will carry (null for
-  /// none); the staged scan is only consumed by a query with a matching
-  /// filter fingerprint.
+  /// executing (worker) thread, counting its ops, and records it as the
+  /// query memo's scan entry. When the real query message arrives with
+  /// exactly these parameters, `ComputeLocal` answers from the memo and
+  /// charges the recorded ops to the virtual clock; on any parameter
+  /// mismatch the scan silently reruns inline, so staging can never
+  /// change results or metrics — it only moves host CPU work off the
+  /// simulator thread. Safe to call concurrently on *different* SuperPeer
+  /// instances (it touches only this node's store and cache). Cleared by
+  /// `ClearQueryMemo`. `filter` is the broadcast filter set the query
+  /// will carry (null for none); the memo entry only answers a query with
+  /// a matching filter fingerprint.
   void StageLocalScan(const Subspace& subspace, Variant variant,
                       double threshold,
                       std::shared_ptr<const ResultList> filter = nullptr);
@@ -305,9 +310,11 @@ class SuperPeer : public sim::Node {
   /// `fixed_threshold` — the initiator's threshold, an upper bound on
   /// whatever refined value the protocol will actually deliver — and
   /// records enough state to *reconcile* exactly when the true threshold
-  /// arrives. `ComputeLocal` then reproduces the result, final threshold
-  /// and scan count the sequential execution under the refined threshold
-  /// would have produced, bit-identically:
+  /// arrives. The scan itself becomes the memo's scan entry (it answers a
+  /// query arriving with exactly `fixed_threshold`). For a lower threshold
+  /// `ComputeLocal` reproduces the result, final threshold and scan count
+  /// the sequential execution under the refined threshold would have
+  /// produced, bit-identically:
   ///  - without the cache the scan records a `ScanTrace`, replayed in
   ///    O(scan length);
   ///  - with the cache enabled the speculative scan warms the shared
@@ -320,14 +327,15 @@ class SuperPeer : public sim::Node {
                             std::shared_ptr<const ResultList> filter = nullptr);
 
   /// Threshold the staged scan ended with — for FT*M the value the
-  /// initiator floods. Requires a preceding `StageLocalScan`.
+  /// initiator floods. Reads the memo's scan entry, so it requires a
+  /// preceding `StageLocalScan`.
   double StagedThreshold() const;
 
-  /// Local result of the staged scan. Requires a preceding
-  /// `StageLocalScan` / `StageSpeculativeScan`. The network staging wave
-  /// uses the initiator's staged local to construct — content-identically
-  /// to what the protocol run will select — the filter set the other
-  /// nodes stage under.
+  /// Local result of the staged scan (the memo's scan entry). Requires a
+  /// preceding `StageLocalScan` / `StageSpeculativeScan`. The network
+  /// staging wave uses the initiator's staged local to construct —
+  /// content-identically to what the protocol run will select — the
+  /// filter set the other nodes stage under.
   std::shared_ptr<const ResultList> StagedLocal() const;
 
   void HandleMessage(sim::Simulator* simulator,
@@ -433,26 +441,55 @@ class SuperPeer : public sim::Node {
     bool partial = false;
   };
 
-  /// A local scan computed ahead of message delivery by `StageLocalScan`
-  /// or `StageSpeculativeScan`.
-  struct StagedScan {
+  /// Everything a local scan's outcome depends on within one query: the
+  /// store epoch it reads, the subspace, the variant (naive ignores the
+  /// threshold), the broadcast filter and the incoming threshold.
+  struct ScanKey {
+    uint64_t epoch = 0;
     uint32_t mask = 0;
     Variant variant = Variant::kFTPM;
-    double threshold_in = 0.0;
-    /// Fingerprint of the filter the scan was staged under (0 = none); a
-    /// query only consumes the staged result on an exact match.
+    /// `FilterFingerprint` of the broadcast filter (0 = none).
     uint64_t filter_fp = 0;
+    double threshold_in = 0.0;
+    bool operator==(const ScanKey&) const = default;
+  };
+
+  /// The memo's scan entry: a local scan of the current query (staged or
+  /// run inline) and the operation counts it was charged.
+  struct ScanMemo {
+    ScanKey key;
     std::shared_ptr<const ResultList> local;
     double threshold_out = 0.0;
     size_t scanned = 0;
-    /// Operation counts of the staged scan.
     OpCounts ops;
-    /// Staged under an upper-bound threshold; `ComputeLocal` may
-    /// reconcile it against any arriving threshold <= `threshold_in`.
-    bool speculative = false;
-    /// Event log of the speculative sequential scan, replayable under
-    /// tighter thresholds. Unset (`has_trace` false) on the cache path.
-    bool has_trace = false;
+  };
+
+  /// The four merges of the protocol: the threshold merge of sorted lists
+  /// (Algorithm 2) and the naive initiator's BNL, each with or without
+  /// point-id deduplication (the reliable transport's detours can deliver
+  /// the same point twice).
+  enum class MergeKind { kSorted, kSortedDedup, kBnl, kBnlDedup };
+
+  /// A merge of the current query and its outcome. The key holds its
+  /// ordered inputs by `shared_ptr`, which keeps them alive: an input of
+  /// run 1 can never share an address with a list allocated later, so
+  /// pointer equality means content equality.
+  struct MergeMemo {
+    MergeKind kind = MergeKind::kSorted;
+    uint32_t mask = 0;
+    double threshold_in = 0.0;
+    std::vector<std::shared_ptr<const ResultList>> inputs;
+    std::shared_ptr<const ResultList> output;
+    double threshold_out = 0.0;
+    OpCounts ops;
+  };
+
+  /// A speculative scan staged by `StageSpeculativeScan` under an
+  /// upper-bound threshold: `ComputeLocal` reconciles it against a query
+  /// whose key differs only by a lower threshold, by replaying its event
+  /// log.
+  struct StagedScan {
+    ScanKey key;
     ScanTrace trace;
   };
 
@@ -512,6 +549,11 @@ class SuperPeer : public sim::Node {
   void SendReplyReliable(sim::Simulator* simulator, int dst,
                          std::shared_ptr<const ReplyMessage> reply,
                          int query_dims, std::vector<int> tried);
+  /// Reliable transport: the lists a node merges (or relays unmerged) in
+  /// canonical order — children by id, detoured extras by origin id, its
+  /// own local result last.
+  static std::vector<std::shared_ptr<const ResultList>> ReliableMergeInputs(
+      const QueryState& state);
   /// Initiator resolution shared by the normal completion path and the
   /// deadline: merges whatever is collected, sets coverage and the
   /// partial flag.
@@ -526,23 +568,31 @@ class SuperPeer : public sim::Node {
   /// Computes the local subspace skyline under `state->threshold` and
   /// stores it in `state->local`, charging its ops. Updates
   /// `state->threshold` to the (possibly lower) final scan threshold.
-  /// Consumes a matching staged scan instead of recomputing.
+  /// Answers from the memo's scan entry (or reconciles a speculative
+  /// staged scan) instead of rescanning when the key matches.
   void ComputeLocal(sim::Simulator* simulator, QueryState* state);
+
+  /// Merges `inputs` (in this order) into one list for the query subspace
+  /// under `threshold_in`, charging the merge's ops, or recalls the
+  /// memo's identical merge and charges its recorded ops. When
+  /// `threshold_out` is non-null it receives the merge's final threshold.
+  std::shared_ptr<const ResultList> Merge(
+      sim::Simulator* simulator, MergeKind kind, const Subspace& subspace,
+      double threshold_in,
+      std::vector<std::shared_ptr<const ResultList>> inputs,
+      double* threshold_out = nullptr);
 
   /// The simulator-free scan core shared by `ComputeLocal` and
   /// `StageLocalScan`: evaluates `subspace` against the store under
-  /// `threshold_in` for `variant` (including the cache path) and writes
-  /// the resulting list, tightened threshold and scan count. `ops`
-  /// receives the scan's operation counts (the cache path reports the
-  /// replay's counts only — trace fills are amortized cache warming).
-  /// `filter` / `filter_fp` is the broadcast filter set the scan seeds
-  /// its window with (null/0 = none); the fingerprint keys the trace
-  /// cache so filtered and unfiltered traces never cross.
-  void RunLocalScan(const Subspace& subspace, Variant variant,
-                    double threshold_in, const ResultList* filter,
-                    uint64_t filter_fp,
-                    std::shared_ptr<const ResultList>* local,
-                    double* threshold_out, size_t* scanned, OpCounts* ops);
+  /// `scan->key`'s threshold for its variant (including the cache path)
+  /// and writes the resulting list, tightened threshold, scan count and
+  /// operation counts into `scan` (the cache path reports the replay's
+  /// counts only — trace fills are amortized cache warming). `filter` is
+  /// the broadcast filter set the scan seeds its window with (null =
+  /// none); its fingerprint in the key keys the trace cache so filtered
+  /// and unfiltered traces never cross.
+  void RunLocalScan(const Subspace& subspace, const ResultList* filter,
+                    ScanMemo* scan);
 
   /// Initiator only, after its local scan: selects the broadcast filter
   /// set from `state->local` when `filter_set_size_` > 0 and the variant
@@ -636,6 +686,11 @@ class SuperPeer : public sim::Node {
   bool preprocessed_ = false;
   std::vector<int> neighbors_;
   std::optional<QueryState> query_;
+  /// The per-query memo (see `ClearQueryMemo`): at most one local scan
+  /// and one merge per node per simulation run, so the second run of a
+  /// query finds run 1's entries in a short list.
+  std::optional<ScanMemo> scan_memo_;
+  std::vector<MergeMemo> merge_memo_;
   std::optional<StagedScan> staged_;
   // Reliable transport state (unused while `reliable_.enabled` is off).
   ReliableParams reliable_;
@@ -648,8 +703,10 @@ class SuperPeer : public sim::Node {
   ReliabilityStats rstats_;
   /// Converts local work into virtual CPU seconds (see SetCostModel).
   CostModel cost_;
-  /// Operation counts accumulated since the last `ResetProtocolState`
-  /// (both simulation runs of a query charge identically).
+  /// Operation counts accumulated since the last `ResetProtocolState`,
+  /// i.e. over one simulation run. A memo hit charges the recorded ops of
+  /// the identical computation, so a run that recomputes and a run that
+  /// recalls count the same.
   OpCounts query_ops_;
   bool cache_enabled_ = false;
   /// Zone-map block skipping in local threshold scans (see

@@ -278,6 +278,100 @@ TEST(Exactness, ResultIdsAreUnique) {
   EXPECT_EQ(unique.size(), ids.size());
 }
 
+// --- one protocol execution per query --------------------------------------
+
+TEST(QueryMemo, ComputationalTimeEqualsATwinOnInfiniteLinks) {
+  // Computational time is the second simulation run of a query, on
+  // infinite-bandwidth zero-latency links, which recalls run 1's scans and
+  // merges from the per-query memo wherever their inputs match exactly. A
+  // twin network whose configured links *are* infinite computes every
+  // scan and merge in its run 1, so its total time must equal the
+  // original's computational time to the bit, with the same answer —
+  // under every variant, staged or inline scans, the broadcast filter,
+  // block skipping, paged stores and scheduled churn.
+  const std::vector<Subspace> subspaces = {
+      Subspace::FromDims({0, 2}),    Subspace::FromDims({1, 3, 4}),
+      Subspace::FromDims({2}),       Subspace::FromDims({0, 1, 2, 3, 4}),
+      Subspace::FromDims({3, 4}),    Subspace::FromDims({0, 4}),
+      Subspace::FromDims({1, 2, 3}), Subspace::FromDims({0, 1})};
+  for (int threads : {1, 2}) {
+    NetworkConfig config = SmallConfig(23);
+    config.latency = 0.01;
+    config.threads = threads;
+    config.filter_set_size = 16;
+    config.block_skip = true;
+    config.buffer_pages = 8;
+    config.dynamic_membership = true;
+    config.churn_events = 6;
+    NetworkConfig twin_config = config;
+    twin_config.bandwidth = sim::kInfiniteBandwidth;
+    twin_config.latency = 0.0;
+    SkypeerNetwork network(config);
+    network.Preprocess();
+    SkypeerNetwork twin(twin_config);
+    twin.Preprocess();
+    for (size_t s = 0; s < subspaces.size(); ++s) {
+      for (size_t v = 0; v < std::size(kAllVariants); ++v) {
+        const Variant variant = kAllVariants[v];
+        const int initiator =
+            static_cast<int>((s * 5 + v) % network.num_super_peers());
+        // Taken before the query: a churn event of this query's slot
+        // applies durably, while the query itself serves the stores it
+        // started on.
+        const std::vector<PointId> expected =
+            SortedIds(network.GroundTruthSkyline(subspaces[s]));
+        const QueryResult result =
+            network.ExecuteQuery(subspaces[s], initiator, variant);
+        const QueryResult reference =
+            twin.ExecuteQuery(subspaces[s], initiator, variant);
+        const std::string context =
+            std::string(VariantName(variant)) + " u=" +
+            subspaces[s].ToString() + " threads=" + std::to_string(threads);
+        EXPECT_EQ(result.metrics.computational_time_s,
+                  reference.metrics.total_time_s)
+            << context;
+        EXPECT_EQ(result.skyline.points.Ids(), reference.skyline.points.Ids())
+            << context;
+        EXPECT_EQ(SortedIds(result.skyline.points), expected) << context;
+      }
+    }
+  }
+}
+
+TEST(QueryMemo, NoEntryOutlivesItsQuery) {
+  // The same (subspace, variant, initiator) query before and after a join
+  // that changes its answer: the second execution must recompute against
+  // the new store rather than recall the first query's scans or merges.
+  const Subspace u = Subspace::FromDims({1, 3});
+  for (Variant variant : kAllVariants) {
+    NetworkConfig config = SmallConfig(29);
+    config.dynamic_membership = true;
+    config.threads = 2;
+    SkypeerNetwork network(config);
+    network.Preprocess();
+    const int initiator = 4;
+    const QueryResult before = network.ExecuteQuery(u, initiator, variant);
+    EXPECT_EQ(SortedIds(before.skyline.points),
+              SortedIds(network.GroundTruthSkyline(u)))
+        << VariantName(variant);
+
+    // A point at the origin dominates every generated point.
+    PointSet origin(config.dims);
+    const std::vector<double> zeros(config.dims, 0.0);
+    origin.Append(zeros.data(), 0);
+    ASSERT_TRUE(network.JoinPeer(initiator, std::move(origin)).ok());
+
+    const QueryResult after = network.ExecuteQuery(u, initiator, variant);
+    EXPECT_EQ(SortedIds(after.skyline.points),
+              SortedIds(network.GroundTruthSkyline(u)))
+        << VariantName(variant);
+    EXPECT_EQ(after.skyline.size(), 1u) << VariantName(variant);
+    EXPECT_NE(SortedIds(after.skyline.points),
+              SortedIds(before.skyline.points))
+        << VariantName(variant);
+  }
+}
+
 // --- metrics invariants ----------------------------------------------------
 
 TEST(Metrics, BasicSanity) {
