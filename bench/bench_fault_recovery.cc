@@ -23,7 +23,6 @@ int main(int argc, char** argv) {
   base.dims = 8;
   base.seed = options.seed;
   base.cost_model = options.cost_model;
-  base.speculative_rt = options.speculative_rt;
   base.reliable = true;
 
   std::printf("== Fault recovery: reliable protocol under injected faults "

@@ -23,9 +23,6 @@ namespace skypeer::bench {
 ///   --seed S       master seed (default 1)
 ///   --threads N    worker threads (default hardware_concurrency;
 ///                  1 = sequential); simulated metrics are unaffected
-///   --speculative-rt stage RT*M/pipeline scans concurrently under the
-///                  initiator's fixed threshold and reconcile on arrival
-///                  of the refined value; results are identical
 ///   --filter-set N broadcast at most N sampled filter points from the
 ///                  initiator's local skyline with every query (default 0
 ///                  = no filter); skylines are identical either way
@@ -39,8 +36,6 @@ namespace skypeer::bench {
 ///                  pages behind a pinning buffer manager of N frames
 ///                  (N >= 2; default 0 = in-memory); all metrics are
 ///                  identical either way
-///   --cache-cap N  bound the per-subspace trace cache to N entries with
-///                  LRU eviction (default 0 = unbounded)
 ///   --churn-events N schedule N seeded membership changes (join/leave/
 ///                  replace) spread over the run's queries (default 0 =
 ///                  no churn); implies dynamic membership
@@ -63,13 +58,11 @@ struct BenchOptions {
   size_t filter_set = 0;  // 0: no broadcast filter set.
   size_t page_size = kDefaultPageSize;
   size_t buffer_pages = 0;  // 0: in-memory stores.
-  size_t cache_cap = 0;     // 0: unbounded trace cache.
   int churn_events = 0;     // 0: no scheduled churn.
   double churn_rate = 0.05;
   uint64_t churn_seed = 0;  // 0: derive from seed.
   bool rebuild_maintenance = false;  // Full rebuilds instead of incremental.
   bool block_skip = false;  // Zone-map block skipping in threshold scans.
-  bool speculative_rt = false;
   bool full = false;
   CostModel cost_model;
   std::string json_path;  // Empty: no JSON report.
@@ -223,9 +216,6 @@ inline BenchOptions ParseArgs(int argc, char** argv) {
                      "--buffer-pages: must be 0 (in-memory) or >= 2\n");
         std::exit(1);
       }
-    } else if (std::strcmp(argv[i], "--cache-cap") == 0 && i + 1 < argc) {
-      options.cache_cap =
-          static_cast<size_t>(ParseU64Flag("--cache-cap", argv[++i]));
     } else if (std::strcmp(argv[i], "--churn-events") == 0 && i + 1 < argc) {
       options.churn_events = static_cast<int>(
           ParseIntFlag("--churn-events", argv[++i], 0, 1'000'000));
@@ -241,8 +231,6 @@ inline BenchOptions ParseArgs(int argc, char** argv) {
       options.rebuild_maintenance = true;
     } else if (std::strcmp(argv[i], "--block-skip") == 0) {
       options.block_skip = true;
-    } else if (std::strcmp(argv[i], "--speculative-rt") == 0) {
-      options.speculative_rt = true;
     } else if (std::strcmp(argv[i], "--cost-model") == 0 && i + 1 < argc) {
       CostModelMode mode;
       if (!ParseCostModelMode(argv[++i], &mode)) {
@@ -262,9 +250,9 @@ inline BenchOptions ParseArgs(int argc, char** argv) {
       std::printf(
           "usage: %s [--queries N] [--seed S] [--threads N] "
           "[--filter-set N] [--page-size B] "
-          "[--buffer-pages N] [--cache-cap N] [--churn-events N] "
+          "[--buffer-pages N] [--churn-events N] "
           "[--churn-rate R] [--churn-seed S] [--rebuild-maintenance] "
-          "[--block-skip] [--speculative-rt] "
+          "[--block-skip] "
           "[--cost-model calibrated|unit] [--json PATH] [--full]\n",
           argv[0]);
       std::exit(0);
@@ -284,20 +272,18 @@ inline BenchOptions ParseArgs(int argc, char** argv) {
       buffer, sizeof(buffer),
       "{\"queries\": %d, \"seed\": %llu, \"threads\": %d, "
       "\"filter_set\": %llu, \"page_size\": %llu, "
-      "\"buffer_pages\": %llu, \"cache_cap\": %llu, \"churn_events\": %d, "
+      "\"buffer_pages\": %llu, \"churn_events\": %d, "
       "\"churn_rate\": %s, \"churn_seed\": %llu, "
       "\"rebuild_maintenance\": %s, \"block_skip\": %s, "
-      "\"speculative_rt\": %s, \"full\": %s, \"cost_model\": \"%s\"}",
+      "\"full\": %s, \"cost_model\": \"%s\"}",
       options.queries, static_cast<unsigned long long>(options.seed),
       options.threads, static_cast<unsigned long long>(options.filter_set),
       static_cast<unsigned long long>(options.page_size),
       static_cast<unsigned long long>(options.buffer_pages),
-      static_cast<unsigned long long>(options.cache_cap),
       options.churn_events, JsonNumber(options.churn_rate).c_str(),
       static_cast<unsigned long long>(options.churn_seed),
       options.rebuild_maintenance ? "true" : "false",
       options.block_skip ? "true" : "false",
-      options.speculative_rt ? "true" : "false",
       options.full ? "true" : "false", CostModelModeName(options.cost_model.mode));
   report.options_json = buffer;
   if (!report.path.empty()) {
@@ -393,15 +379,13 @@ inline std::string FmtMs(double seconds) { return Fmt(seconds * 1e3, 3); }
 
 /// Builds + preprocesses a network, echoing the configuration. Applies
 /// the harness options that map onto the network config (`--filter-set`,
-/// `--speculative-rt`, `--cost-model`, ...).
+/// `--block-skip`, `--cost-model`, ...).
 inline SkypeerNetwork BuildNetwork(NetworkConfig config,
                                    const BenchOptions& options) {
   config.filter_set_size = options.filter_set;
   config.block_skip = options.block_skip;
-  config.speculative_rt = options.speculative_rt;
   config.page_size = options.page_size;
   config.buffer_pages = options.buffer_pages;
-  config.cache_max_entries = options.cache_cap;
   config.cost_model = options.cost_model;
   if (options.churn_events > 0) {
     config.churn_events = options.churn_events;

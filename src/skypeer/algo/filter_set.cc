@@ -1,5 +1,6 @@
 #include "skypeer/algo/filter_set.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <vector>
@@ -47,6 +48,11 @@ ResultList SelectFilterSet(const ResultList& local, Subspace u,
     // One selection pass over the local list (per-dimension minima).
     ops->scan_steps += n;
   }
+  // A budget of n already chooses every point (the f-rank samples below
+  // then cover each index), so larger budgets select the same filter;
+  // clamping also keeps the sample loop O(n) and `j * n` from
+  // overflowing.
+  const size_t budget = std::min(max_size, n);
   std::vector<char> chosen(n, 0);
   size_t count = 0;
   // Per-dimension minima of the query subspace: the strongest single-axis
@@ -54,7 +60,7 @@ ResultList SelectFilterSet(const ResultList& local, Subspace u,
   // on every queried dimension). Ties break to the smallest index so the
   // choice is deterministic.
   for (int dim : u) {
-    if (count >= max_size) {
+    if (count >= budget) {
       break;
     }
     size_t best = 0;
@@ -69,10 +75,10 @@ ResultList SelectFilterSet(const ResultList& local, Subspace u,
     }
   }
   // Evenly spaced f-rank samples fill the remaining budget. The stride
-  // depends only on (n, max_size); collisions with already-chosen indices
+  // depends only on (n, budget); collisions with already-chosen indices
   // simply yield a smaller filter, never a different one.
-  for (size_t j = 0; j < max_size && count < max_size; ++j) {
-    const size_t index = j * n / max_size;
+  for (size_t j = 0; j < budget && count < budget; ++j) {
+    const size_t index = j * n / budget;
     if (!chosen[index]) {
       chosen[index] = 1;
       ++count;

@@ -55,7 +55,8 @@ inline constexpr double kFilterGridDenominator = 128.0;
 /// only on the list contents, the subspace, and `max_size` — it is stable
 /// across runs, thread counts and kernels. Charges one pass of
 /// `scan_steps` over `local` to `ops` when provided. Returns an empty
-/// list when `max_size == 0` or `local` is empty.
+/// list when `max_size == 0` or `local` is empty, and every point of
+/// `local` when `max_size >= local.size()`.
 ResultList SelectFilterSet(const ResultList& local, Subspace u,
                            size_t max_size, OpCounts* ops);
 
@@ -69,7 +70,7 @@ std::shared_ptr<const ResultList> BuildQueryFilter(const ResultList& local,
 
 /// Order-sensitive 64-bit FNV-1a fingerprint of a filter set (size, ids,
 /// f values and all coordinates). Never returns 0, so 0 can denote "no
-/// filter" in cache keys and staged-scan matching. Two scans over the
+/// filter" in the query memo's scan key. Two scans over the
 /// same store and subspace are interchangeable only if their filter
 /// fingerprints match.
 uint64_t FilterFingerprint(const ResultList& filter);

@@ -22,10 +22,7 @@ constexpr double kCompactLiveFraction = 0.5;
 /// threshold, and returns the number of points consumed. Scan-level
 /// charges (scan steps, page charges and — under block skipping —
 /// summary probes and skipped blocks) accumulate into `scan_ops`, kept
-/// apart from the accumulator's window-evolution ops so traced scans
-/// record replayable `cum_ops`. When `trace` is non-null, per-position
-/// events are recorded as `ScanTrace` documents; eviction tags are scan
-/// positions, so they index the trace directly.
+/// apart from the accumulator's window-evolution ops.
 ///
 /// With `block_skip` and a store summary attached, each 8-wide block is
 /// probed before its points: a block whose min-vector is dominated by a
@@ -36,33 +33,14 @@ constexpr double kCompactLiveFraction = 0.5;
 /// charges then switch from the whole-prefix `ChargeScanPages` to
 /// incremental per-page touches, so pages covered only by wholesale-
 /// skipped blocks are never charged (nor pinned on a paged store).
-size_t RunThresholdScanLoop(const StoreView& input, Subspace u,
-                            bool block_skip, SkylineAccumulator* acc,
-                            OpCounts* scan_ops, ScanTrace* trace) {
+size_t RunThresholdScanLoop(const StoreView& input, bool block_skip,
+                            SkylineAccumulator* acc, OpCounts* scan_ops) {
   const size_t end = input.size();
   const StoreSummary* summary = input.summary();
   const bool skip = block_skip && summary != nullptr;
-  if (trace != nullptr) {
-    trace->block_skip = skip;
-  }
   StoreCursor cursor(input);
-  std::vector<uint64_t> evicted;
   const auto consume = [&](size_t i, double f) {
-    const double* p = cursor.row(i);
-    const PointId id = cursor.id(i);
-    if (trace == nullptr) {
-      acc->Offer(p, id, f);
-      return;
-    }
-    evicted.clear();
-    const bool accepted = acc->OfferTagged(p, id, f, i, &evicted);
-    trace->accepted.push_back(accepted ? 1 : 0);
-    trace->dist_u.push_back(accepted ? DistU(p, u) : 0.0);
-    trace->evicted_at.push_back(ScanTrace::kNeverEvicted);
-    for (uint64_t victim : evicted) {
-      trace->evicted_at[victim] = i;
-    }
-    trace->cum_ops.push_back(acc->ops());
+    acc->Offer(cursor.row(i), cursor.id(i), f);
   };
 
   if (!skip) {
@@ -109,21 +87,6 @@ size_t RunThresholdScanLoop(const StoreView& input, Subspace u,
       last_page = page;
     }
   };
-  // Positions consumed without an offer still get trace entries — the
-  // exact entries the plain traced scan records for rejected points —
-  // so traces are position-aligned regardless of skipping.
-  const auto record_skipped = [&](size_t count) {
-    if (trace == nullptr) {
-      return;
-    }
-    for (size_t k = 0; k < count; ++k) {
-      trace->accepted.push_back(0);
-      trace->dist_u.push_back(0.0);
-      trace->evicted_at.push_back(ScanTrace::kNeverEvicted);
-      trace->cum_ops.push_back(acc->ops());
-    }
-  };
-
   size_t scanned = 0;
   size_t i = 0;
   while (i < end) {
@@ -137,11 +100,7 @@ size_t RunThresholdScanLoop(const StoreView& input, Subspace u,
       break;
     }
     scan_ops->summary_tests += 1;
-    const bool rejected = acc->WindowRejectsSummary(summary->block_min(block));
-    if (trace != nullptr) {
-      trace->block_rejected.push_back(rejected ? 1 : 0);
-    }
-    if (rejected) {
+    if (acc->WindowRejectsSummary(summary->block_min(block))) {
       scan_ops->blocks_skipped += 1;
       if (summary->block_f_max(block) <= acc->threshold()) {
         // Wholesale skip: every point of the block is within threshold
@@ -149,7 +108,6 @@ size_t RunThresholdScanLoop(const StoreView& input, Subspace u,
         // steps, no page touch — and rejected points have no side
         // effects on window or threshold, so nothing downstream can
         // tell the offers never ran.
-        record_skipped(block_end - i);
         scanned += block_end - i;
         i = block_end;
         continue;
@@ -165,7 +123,6 @@ size_t RunThresholdScanLoop(const StoreView& input, Subspace u,
           stopped = true;
           break;
         }
-        record_skipped(1);
         scan_ops->scan_steps += 1;
         ++scanned;
       }
@@ -226,13 +183,10 @@ SkylineAccumulator::SkylineAccumulator(int dims, Subspace u,
   SKYPEER_CHECK(!u.empty());
 }
 
-void SkylineAccumulator::EvictDominatedLinear(
-    const double* proj, std::vector<uint64_t>* evicted_tags) {
-  // One reverse-dominance bit mask per block, then evictions applied in
-  // ascending index order (blocks ascending, bits via ctz) so the
-  // `evicted_tags` order matches the historical per-point loop. Killed
-  // lanes are +inf and come back flagged as "dominated"; `alive_flags_`
-  // filters them out.
+void SkylineAccumulator::EvictDominatedLinear(const double* proj) {
+  // One reverse-dominance bit mask per block, then evictions applied per
+  // set bit. Killed lanes are +inf and come back flagged as "dominated";
+  // `alive_flags_` filters them out.
   ops_.dominance_tests += window_points_.size();
   scratch_masks_.resize(window_proj_.num_blocks());
   DominatedMask(window_proj_, proj, strict_, scratch_masks_.data());
@@ -248,16 +202,11 @@ void SkylineAccumulator::EvictDominatedLinear(
       alive_flags_[i] = 0;
       window_proj_.Kill(i);
       --alive_;
-      if (evicted_tags != nullptr && window_tags_[i] != kNoTag) {
-        evicted_tags->push_back(window_tags_[i]);
-      }
     }
   }
 }
 
-bool SkylineAccumulator::OfferTagged(const double* p, PointId id, double f,
-                                     uint64_t tag,
-                                     std::vector<uint64_t>* evicted_tags) {
+bool SkylineAccumulator::Offer(const double* p, PointId id, double f) {
   // Project onto the query subspace once.
   double proj[kMaxDims];
   {
@@ -280,14 +229,13 @@ bool SkylineAccumulator::OfferTagged(const double* p, PointId id, double f,
   if (AnyDominates(window_proj_, proj, strict_)) {
     return false;
   }
-  EvictDominatedLinear(proj, evicted_tags);
+  EvictDominatedLinear(proj);
   MaybeCompact();
 
   window_points_.Append(p, id);
   window_f_.push_back(f);
   alive_flags_.push_back(1);
   emit_flags_.push_back(1);
-  window_tags_.push_back(tag);
   window_proj_.Append(proj);
   ++alive_;
 
@@ -323,8 +271,6 @@ void SkylineAccumulator::MaybeCompact() {
   f.reserve(alive_);
   std::vector<char> emit;
   emit.reserve(alive_);
-  std::vector<uint64_t> tags;
-  tags.reserve(alive_);
   BlockedProjection proj(u_.Count());
   proj.Reserve(alive_);
   double row[kMaxDims];
@@ -335,14 +281,12 @@ void SkylineAccumulator::MaybeCompact() {
     points.AppendFrom(window_points_, i);
     f.push_back(window_f_[i]);
     emit.push_back(emit_flags_[i]);
-    tags.push_back(window_tags_[i]);
     window_proj_.Row(i, row);
     proj.Append(row);
   }
   window_points_ = std::move(points);
   window_f_ = std::move(f);
   emit_flags_ = std::move(emit);
-  window_tags_ = std::move(tags);
   window_proj_ = std::move(proj);
   alive_flags_.assign(alive_, 1);
 }
@@ -361,7 +305,6 @@ ResultList SkylineAccumulator::TakeResult() {
   window_f_.clear();
   alive_flags_.clear();
   emit_flags_.clear();
-  window_tags_.clear();
   window_proj_.Clear();
   alive_ = 0;
   return result;
@@ -386,28 +329,20 @@ void SkylineAccumulator::SeedWindow(const ResultList& seed) {
   }
   alive_flags_.assign(n, 1);
   emit_flags_.assign(n, 0);
-  window_tags_.assign(n, kNoTag);
   alive_ = n;
 }
 
 ResultList SortedSkyline(const StoreView& input, Subspace u,
                          const ThresholdScanOptions& options,
-                         ThresholdScanStats* stats, ScanTrace* trace) {
+                         ThresholdScanStats* stats) {
   SKYPEER_DCHECK(input.list() == nullptr || input.list()->IsSorted());
-  if (trace != nullptr) {
-    *trace = ScanTrace{};
-    trace->threshold_in = options.initial_threshold;
-  }
   SkylineAccumulator accumulator(input.dims(), u, options);
   if (options.filter != nullptr && !options.filter->empty()) {
-    // A trace bakes the filter into its recorded accept/evict decisions,
-    // so replays need no filter knowledge — but it is only valid for
-    // scans under the *same* filter (the cache keys on its fingerprint).
     accumulator.SeedWindow(*options.filter);
   }
   OpCounts scan_ops;
-  const size_t scanned = RunThresholdScanLoop(
-      input, u, options.block_skip, &accumulator, &scan_ops, trace);
+  const size_t scanned = RunThresholdScanLoop(input, options.block_skip,
+                                              &accumulator, &scan_ops);
   if (stats != nullptr) {
     stats->scanned = scanned;
     stats->final_threshold = accumulator.threshold();
@@ -415,93 +350,6 @@ ResultList SortedSkyline(const StoreView& input, Subspace u,
     stats->ops += scan_ops;
   }
   return accumulator.TakeResult();
-}
-
-ResultList ReplayScanTrace(const StoreView& input, const ScanTrace& trace,
-                           double threshold_in, ThresholdScanStats* stats) {
-  SKYPEER_CHECK(threshold_in <= trace.threshold_in);
-  // The running threshold under the tighter start is min(threshold_in,
-  // running threshold of the recorded scan) at every position, so the
-  // replayed scan stops within the recorded prefix: past its cut the
-  // recorded scan's own threshold already rejected the next point.
-  StoreCursor cursor(input);
-  double threshold = threshold_in;
-  size_t cut = 0;
-  while (cut < trace.size() && cursor.f(cut) <= threshold) {
-    if (trace.accepted[cut]) {
-      threshold = std::min(threshold, trace.dist_u[cut]);
-    }
-    ++cut;
-  }
-  // Survivors: accepted before the cut and not evicted before it. An
-  // eviction at position >= cut never happens in the replayed scan (its
-  // evictor is past the stopping point), so the point stays alive.
-  ResultList result(input.dims());
-  for (size_t i = 0; i < cut; ++i) {
-    if (trace.accepted[i] && trace.evicted_at[i] >= cut) {
-      result.points.Append(cursor.row(i), cursor.id(i));
-      result.f.push_back(cursor.f(i));
-    }
-  }
-  if (stats != nullptr) {
-    stats->scanned = cut;
-    stats->final_threshold = threshold;
-    // Ops of the *equivalent direct scan*, not of the (much cheaper)
-    // replay: the window evolves identically on the shared prefix, so
-    // the recorded cumulative counts at the cut are exact. Traces
-    // recorded before cum_ops existed replay with zero window ops.
-    stats->ops = OpCounts{};
-    if (cut > 0 && trace.cum_ops.size() >= cut) {
-      stats->ops = trace.cum_ops[cut - 1];
-    }
-    if (!trace.block_skip) {
-      stats->ops.scan_steps += cut;
-      ChargeScanPages(input.layout(), input.size(), cut, &stats->ops);
-    } else {
-      // Closed-form reconstruction of the skip scan's charges at the
-      // replayed cut, exact because the summary probes are
-      // threshold-independent on the shared prefix:
-      //  - A probed block's first point is always consumed (its f *is*
-      //    the block f-minimum the entry check passed), so a stop at a
-      //    block start means that block was never probed. Hence exactly
-      //    ceil(cut / 8) blocks are probed.
-      //  - A rejected block fully inside the cut is a wholesale skip
-      //    under any tighter threshold too: were its f-maximum above the
-      //    running threshold, the per-position walk would have stopped
-      //    inside it and the cut could not pass its end. Such blocks
-      //    charge nothing further.
-      //  - Every other probed block walks from its start to the cut (or
-      //    its end), one scan step per consumed position, touching its
-      //    page — blocks ascend, so first-touch per page reproduces the
-      //    incremental charging of the direct scan, including the stop
-      //    position's page (always the last probed block's own page).
-      const PageLayout& layout = input.layout();
-      const size_t blocks = (cut + kDomBlockWidth - 1) / kDomBlockWidth;
-      stats->ops.summary_tests += blocks;
-      size_t last_page = static_cast<size_t>(-1);
-      for (size_t b = 0; b < blocks; ++b) {
-        const size_t block_begin = b * kDomBlockWidth;
-        const size_t block_end =
-            std::min(block_begin + kDomBlockWidth, input.size());
-        const bool rejected =
-            b < trace.block_rejected.size() && trace.block_rejected[b] != 0;
-        if (rejected) {
-          stats->ops.blocks_skipped += 1;
-          if (block_end <= cut) {
-            continue;
-          }
-        }
-        stats->ops.scan_steps += std::min(cut, block_end) - block_begin;
-        const size_t page = block_begin / layout.points_per_page();
-        if (page != last_page) {
-          stats->ops.page_reads += 1;
-          stats->ops.page_bytes += layout.page_size;
-          last_page = page;
-        }
-      }
-    }
-  }
-  return result;
 }
 
 }  // namespace skypeer

@@ -69,72 +69,8 @@ struct ThresholdScanStats {
   /// Threshold value when the scan stopped (min dist_U over the result).
   double final_threshold = std::numeric_limits<double>::infinity();
   /// Logical operations the scan performed (machine-independent; see
-  /// `OpCounts`). Replays report the counts of the equivalent direct
-  /// scan, so `ops` is identical across thread counts and kernels.
+  /// `OpCounts`), identical across thread counts and kernels.
   OpCounts ops;
-};
-
-/// \brief Recorded event log of one sequential threshold scan, sufficient
-/// to replay the same scan under any *tighter* initial threshold without
-/// re-running a single dominance test.
-///
-/// A threshold scan's dominance outcomes on a shared prefix do not depend
-/// on the initial threshold — only the stopping point does (the running
-/// threshold under `t' <= t` is `min(t', running threshold under t)` at
-/// every position). So a scan executed under an upper-bound threshold,
-/// recording per scanned point whether it entered the window, its
-/// `dist_U` (the threshold contribution of accepted points, kept even
-/// when the point is later evicted) and the scan position of its evictor,
-/// determines the result, scan count and final threshold of the scan
-/// under any refined `t' <= t`: survivors are the accepted points before
-/// the refined cut whose evictor lies at or past the cut. This is what
-/// lets the engine scan speculatively under the initiator's fixed
-/// threshold and reconcile exactly when the refined threshold arrives.
-struct ScanTrace {
-  /// `kNeverEvicted` in `evicted_at` marks points alive at trace end.
-  static constexpr size_t kNeverEvicted = static_cast<size_t>(-1);
-
-  /// Initial threshold the recorded scan ran under; replays require a
-  /// threshold no larger than this.
-  double threshold_in = std::numeric_limits<double>::infinity();
-  /// Per scanned position: 1 if the point entered the running skyline.
-  std::vector<char> accepted;
-  /// Per scanned position: `dist_U` of accepted points (0 otherwise).
-  std::vector<double> dist_u;
-  /// Per scanned position: scan position of the offer that evicted the
-  /// point, or `kNeverEvicted`. Rejected points are `kNeverEvicted` too
-  /// (the `accepted` flag already excludes them from replays).
-  std::vector<size_t> evicted_at;
-  /// Cumulative op counts of the recorded scan after each position
-  /// (window-evolution ops only — scan steps are not included and are
-  /// reconstructed by the replay). Because the window evolves
-  /// identically on the shared prefix of any tighter-threshold scan,
-  /// `cum_ops[cut - 1]` is exactly the op count a direct scan truncated
-  /// at `cut` would report.
-  std::vector<OpCounts> cum_ops;
-  /// True when the recorded scan ran with block skipping; replays then
-  /// reconstruct the skip charges (summary probes, skipped blocks,
-  /// reduced scan steps and page reads) from `block_rejected` instead of
-  /// charging the full prefix.
-  bool block_skip = false;
-  /// Per probed store block of the recorded prefix (block `b` covers
-  /// positions [8b, 8b+8)): 1 when the block's summary probe found a
-  /// dominating window entry, so every point of it was rejected without
-  /// per-point tests. The probe outcome is threshold-independent on the
-  /// shared prefix, which is what makes skip traces replayable.
-  std::vector<char> block_rejected;
-
-  size_t size() const { return accepted.size(); }
-
-  /// Payload bytes of this trace (element sizes, not capacities) — what
-  /// the bounded `SubspaceScanTraceCache` accounts per entry.
-  size_t ByteSize() const {
-    return sizeof(ScanTrace) + accepted.size() * sizeof(char) +
-           dist_u.size() * sizeof(double) +
-           evicted_at.size() * sizeof(size_t) +
-           cum_ops.size() * sizeof(OpCounts) +
-           block_rejected.size() * sizeof(char);
-  }
 };
 
 /// \brief Incrementally maintains a (extended) subspace skyline under
@@ -156,20 +92,7 @@ class SkylineAccumulator {
   /// Considers point `p` (full-dimensional row) with the given id and
   /// `f`-value. Returns true if `p` entered the running skyline.
   /// Pre: `f` values are offered in non-decreasing order.
-  bool Offer(const double* p, PointId id, double f) {
-    return OfferTagged(p, id, f, kNoTag, nullptr);
-  }
-
-  /// Tag value of points offered without one (and of `SeedWindow` seeds);
-  /// never reported through `evicted_tags`.
-  static constexpr uint64_t kNoTag = static_cast<uint64_t>(-1);
-
-  /// `Offer` that additionally attaches a caller tag to the point and,
-  /// when `evicted_tags` is non-null, appends the tags of the window
-  /// entries this offer evicted. Used by traced scans to record which
-  /// scan position evicted which: the tag is the offer's scan position.
-  bool OfferTagged(const double* p, PointId id, double f, uint64_t tag,
-                   std::vector<uint64_t>* evicted_tags);
+  bool Offer(const double* p, PointId id, double f);
 
   /// Current pruning threshold: points with `f > threshold()` can never
   /// enter the skyline (Observation 5); with `f == threshold()` ties are
@@ -183,8 +106,7 @@ class SkylineAccumulator {
   /// coordinate carries over through `w[j] < m[j] <= p[j]` — so a true
   /// probe proves the whole block would be rejected point by point.
   /// Op-free by design: callers charge `summary_tests` themselves so the
-  /// accumulator's `ops()` (and the replayable `cum_ops` built from it)
-  /// stay pure window-evolution counts.
+  /// accumulator's `ops()` stay pure window-evolution counts.
   bool WindowRejectsSummary(const double* min_row) const;
 
   /// Number of points currently in the running skyline.
@@ -215,8 +137,7 @@ class SkylineAccumulator {
   void SeedWindow(const ResultList& seed);
 
  private:
-  void EvictDominatedLinear(const double* proj,
-                            std::vector<uint64_t>* evicted_tags);
+  void EvictDominatedLinear(const double* proj);
 
   /// Drops evicted window slots once fewer than half of the entries are
   /// alive (and the window holds at least 64), so the batched dominance
@@ -238,7 +159,6 @@ class SkylineAccumulator {
   std::vector<double> window_f_;
   std::vector<char> alive_flags_;
   std::vector<char> emit_flags_;
-  std::vector<uint64_t> window_tags_;  // caller tags; kNoTag when untagged
   // u-projected coords, blocked SoA; evicted slots are Kill()ed to +inf so
   // the batched "does any window point dominate q" kernel needs no
   // liveness mask.
@@ -260,35 +180,13 @@ class SkylineAccumulator {
 /// requested, `stats->ops` additionally charges the logical store pages
 /// spanning the examined prefix (`ChargeScanPages`), identically for
 /// paged and resident stores of the same page geometry.
-///
-/// A non-null `trace` additionally records the scan's events (the result,
-/// threshold and scan count are unchanged), so it can later be replayed
-/// under any tighter initial threshold via `ReplayScanTrace`.
 ResultList SortedSkyline(const StoreView& input, Subspace u,
                          const ThresholdScanOptions& options = {},
-                         ThresholdScanStats* stats = nullptr,
-                         ScanTrace* trace = nullptr);
+                         ThresholdScanStats* stats = nullptr);
 inline ResultList SortedSkyline(const ResultList& input, Subspace u,
                                 const ThresholdScanOptions& options = {},
-                                ThresholdScanStats* stats = nullptr,
-                                ScanTrace* trace = nullptr) {
-  return SortedSkyline(StoreView(&input), u, options, stats, trace);
-}
-
-/// \brief Replays a recorded scan of `input` under `threshold_in`, which
-/// must satisfy `threshold_in <= trace.threshold_in`. Returns exactly what
-/// `SortedSkyline(input, u, {.initial_threshold = threshold_in})` would
-/// — same points in the same order, same `stats->scanned`,
-/// `stats->final_threshold` and op counts (including the page charges of
-/// the equivalent direct scan) — in O(recorded scan length) with no
-/// dominance tests. `input` must be the store the trace was recorded over.
-ResultList ReplayScanTrace(const StoreView& input, const ScanTrace& trace,
-                           double threshold_in,
-                           ThresholdScanStats* stats = nullptr);
-inline ResultList ReplayScanTrace(const ResultList& input,
-                                  const ScanTrace& trace, double threshold_in,
-                                  ThresholdScanStats* stats = nullptr) {
-  return ReplayScanTrace(StoreView(&input), trace, threshold_in, stats);
+                                ThresholdScanStats* stats = nullptr) {
+  return SortedSkyline(StoreView(&input), u, options, stats);
 }
 
 }  // namespace skypeer

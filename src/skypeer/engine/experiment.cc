@@ -34,19 +34,11 @@ std::vector<QueryTask> GenerateWorkload(int dims, int query_dims,
 
 namespace {
 
-// Snapshot the shared physical counters (cache, buffer pool) into the
-// aggregate at workload end. These are observability only — in parallel
-// workloads their values depend on thread interleaving.
+// Snapshot the buffer pool's physical counters into the aggregate at
+// workload end. These are observability only — in parallel workloads
+// their values depend on thread interleaving.
 void SnapshotPhysicalCounters(const SkypeerNetwork& network,
                               AggregateMetrics* aggregate) {
-  if (const SubspaceScanTraceCache* cache = network.result_cache()) {
-    const SubspaceScanTraceCache::Stats stats = cache->stats();
-    aggregate->cache_hits = stats.hits;
-    aggregate->cache_misses = stats.misses;
-    aggregate->cache_evictions = stats.evictions;
-    aggregate->cache_entries = stats.entries;
-    aggregate->cache_bytes = stats.bytes;
-  }
   if (const BufferManager* buffer = network.buffer_manager()) {
     const BufferManager::Stats stats = buffer->stats();
     aggregate->buffer_hits = stats.hits;
@@ -75,10 +67,8 @@ AggregateMetrics RunWorkload(SkypeerNetwork* network,
     return aggregate;
   }
 
-  // Queries of a workload are independent (read-only stores; with the
-  // cache enabled the replicas share one thread-safe cache whose entries
-  // and scan counters are order-independent), so each worker executes a
-  // round-robin slice of the tasks against its own store replica.
+  // Queries of a workload are independent (read-only stores), so each
+  // worker executes a round-robin slice of the tasks against its own store replica.
   // Metrics are aggregated in task order afterwards, making the result
   // identical to the sequential loop.
   std::vector<std::unique_ptr<SkypeerNetwork>> replicas;
@@ -98,8 +88,7 @@ AggregateMetrics RunWorkload(SkypeerNetwork* network,
   for (const QueryMetrics& metrics : per_task) {
     aggregate.Add(metrics);
   }
-  // Parent counters only: replicas hold private buffer pools, and the
-  // cache is the shared instance, so the parent sees the workload total.
+  // Parent counters only: replicas hold private buffer pools.
   SnapshotPhysicalCounters(*network, &aggregate);
   return aggregate;
 }

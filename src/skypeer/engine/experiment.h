@@ -31,8 +31,8 @@ std::vector<QueryTask> GenerateWorkload(int dims, int query_dims,
 /// paired comparison.
 ///
 /// When the global thread pool (common/thread_pool.h) has more than one
-/// thread and the network's queries are order-independent (no result
-/// cache), the tasks are distributed over store replicas and executed
+/// thread and the network's queries are order-independent (no churn
+/// plan), the tasks are distributed over store replicas and executed
 /// concurrently; metrics are still aggregated in task order, so the
 /// returned aggregate is identical to the sequential loop's.
 AggregateMetrics RunWorkload(SkypeerNetwork* network,

@@ -202,12 +202,6 @@ struct AggregateMetrics {
   // in parallel workloads they depend on thread interleaving, so they are
   // observability only and never enter determinism comparisons.
 
-  /// Per-subspace trace cache counters (zero when the cache is off).
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_evictions = 0;
-  uint64_t cache_entries = 0;
-  uint64_t cache_bytes = 0;
   /// Buffer-manager counters (zero in the in-memory store mode).
   uint64_t buffer_hits = 0;
   uint64_t buffer_misses = 0;

@@ -92,11 +92,6 @@ Status SkypeerNetwork::Validate(const NetworkConfig& config) {
     return Status::InvalidArgument(
         "message loss (drop_prob, crashed_sps) requires reliable=true");
   }
-  for (int sp : config.crashed_sps) {
-    if (sp < 0) {
-      return Status::InvalidArgument("crashed_sps ids must be >= 0");
-    }
-  }
   if (config.churn_events < 0) {
     return Status::InvalidArgument("churn_events must be >= 0");
   }
@@ -112,7 +107,15 @@ Status SkypeerNetwork::Validate(const NetworkConfig& config) {
   overlay_config.num_super_peers = config.num_super_peers;
   overlay_config.degree_sp = config.degree_sp;
   overlay_config.topology = config.topology;
-  return ValidateOverlayConfig(overlay_config);
+  SKYPEER_RETURN_IF_ERROR(ValidateOverlayConfig(overlay_config));
+  const int num_sp = ResolvedNumSuperPeers(overlay_config);
+  for (int sp : config.crashed_sps) {
+    if (sp < 0 || sp >= num_sp) {
+      return Status::InvalidArgument(
+          "crashed_sps ids must be in [0, number of super-peers)");
+    }
+  }
+  return Status::OK();
 }
 
 SkypeerNetwork::SkypeerNetwork(const NetworkConfig& config)
@@ -132,10 +135,6 @@ SkypeerNetwork::SkypeerNetwork(const NetworkConfig& config)
     owned_pool_ = std::make_unique<ThreadPool>(config_.threads);
     pool_ = owned_pool_.get();
   }
-  if (config_.enable_cache) {
-    result_cache_ =
-        std::make_shared<SubspaceScanTraceCache>(config_.cache_max_entries);
-  }
   if (config_.buffer_pages > 0) {
     buffer_ = std::make_unique<BufferManager>(config_.page_size,
                                               config_.buffer_pages, pool());
@@ -153,9 +152,6 @@ SkypeerNetwork::SkypeerNetwork(const NetworkConfig& config)
     super_peers_.back()->set_verify_maintenance(config_.verify_maintenance);
     if (buffer_ != nullptr) {
       super_peers_.back()->ConfigurePaging(buffer_.get(), config_.page_size);
-    }
-    if (result_cache_ != nullptr) {
-      super_peers_.back()->SetResultCache(result_cache_);
     }
     const int sim_id = simulator_.AddNode(super_peers_.back().get());
     SKYPEER_CHECK(sim_id == i);
@@ -327,7 +323,6 @@ PreprocessStats SkypeerNetwork::Preprocess() {
   jobs.reserve(overlay_.num_peers());
   for (int sp = 0; sp < overlay_.num_super_peers(); ++sp) {
     super_peers_[sp]->set_retain_peer_lists(config_.dynamic_membership);
-    super_peers_[sp]->set_enable_cache(config_.enable_cache);
     super_peers_[sp]->set_block_skip(config_.block_skip);
     super_peers_[sp]->set_filter_set_size(config_.filter_set_size);
     // The clustered workload has each super-peer pick a centroid; its
@@ -446,7 +441,6 @@ Status SkypeerNetwork::AdoptStores(std::vector<ResultList> stores) {
     total += store.size();
   }
   for (int sp = 0; sp < num_super_peers(); ++sp) {
-    super_peers_[sp]->set_enable_cache(config_.enable_cache);
     super_peers_[sp]->set_block_skip(config_.block_skip);
     super_peers_[sp]->set_filter_set_size(config_.filter_set_size);
     super_peers_[sp]->SetStore(std::move(stores[sp]));
@@ -546,55 +540,29 @@ void SkypeerNetwork::StageLocalScans(Subspace subspace, int initiator_sp,
   // results and simulated metrics match the sequential run exactly.
   ThreadPool* staging_pool = pool();
   const int num_sp = num_super_peers();
-  if (staging_pool->num_threads() > 1 && num_sp > 1) {
-    if (SupportsParallelLocalScan(variant)) {
-      double threshold = std::numeric_limits<double>::infinity();
-      std::shared_ptr<const ResultList> filter;
-      if (variant != Variant::kNaive) {
-        super_peers_[initiator_sp]->StageLocalScan(subspace, variant,
-                                                   threshold);
-        threshold = super_peers_[initiator_sp]->StagedThreshold();
-        if (config_.filter_set_size > 0) {
-          // The filter the protocol will broadcast: sampled from the
-          // initiator's staged local result. Selection ops are charged by
-          // the protocol run itself (`MaybeSelectFilter`), not here.
-          filter =
-              BuildQueryFilter(*super_peers_[initiator_sp]->StagedLocal(),
-                               subspace, config_.filter_set_size, nullptr);
-        }
-      }
-      staging_pool->ParallelFor(num_sp, [&](size_t sp) {
-        if (variant != Variant::kNaive &&
-            static_cast<int>(sp) == initiator_sp) {
-          return;  // Already staged above (under threshold infinity).
-        }
-        super_peers_[sp]->StageLocalScan(subspace, variant, threshold,
-                                         filter);
-      });
-    } else if (config_.speculative_rt && RefinesThresholdOnPath(variant)) {
-      // Speculative wave for the threshold-refining variants: the
-      // initiator scans under infinity exactly as the protocol will, and
-      // every other node pre-scans under the initiator's fixed threshold
-      // — provably an upper bound on whatever refined value reaches it,
-      // so `ComputeLocal` can reconcile the staged scan into the exact
-      // sequential result when the true threshold arrives.
-      super_peers_[initiator_sp]->StageLocalScan(
-          subspace, variant, std::numeric_limits<double>::infinity());
-      const double fixed = super_peers_[initiator_sp]->StagedThreshold();
-      std::shared_ptr<const ResultList> filter;
-      if (config_.filter_set_size > 0) {
-        filter = BuildQueryFilter(*super_peers_[initiator_sp]->StagedLocal(),
-                                  subspace, config_.filter_set_size, nullptr);
-      }
-      staging_pool->ParallelFor(num_sp, [&](size_t sp) {
-        if (static_cast<int>(sp) == initiator_sp) {
-          return;
-        }
-        super_peers_[sp]->StageSpeculativeScan(subspace, variant, fixed,
-                                               filter);
-      });
+  if (staging_pool->num_threads() <= 1 || num_sp <= 1 ||
+      !SupportsParallelLocalScan(variant)) {
+    return;
+  }
+  double threshold = std::numeric_limits<double>::infinity();
+  std::shared_ptr<const ResultList> filter;
+  if (variant != Variant::kNaive) {
+    super_peers_[initiator_sp]->StageLocalScan(subspace, variant, threshold);
+    threshold = super_peers_[initiator_sp]->StagedThreshold();
+    if (config_.filter_set_size > 0) {
+      // The filter the protocol will broadcast: sampled from the
+      // initiator's staged local result. Selection ops are charged by the
+      // protocol run itself (`MaybeSelectFilter`), not here.
+      filter = BuildQueryFilter(*super_peers_[initiator_sp]->StagedLocal(),
+                                subspace, config_.filter_set_size, nullptr);
     }
   }
+  staging_pool->ParallelFor(num_sp, [&](size_t sp) {
+    if (variant != Variant::kNaive && static_cast<int>(sp) == initiator_sp) {
+      return;  // Already staged above (under threshold infinity).
+    }
+    super_peers_[sp]->StageLocalScan(subspace, variant, threshold, filter);
+  });
 }
 
 SkypeerNetwork::RunOutcome SkypeerNetwork::RunOnce(
@@ -796,16 +764,6 @@ std::unique_ptr<SkypeerNetwork> SkypeerNetwork::CloneForQueries() const {
     stores.push_back(sp->MaterializeStore());
   }
   SKYPEER_CHECK(clone->AdoptStores(std::move(stores)).ok());
-  // Share the result cache *after* AdoptStores: a replica's stores are
-  // copies of the parent's, so the parent's warm entries stay valid —
-  // installing the shared cache after the SetStore invalidations (which
-  // only touched the clone's empty private cache) preserves them.
-  if (result_cache_ != nullptr) {
-    clone->result_cache_ = result_cache_;
-    for (auto& sp : clone->super_peers_) {
-      sp->SetResultCache(result_cache_);
-    }
-  }
   clone->total_points_ = total_points_;
   return clone;
 }

@@ -14,7 +14,6 @@
 #include "skypeer/data/generator.h"
 #include "skypeer/engine/metrics.h"
 #include "skypeer/engine/query.h"
-#include "skypeer/engine/subspace_cache.h"
 #include "skypeer/engine/super_peer.h"
 #include "skypeer/sim/churn_plan.h"
 #include "skypeer/sim/simulator.h"
@@ -83,17 +82,6 @@ struct NetworkConfig {
   /// Seed of the churn plan's dedicated RNG stream; 0 derives it from
   /// `seed`. Identical seeds reproduce identical schedules.
   uint64_t churn_seed = 0;
-  /// Cache each super-peer's unconstrained local scan trace per query
-  /// subspace; repeated queries on a subspace replay the trace under the
-  /// incoming threshold — the exact truncated-scan result with zero
-  /// dominance tests.
-  bool enable_cache = false;
-  /// Bound on the number of scan traces the per-subspace cache retains
-  /// (least-recently-used eviction, deterministic under a fixed query
-  /// order). 0 (default) keeps the cache unbounded. Results and
-  /// simulated metrics are identical at any cap — an evicted entry is
-  /// refilled by the same pure function of (store, subspace, filter).
-  size_t cache_max_entries = 0;
   /// Store page size in bytes (power of two in [4 KiB, 1 MiB]). Fixes
   /// the blocked-SoA page geometry used for the *logical*
   /// `page_reads`/`page_bytes` charges in both store modes, and the
@@ -117,16 +105,6 @@ struct NetworkConfig {
   /// dominance/scan/page charges — identically across store modes,
   /// thread counts and kernels. Off by default.
   bool block_skip = false;
-  /// Speculative staged parallelism for the threshold-refining variants
-  /// (RT*M and the pipeline), whose local scans otherwise execute
-  /// strictly sequentially along the routing path: every non-initiator
-  /// super-peer pre-scans concurrently under the initiator's fixed
-  /// threshold (an upper bound on any refined value) and the result is
-  /// reconciled exactly when the true refined threshold arrives. Results,
-  /// volume, messages and simulated times are bit-identical to the sequential execution at any thread count; only
-  /// host wall-clock time changes. No effect on naive/FT*M (which PR 1's
-  /// non-speculative staging already parallelizes) or below 2 threads.
-  bool speculative_rt = false;
   /// Sampled filter-point broadcast (communication-optimal axis): the
   /// initiator attaches at most this many points of its local subspace
   /// skyline — the per-dimension minima plus an even f-rank sample (see
@@ -246,12 +224,8 @@ class SkypeerNetwork {
 
   /// True once a workload batch may be distributed over
   /// `CloneForQueries` replicas with bit-identical aggregates — i.e. the
-  /// network is preprocessed and no churn plan is installed. The
-  /// per-subspace cache no longer restricts this: replicas share one
-  /// thread-safe cache whose entries (scan traces) are pure functions of
-  /// (store, subspace, epoch), and the trace replay answering a query is
-  /// identical on hit and miss, so aggregates do not depend on query
-  /// order. A churn plan *does* restrict it: events ride on query slots,
+  /// network is preprocessed and no churn plan is installed. A churn
+  /// plan restricts it because events ride on query slots,
   /// so the workload must execute serially on this network for every
   /// query to see the membership state its slot prescribes.
   bool SupportsParallelWorkloads() const {
@@ -358,11 +332,6 @@ class SkypeerNetwork {
   /// and out-of-band — they never feed simulated metrics.
   const BufferManager* buffer_manager() const { return buffer_.get(); }
 
-  /// The shared per-subspace trace cache; nullptr unless `enable_cache`.
-  const SubspaceScanTraceCache* result_cache() const {
-    return result_cache_.get();
-  }
-
  private:
   struct RunOutcome {
     double completion_s = 0.0;
@@ -412,9 +381,6 @@ class SkypeerNetwork {
   /// `pool_` at the parent's pool instead of owning one.
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;  // nullptr resolves the global pool.
-  /// Shared with every super-peer (and replica clones) when the cache is
-  /// enabled, so one workload warms one structure.
-  std::shared_ptr<SubspaceScanTraceCache> result_cache_;
   PointSet all_data_;
   size_t total_points_ = 0;
   bool preprocessed_ = false;

@@ -33,8 +33,4 @@ bool SupportsParallelLocalScan(Variant variant) {
          variant == Variant::kFTPM;
 }
 
-bool RefinesThresholdOnPath(Variant variant) {
-  return UsesRefinedThreshold(variant) || variant == Variant::kPipeline;
-}
-
 }  // namespace skypeer

@@ -53,13 +53,6 @@ bool UsesProgressiveMerging(Variant variant);
 /// pipeline refine the threshold along the routing path, which makes
 /// their scans inherently sequential.
 bool SupportsParallelLocalScan(Variant variant);
-/// True when `variant` tightens the query threshold along the routing
-/// path (RT*M and the pipeline) — the variants whose local scans are
-/// threshold-path-dependent and therefore need *speculative* staging
-/// (scan under the initiator's fixed threshold, reconcile when the
-/// refined value arrives) to run in parallel. Complementary to
-/// `SupportsParallelLocalScan` except for naive, which needs neither.
-bool RefinesThresholdOnPath(Variant variant);
 
 /// \brief Byte-size model of serialized protocol traffic.
 ///

@@ -45,9 +45,6 @@ void SuperPeer::RebuildStore(ThresholdScanStats* stats) {
   // Zero inputs (every peer departed) merge to the empty store.
   InstallStore(MergeSortedSkylines(dims_, inputs, Subspace::FullSpace(dims_),
                                    options, stats));
-  if (cache_ != nullptr) {
-    cache_->Invalidate(id_);
-  }
 }
 
 void SuperPeer::InstallStore(ResultList store) {
@@ -134,9 +131,6 @@ void SuperPeer::SetStore(ResultList store) {
   SKYPEER_CHECK(store.IsSorted());
   InstallStore(std::move(store));
   peer_lists_.clear();
-  if (cache_ != nullptr) {
-    cache_->Invalidate(id_);
-  }
   preprocessed_ = true;
 }
 
@@ -175,9 +169,6 @@ Status SuperPeer::JoinPeer(int peer_id, ResultList list,
   InstallStore(std::move(merged));
   if (retain_peer_lists_) {
     peer_lists_.emplace(peer_id, std::move(list));
-  }
-  if (cache_ != nullptr) {
-    cache_->Invalidate(id_);
   }
   if (maintenance_ops != nullptr) {
     *maintenance_ops += stats.ops;
@@ -236,9 +227,6 @@ Status SuperPeer::RemovePeer(int peer_id, OpCounts* maintenance_ops) {
   // builder as every other store change: summary, paged state and epoch
   // all advance — nothing is left describing the previous store.
   InstallStore(std::move(next));
-  if (cache_ != nullptr) {
-    cache_->Invalidate(id_);
-  }
   if (maintenance_ops != nullptr) {
     *maintenance_ops += ops;
   }
@@ -434,7 +422,6 @@ void SuperPeer::ResetProtocolState() {
 void SuperPeer::ClearQueryMemo() {
   scan_memo_.reset();
   merge_memo_.clear();
-  staged_.reset();
 }
 
 void SuperPeer::HandleMessage(sim::Simulator* simulator,
@@ -798,7 +785,6 @@ void SuperPeer::SendReplyReliable(sim::Simulator* simulator, int dst,
 void SuperPeer::RunLocalScan(const Subspace& subspace, const ResultList* filter,
                              ScanMemo* scan) {
   const double threshold_in = scan->key.threshold_in;
-  const uint64_t filter_fp = scan->key.filter_fp;
   scan->ops = OpCounts{};
   const StoreView view = View();
   if (scan->key.variant == Variant::kNaive) {
@@ -810,54 +796,6 @@ void SuperPeer::RunLocalScan(const Subspace& subspace, const ResultList* filter,
     scan->local = std::make_shared<const ResultList>(BuildSortedByF(skyline));
     scan->threshold_out = threshold_in;
     scan->scanned = view.size();
-    return;
-  }
-
-  if (cache_enabled_) {
-    // Serve from the per-subspace cache: the event trace of the
-    // *unconstrained* sequential scan is recorded once; every incoming
-    // threshold then replays it into the exact truncated-scan result —
-    // same survivors, same consumed-point count, same final threshold as
-    // a fresh Algorithm 1 pass — without a single dominance test.
-    // (Filtering a cached skyline *list* is not enough: the store is
-    // f-sorted in full space while dominance is tested in the query
-    // subspace, so a point's dominator can lie beyond the threshold
-    // cutoff — the truncated scan keeps such a point, the unconstrained
-    // skyline has already dropped it.) The cache is thread-safe and may
-    // be shared across replica clones: the trace is a pure function of
-    // (store, mask, filter), so whichever filler publishes first, every
-    // reader replays the same trace, and the replay is identical on hit
-    // and miss, which keeps workload aggregates independent of query
-    // order. The filter fingerprint is part of the key: a filtered scan's
-    // accept/evict events differ from an unfiltered one's, so replaying
-    // across filter configurations would be exactly the PR 3 class of
-    // cache inexactness.
-    if (cache_ == nullptr) {
-      cache_ = std::make_shared<SubspaceScanTraceCache>();
-    }
-    std::shared_ptr<const ScanTrace> entry =
-        cache_->Lookup(id_, scan_epoch_, subspace.mask(), filter_fp);
-    if (entry == nullptr) {
-      auto trace = std::make_shared<ScanTrace>();
-      ThresholdScanOptions fill_options;
-      fill_options.block_skip = block_skip_;
-      fill_options.filter = filter;
-      SortedSkyline(view, subspace, fill_options, nullptr, trace.get());
-      // Keyed by the epoch the scan actually read (`scan_epoch_`), so a
-      // pinned query's old-epoch fill can never serve queries of a newer
-      // store.
-      entry = cache_->Insert(id_, scan_epoch_, subspace.mask(), filter_fp,
-                             std::move(trace));
-    }
-    ThresholdScanStats stats;
-    scan->local = std::make_shared<const ResultList>(
-        ReplayScanTrace(view, *entry, threshold_in, &stats));
-    scan->threshold_out = stats.final_threshold;
-    scan->scanned = stats.scanned;
-    // Only the replay is counted: the fill is amortized cache warming, and
-    // excluding it keeps charges independent of hit/miss order (replicas
-    // sharing a cache see different orders).
-    scan->ops = stats.ops;
     return;
   }
 
@@ -897,45 +835,6 @@ std::shared_ptr<const ResultList> SuperPeer::StagedLocal() const {
   return scan_memo_->local;
 }
 
-void SuperPeer::StageSpeculativeScan(const Subspace& subspace, Variant variant,
-                                     double fixed_threshold,
-                                     std::shared_ptr<const ResultList> filter) {
-  SKYPEER_CHECK(RefinesThresholdOnPath(variant));
-  if (cache_enabled_) {
-    // Cache path: the scan warms the shared trace cache (a pure function
-    // of the store and filter, so identical to what the protocol run
-    // would insert), and the inline scan under the refined value replays
-    // it.
-    StageLocalScan(subspace, variant, fixed_threshold, std::move(filter));
-    return;
-  }
-  if (filter != nullptr && filter->empty()) {
-    filter = nullptr;
-  }
-  StagedScan staged;
-  staged.key = {scan_epoch_, subspace.mask(), variant,
-                filter != nullptr ? FilterFingerprint(*filter) : 0,
-                fixed_threshold};
-  // Record the event trace so the reconcile can replay the scan under
-  // the refined threshold without any dominance test. The filter seeds
-  // are baked into the recorded events; the staged fingerprint guards
-  // the match. The scan itself is the direct scan under the fixed value.
-  ThresholdScanOptions options;
-  options.initial_threshold = fixed_threshold;
-  options.block_skip = block_skip_;
-  options.filter = filter.get();
-  ThresholdScanStats stats;
-  ScanMemo memo;
-  memo.key = staged.key;
-  memo.local = std::make_shared<const ResultList>(
-      SortedSkyline(View(), subspace, options, &stats, &staged.trace));
-  memo.threshold_out = stats.final_threshold;
-  memo.scanned = stats.scanned;
-  memo.ops = stats.ops;
-  scan_memo_ = std::move(memo);
-  staged_ = std::move(staged);
-}
-
 void SuperPeer::MaybeSelectFilter(sim::Simulator* simulator,
                                   QueryState* state) {
   if (filter_set_size_ == 0 || state->variant == Variant::kNaive) {
@@ -959,23 +858,7 @@ void SuperPeer::ComputeLocal(sim::Simulator* simulator, QueryState* state) {
   if (!scan_memo_.has_value() || !(scan_memo_->key == key)) {
     ScanMemo memo;
     memo.key = key;
-    // A speculative scan staged for the same key under a higher threshold.
-    if (staged_.has_value() && key.threshold_in < staged_->key.threshold_in &&
-        staged_->key == ScanKey{key.epoch, key.mask, key.variant,
-                                key.filter_fp, staged_->key.threshold_in}) {
-      // Reconcile the speculative scan against the refined threshold the
-      // protocol actually delivered. The replay's ops equal those of the
-      // direct scan under the refined threshold, so speculative staging
-      // leaves charges bit-identical to the non-speculative execution.
-      ThresholdScanStats stats;
-      memo.local = std::make_shared<const ResultList>(
-          ReplayScanTrace(View(), staged_->trace, key.threshold_in, &stats));
-      memo.threshold_out = stats.final_threshold;
-      memo.scanned = stats.scanned;
-      memo.ops = stats.ops;
-    } else {
-      RunLocalScan(state->subspace, state->filter.get(), &memo);
-    }
+    RunLocalScan(state->subspace, state->filter.get(), &memo);
     scan_memo_ = std::move(memo);
   }
   // A memo hit is the identical scan, so its recorded ops are the charge.

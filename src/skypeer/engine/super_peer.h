@@ -19,7 +19,6 @@
 #include "skypeer/engine/cost_model.h"
 #include "skypeer/engine/query.h"
 #include "skypeer/engine/reliable.h"
-#include "skypeer/engine/subspace_cache.h"
 #include "skypeer/sim/simulator.h"
 #include "skypeer/storage/paged_store.h"
 #include "skypeer/storage/store_view.h"
@@ -142,9 +141,7 @@ class SuperPeer : public sim::Node {
   /// Pins the current store epoch for an in-flight query and returns it.
   /// Until the matching `UnpinStoreEpoch`, `View()` keeps serving this
   /// epoch even if churn installs newer ones (the pinned store — pages
-  /// included, in paged mode — is retired intact, never torn). The trace
-  /// cache is keyed by epoch, so pinned-epoch scans never pollute later
-  /// epochs' entries.
+  /// included, in paged mode — is retired intact, never torn).
   uint64_t PinStoreEpoch();
 
   /// Releases a pin taken by `PinStoreEpoch`. A retired epoch whose last
@@ -157,8 +154,8 @@ class SuperPeer : public sim::Node {
   size_t RetiredEpochCount() const { return retired_.size(); }
 
   /// Replaces the store wholesale (snapshot restore). The list must be
-  /// f-sorted. Clears the result cache and retained peer lists and marks
-  /// the node preprocessed.
+  /// f-sorted. Clears the retained peer lists and marks the node
+  /// preprocessed.
   void SetStore(ResultList store);
 
   // --- churn (the paper's §5.3 join protocol + its future-work
@@ -203,24 +200,6 @@ class SuperPeer : public sim::Node {
   /// only).
   std::vector<int> RetainedPeerIds() const;
 
-  // --- per-subspace result cache ----------------------------------------
-
-  /// Caches the unconstrained local scan trace per query mask; repeated
-  /// queries on the same subspace then replay the trace under the
-  /// incoming threshold (exact result, scan count and final threshold,
-  /// zero dominance tests) instead of rescanning the store.
-  /// Invalidated by churn. The naive baseline never uses it.
-  void set_enable_cache(bool enable) { cache_enabled_ = enable; }
-
-  /// Installs a shared result cache (see `SubspaceScanTraceCache`): replica
-  /// clones of a network attach the original's cache so a workload warms
-  /// one structure regardless of which replica serves a query. Entries of
-  /// this node live under its id. Without this call an enabled cache is
-  /// created privately on first use.
-  void SetResultCache(std::shared_ptr<SubspaceScanTraceCache> cache) {
-    cache_ = std::move(cache);
-  }
-
   /// Enables zone-map block skipping in this node's threshold scans (see
   /// `ThresholdScanOptions::block_skip`): store blocks whose summary
   /// min-vector is dominated by the live window are consumed without
@@ -262,11 +241,11 @@ class SuperPeer : public sim::Node {
   /// recall run 1's computations.
   void ResetProtocolState();
 
-  /// Drops the per-query memo: the recorded local scan, every recorded
-  /// merge and the speculative staged scan. A memo entry answers a later
-  /// computation only on an exact key match — the same inputs, so the
-  /// same output and the same operation counts — and is charged exactly
-  /// those recorded ops; any mismatch recomputes. The network clears the
+  /// Drops the per-query memo: the recorded local scan and every
+  /// recorded merge. A memo entry answers a later computation only on an
+  /// exact key match — the same inputs, so the same output and the same
+  /// operation counts — and is charged exactly those recorded ops; any
+  /// mismatch recomputes. The network clears the
   /// memo when a query starts and after its second simulation run, so no
   /// entry outlives its query.
   void ClearQueryMemo();
@@ -297,7 +276,7 @@ class SuperPeer : public sim::Node {
   /// mismatch the scan silently reruns inline, so staging can never
   /// change results or metrics — it only moves host CPU work off the
   /// simulator thread. Safe to call concurrently on *different* SuperPeer
-  /// instances (it touches only this node's store and cache). Cleared by
+  /// instances (it touches only this node's store and memo). Cleared by
   /// `ClearQueryMemo`. `filter` is the broadcast filter set the query
   /// will carry (null for none); the memo entry only answers a query with
   /// a matching filter fingerprint.
@@ -305,37 +284,16 @@ class SuperPeer : public sim::Node {
                       double threshold,
                       std::shared_ptr<const ResultList> filter = nullptr);
 
-  /// Speculative variant of `StageLocalScan` for the threshold-refining
-  /// strategies (RT*M, pipeline): pre-executes the local scan under
-  /// `fixed_threshold` — the initiator's threshold, an upper bound on
-  /// whatever refined value the protocol will actually deliver — and
-  /// records enough state to *reconcile* exactly when the true threshold
-  /// arrives. The scan itself becomes the memo's scan entry (it answers a
-  /// query arriving with exactly `fixed_threshold`). For a lower threshold
-  /// `ComputeLocal` reproduces the result, final threshold and scan count
-  /// the sequential execution under the refined threshold would have
-  /// produced, bit-identically:
-  ///  - without the cache the scan records a `ScanTrace`, replayed in
-  ///    O(scan length);
-  ///  - with the cache enabled the speculative scan warms the shared
-  ///    trace cache and the reconcile replays it at the refined value.
-  /// Like `StageLocalScan` this never changes results or simulated
-  /// metrics; it only moves host CPU off the simulator thread. `filter`
-  /// as in `StageLocalScan`.
-  void StageSpeculativeScan(const Subspace& subspace, Variant variant,
-                            double fixed_threshold,
-                            std::shared_ptr<const ResultList> filter = nullptr);
-
   /// Threshold the staged scan ended with — for FT*M the value the
   /// initiator floods. Reads the memo's scan entry, so it requires a
   /// preceding `StageLocalScan`.
   double StagedThreshold() const;
 
   /// Local result of the staged scan (the memo's scan entry). Requires a
-  /// preceding `StageLocalScan` / `StageSpeculativeScan`. The network
-  /// staging wave uses the initiator's staged local to construct —
-  /// content-identically to what the protocol run will select — the
-  /// filter set the other nodes stage under.
+  /// preceding `StageLocalScan`. The network staging wave uses the
+  /// initiator's staged local to construct — content-identically to what
+  /// the protocol run will select — the filter set the other nodes stage
+  /// under.
   std::shared_ptr<const ResultList> StagedLocal() const;
 
   void HandleMessage(sim::Simulator* simulator,
@@ -406,8 +364,8 @@ class SuperPeer : public sim::Node {
     /// selected by the initiator after its own — unfiltered — local scan,
     /// adopted by every receiver before computing.
     std::shared_ptr<const ResultList> filter;
-    /// `FilterFingerprint(*filter)`, 0 when `filter` is null. Keys the
-    /// staged-scan match and the trace cache.
+    /// `FilterFingerprint(*filter)`, 0 when `filter` is null. Part of the
+    /// memo's scan key.
     uint64_t filter_fp = 0;
     bool finished = false;
     ResultList final{1};
@@ -482,15 +440,6 @@ class SuperPeer : public sim::Node {
     std::shared_ptr<const ResultList> output;
     double threshold_out = 0.0;
     OpCounts ops;
-  };
-
-  /// A speculative scan staged by `StageSpeculativeScan` under an
-  /// upper-bound threshold: `ComputeLocal` reconciles it against a query
-  /// whose key differs only by a lower threshold, by replaying its event
-  /// log.
-  struct StagedScan {
-    ScanKey key;
-    ScanTrace trace;
   };
 
   /// One reliably sent envelope awaiting its acknowledgement.
@@ -568,8 +517,8 @@ class SuperPeer : public sim::Node {
   /// Computes the local subspace skyline under `state->threshold` and
   /// stores it in `state->local`, charging its ops. Updates
   /// `state->threshold` to the (possibly lower) final scan threshold.
-  /// Answers from the memo's scan entry (or reconciles a speculative
-  /// staged scan) instead of rescanning when the key matches.
+  /// Answers from the memo's scan entry instead of rescanning when the
+  /// key matches.
   void ComputeLocal(sim::Simulator* simulator, QueryState* state);
 
   /// Merges `inputs` (in this order) into one list for the query subspace
@@ -584,13 +533,10 @@ class SuperPeer : public sim::Node {
 
   /// The simulator-free scan core shared by `ComputeLocal` and
   /// `StageLocalScan`: evaluates `subspace` against the store under
-  /// `scan->key`'s threshold for its variant (including the cache path)
-  /// and writes the resulting list, tightened threshold, scan count and
-  /// operation counts into `scan` (the cache path reports the replay's
-  /// counts only — trace fills are amortized cache warming). `filter` is
-  /// the broadcast filter set the scan seeds its window with (null =
-  /// none); its fingerprint in the key keys the trace cache so filtered
-  /// and unfiltered traces never cross.
+  /// `scan->key`'s threshold for its variant and writes the resulting
+  /// list, tightened threshold, scan count and operation counts into
+  /// `scan`. `filter` is the broadcast filter set the scan seeds its
+  /// window with (null = none).
   void RunLocalScan(const Subspace& subspace, const ResultList* filter,
                     ScanMemo* scan);
 
@@ -691,7 +637,6 @@ class SuperPeer : public sim::Node {
   /// query finds run 1's entries in a short list.
   std::optional<ScanMemo> scan_memo_;
   std::vector<MergeMemo> merge_memo_;
-  std::optional<StagedScan> staged_;
   // Reliable transport state (unused while `reliable_.enabled` is off).
   ReliableParams reliable_;
   int num_super_peers_ = 0;
@@ -708,17 +653,12 @@ class SuperPeer : public sim::Node {
   /// the identical computation, so a run that recomputes and a run that
   /// recalls count the same.
   OpCounts query_ops_;
-  bool cache_enabled_ = false;
   /// Zone-map block skipping in local threshold scans (see
   /// set_block_skip).
   bool block_skip_ = false;
   /// Broadcast filter-set size bound this node uses as initiator
   /// (see set_filter_set_size); 0 disables the filter axis.
   size_t filter_set_size_ = 0;
-  /// Unconstrained per-subspace skylines under this node's id; possibly
-  /// shared with replica clones (see SetResultCache). Created on first
-  /// use when `cache_enabled_` and none was installed.
-  std::shared_ptr<SubspaceScanTraceCache> cache_;
 };
 
 }  // namespace skypeer

@@ -11,8 +11,7 @@ namespace skypeer {
 /// Configuration of a skewed query workload. The paper's workload picks
 /// every k-subset of dimensions with uniform probability; real users are
 /// not uniform — a few criteria combinations (price+distance, ...) carry
-/// most of the load. Zipf-ranked subspace popularity models that and is
-/// the regime where the super-peer result cache pays off.
+/// most of the load. Zipf-ranked subspace popularity models that.
 struct ZipfWorkloadConfig {
   int query_dims = 3;
   int num_queries = 100;

@@ -21,6 +21,11 @@ int DefaultNumSuperPeers(int num_peers) {
   return std::max(1, static_cast<int>(num_peers * fraction));
 }
 
+int ResolvedNumSuperPeers(const OverlayConfig& config) {
+  return config.num_super_peers > 0 ? config.num_super_peers
+                                    : DefaultNumSuperPeers(config.num_peers);
+}
+
 Status ValidateOverlayConfig(const OverlayConfig& config) {
   if (config.num_peers < 1) {
     return Status::InvalidArgument("num_peers must be >= 1");
@@ -28,10 +33,7 @@ Status ValidateOverlayConfig(const OverlayConfig& config) {
   if (config.num_super_peers < 0) {
     return Status::InvalidArgument("num_super_peers must be >= 0");
   }
-  const int num_super_peers = config.num_super_peers > 0
-                                  ? config.num_super_peers
-                                  : DefaultNumSuperPeers(config.num_peers);
-  if (num_super_peers > config.num_peers) {
+  if (ResolvedNumSuperPeers(config) > config.num_peers) {
     return Status::InvalidArgument("more super-peers than peers");
   }
   if (config.degree_sp < 0.0) {
@@ -42,9 +44,7 @@ Status ValidateOverlayConfig(const OverlayConfig& config) {
 
 Overlay BuildOverlay(const OverlayConfig& config) {
   SKYPEER_CHECK(ValidateOverlayConfig(config).ok());
-  const int num_super_peers = config.num_super_peers > 0
-                                  ? config.num_super_peers
-                                  : DefaultNumSuperPeers(config.num_peers);
+  const int num_super_peers = ResolvedNumSuperPeers(config);
   Rng rng(config.seed);
   Overlay overlay;
   switch (config.topology) {

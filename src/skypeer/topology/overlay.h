@@ -36,6 +36,10 @@ struct OverlayConfig {
 /// 1% · N_p when N_p >= 20000 (at least one).
 int DefaultNumSuperPeers(int num_peers);
 
+/// The backbone size `config` builds: `num_super_peers`, or the paper's
+/// rule when it is 0.
+int ResolvedNumSuperPeers(const OverlayConfig& config);
+
 /// \brief The materialized two-tier topology: a random-graph super-peer
 /// backbone plus an even assignment of peers to super-peers.
 struct Overlay {

@@ -438,119 +438,6 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<3>(info.param) ? "_ext" : "_sky");
     });
 
-// --- traced scans and replays ------------------------------------------
-
-/// Full-content equality: ids, f and coordinates in list order.
-void ExpectSameList(const ResultList& actual, const ResultList& expected,
-                    const std::string& context) {
-  ASSERT_EQ(actual.size(), expected.size()) << context;
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(actual.points.id(i), expected.points.id(i)) << context;
-    EXPECT_EQ(actual.f[i], expected.f[i]) << context;
-    for (int d = 0; d < expected.points.dims(); ++d) {
-      EXPECT_EQ(actual.points[i][d], expected.points[i][d]) << context;
-    }
-  }
-}
-
-TEST(SortedSkyline, TraceRecordingMatchesPlainScan) {
-  // Recording the trace must not perturb the scan itself.
-  for (Distribution distribution :
-       {Distribution::kUniform, Distribution::kAnticorrelated}) {
-    const PointSet data = MakeData(distribution, 4, 500, 909);
-    const ResultList sorted = BuildSortedByF(data);
-    const Subspace u = Subspace::FromDims({0, 2, 3});
-    for (double threshold :
-         {std::numeric_limits<double>::infinity(), 1.2, 0.4}) {
-      ThresholdScanOptions options;
-      options.initial_threshold = threshold;
-      ThresholdScanStats plain_stats;
-      const ResultList reference =
-          SortedSkyline(sorted, u, options, &plain_stats);
-      ThresholdScanStats traced_stats;
-      ScanTrace trace;
-      const ResultList traced =
-          SortedSkyline(sorted, u, options, &traced_stats, &trace);
-      const std::string context = "threshold=" + std::to_string(threshold);
-      ExpectSameList(traced, reference, context);
-      EXPECT_EQ(traced_stats.scanned, plain_stats.scanned) << context;
-      EXPECT_EQ(traced_stats.final_threshold, plain_stats.final_threshold)
-          << context;
-      EXPECT_EQ(trace.size(), traced_stats.scanned) << context;
-      EXPECT_EQ(trace.threshold_in, threshold) << context;
-    }
-  }
-}
-
-TEST(ReplayScanTrace, ReproducesTighterScansExactly) {
-  // The reconcile guarantee: a trace recorded under a loose threshold
-  // replays the scan under ANY tighter threshold bit-identically — same
-  // survivors (points evicted past the refined cut must be resurrected),
-  // same scan count, same final threshold.
-  for (Distribution distribution :
-       {Distribution::kUniform, Distribution::kAnticorrelated,
-        Distribution::kCorrelated}) {
-    const PointSet data = MakeData(distribution, 5, 700, 4242);
-    const ResultList sorted = BuildSortedByF(data);
-    for (Subspace u : {Subspace::FromDims({0, 1, 4}),
-                       Subspace::FromDims({2}), Subspace::FullSpace(5)}) {
-      ThresholdScanOptions fixed_options;
-      ThresholdScanStats fixed_stats;
-      ScanTrace trace;
-      SortedSkyline(sorted, u, fixed_options, &fixed_stats, &trace);
-      // Refine across the whole useful range, including the fixed
-      // threshold itself and values far below it.
-      std::vector<double> refined = {trace.threshold_in,
-                                     fixed_stats.final_threshold};
-      for (double fraction : {0.9, 0.6, 0.3, 0.1, 0.01}) {
-        refined.push_back(fixed_stats.final_threshold * fraction);
-      }
-      for (double threshold : refined) {
-        ThresholdScanOptions options;
-        options.initial_threshold = threshold;
-        ThresholdScanStats seq_stats;
-        const ResultList reference =
-            SortedSkyline(sorted, u, options, &seq_stats);
-        ThresholdScanStats replay_stats;
-        const ResultList replayed =
-            ReplayScanTrace(sorted, trace, threshold, &replay_stats);
-        const std::string context =
-            std::string(DistributionName(distribution)) + " u=" +
-            u.ToString() + " t=" + std::to_string(threshold);
-        ExpectSameList(replayed, reference, context);
-        EXPECT_EQ(replay_stats.scanned, seq_stats.scanned) << context;
-        EXPECT_EQ(replay_stats.final_threshold, seq_stats.final_threshold)
-            << context;
-      }
-    }
-  }
-}
-
-TEST(ReplayScanTrace, TraceRecordedUnderFiniteThresholdReplays) {
-  // Traces can themselves start from a finite threshold (an RT*M node's
-  // speculative scan under the initiator's fixed value).
-  const PointSet data = MakeData(Distribution::kUniform, 3, 400, 71);
-  const ResultList sorted = BuildSortedByF(data);
-  const Subspace u = Subspace::FromDims({0, 1});
-  ThresholdScanOptions fixed_options;
-  fixed_options.initial_threshold = 0.9;
-  ScanTrace trace;
-  ThresholdScanStats fixed_stats;
-  SortedSkyline(sorted, u, fixed_options, &fixed_stats, &trace);
-  for (double threshold : {0.9, 0.7, 0.35, 0.05}) {
-    ThresholdScanOptions options;
-    options.initial_threshold = threshold;
-    ThresholdScanStats seq_stats;
-    const ResultList reference = SortedSkyline(sorted, u, options, &seq_stats);
-    ThresholdScanStats replay_stats;
-    const ResultList replayed =
-        ReplayScanTrace(sorted, trace, threshold, &replay_stats);
-    ExpectSameList(replayed, reference, "t=" + std::to_string(threshold));
-    EXPECT_EQ(replay_stats.scanned, seq_stats.scanned);
-    EXPECT_EQ(replay_stats.final_threshold, seq_stats.final_threshold);
-  }
-}
-
 // Ties are where skyline algorithms usually break: duplicate coordinates
 // from a coarse grid.
 TEST(SkylineEquivalence, GriddedDataWithManyTies) {

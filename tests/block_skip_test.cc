@@ -6,11 +6,8 @@
 // plain scan and its block-skip twin through random dimensionalities,
 // distributions, subspaces, dominance semantics, thresholds, filter
 // seeds, page sizes and both store modes, and asserts identical
-// skylines, scan counts, final thresholds and window evolution
-// (recorded traces), plus bit-identical op counts across store modes
-// and kernels. Replays of skip traces must reproduce the direct scan
-// under any tighter threshold — the property the speculative-RT path
-// depends on.
+// skylines, scan counts and final thresholds, plus bit-identical op
+// counts across store modes and kernels.
 
 #include <gtest/gtest.h>
 
@@ -126,24 +123,17 @@ TEST(BlockSkipProperty, RandomizedScanEquivalence) {
 
     const std::string context = "trial " + std::to_string(trial);
     ThresholdScanStats plain_stats;
-    ScanTrace plain_trace;
-    const ResultList plain = SortedSkyline(plain_view, u, plain_options,
-                                           &plain_stats, &plain_trace);
+    const ResultList plain =
+        SortedSkyline(plain_view, u, plain_options, &plain_stats);
     ThresholdScanStats skip_stats;
-    ScanTrace skip_trace;
-    const ResultList skip = SortedSkyline(skip_view, u, skip_options,
-                                          &skip_stats, &skip_trace);
+    const ResultList skip =
+        SortedSkyline(skip_view, u, skip_options, &skip_stats);
 
-    // Identical answer, scan count, threshold and window evolution.
+    // Identical answer, scan count and threshold.
     ExpectSameResult(plain, skip, context);
     EXPECT_EQ(plain_stats.scanned, skip_stats.scanned) << context;
     EXPECT_EQ(plain_stats.final_threshold, skip_stats.final_threshold)
         << context;
-    EXPECT_EQ(plain_trace.accepted, skip_trace.accepted) << context;
-    EXPECT_EQ(plain_trace.dist_u, skip_trace.dist_u) << context;
-    EXPECT_EQ(plain_trace.evicted_at, skip_trace.evicted_at) << context;
-    EXPECT_FALSE(plain_trace.block_skip) << context;
-    EXPECT_TRUE(skip_trace.block_skip) << context;
 
     // Op counts: a plain scan never charges the skip counters, and
     // skipping only ever removes per-point work.
@@ -198,55 +188,6 @@ TEST(BlockSkipProperty, NoSummaryFallsBackToThePlainScan) {
   ExpectSameResult(plain, skip, "no summary");
   EXPECT_TRUE(plain_stats.ops == skip_stats.ops);
   EXPECT_EQ(skip_stats.ops.summary_tests, 0u);
-}
-
-// --- replay prefix-equivalence -----------------------------------------------
-
-TEST(BlockSkipProperty, ReplayMatchesDirectScanUnderTighterThresholds) {
-  // The speculative-RT staging path records one traced scan per store
-  // and replays it under every later (tighter) threshold; with skipping
-  // the replay reconstructs the skip charges from `block_rejected`. The
-  // replay must match the direct block-skip scan under the same
-  // threshold, operation for operation.
-  Rng rng(99);
-  for (int trial = 0; trial < 12; ++trial) {
-    const int dims = 3 + static_cast<int>(rng.UniformInt(0, 2));
-    const size_t n = 64 + rng.UniformInt(0, 400);
-    const ResultList sorted =
-        BuildSortedByF(RandomData(dims, n, trial % 3, &rng));
-    const PageLayout layout(4096, dims);
-    const StoreSummary summary = StoreSummary::Build(sorted, layout);
-    const StoreView view(&sorted, 4096, &summary);
-    const Subspace u = RandomSubspace(dims, &rng);
-
-    ThresholdScanOptions options;
-    options.block_skip = true;
-    ThresholdScanStats recorded_stats;
-    ScanTrace trace;
-    SortedSkyline(view, u, options, &recorded_stats, &trace);
-
-    for (int probe = 0; probe < 6; ++probe) {
-      const double tighter =
-          recorded_stats.final_threshold * rng.Uniform();
-      ThresholdScanOptions direct_options = options;
-      direct_options.initial_threshold = tighter;
-      ThresholdScanStats direct_stats;
-      const ResultList direct =
-          SortedSkyline(view, u, direct_options, &direct_stats);
-      ThresholdScanStats replay_stats;
-      const ResultList replayed =
-          ReplayScanTrace(view, trace, tighter, &replay_stats);
-      const std::string context = "trial " + std::to_string(trial) +
-                                  " threshold " + std::to_string(tighter);
-      ExpectSameResult(direct, replayed, context);
-      EXPECT_EQ(direct_stats.scanned, replay_stats.scanned) << context;
-      EXPECT_EQ(direct_stats.final_threshold, replay_stats.final_threshold)
-          << context;
-      EXPECT_TRUE(direct_stats.ops == replay_stats.ops)
-          << context << "\n  direct: " << direct_stats.ops.ToString()
-          << "\n  replay: " << replay_stats.ops.ToString();
-    }
-  }
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 // Tests of dynamic membership (peer joins and departures — the paper's
-// §5.3 join protocol and its future-work failure handling) and of the
-// per-subspace result cache.
+// §5.3 join protocol and its future-work failure handling).
 
 #include <gtest/gtest.h>
 
@@ -226,75 +225,6 @@ TEST(Churn, MixedJoinLeaveStress) {
   ExpectAllVariantsExact(&network, Subspace::FullSpace(4));
 }
 
-// --- result cache ---------------------------------------------------------
-
-TEST(Cache, CachedQueriesStayExact) {
-  NetworkConfig config = DynamicConfig(11);
-  config.enable_cache = true;
-  SkypeerNetwork network(config);
-  network.Preprocess();
-  const auto tasks = GenerateWorkload(4, 2, 10, network.num_super_peers(), 3);
-  for (const QueryTask& task : tasks) {
-    const auto truth = SortedIds(network.GroundTruthSkyline(task.subspace));
-    for (Variant variant : kAllVariants) {
-      QueryResult result =
-          network.ExecuteQuery(task.subspace, task.initiator_sp, variant);
-      EXPECT_EQ(SortedIds(result.skyline.points), truth)
-          << VariantName(variant) << " " << task.subspace.ToString();
-    }
-    // Repeat (cache hit path).
-    QueryResult repeat =
-        network.ExecuteQuery(task.subspace, task.initiator_sp,
-                             Variant::kRTPM);
-    EXPECT_EQ(SortedIds(repeat.skyline.points), truth);
-  }
-}
-
-TEST(Cache, InvalidatedByChurn) {
-  NetworkConfig config = DynamicConfig(12);
-  config.enable_cache = true;
-  SkypeerNetwork network(config);
-  network.Preprocess();
-  const Subspace u = Subspace::FromDims({0, 2});
-
-  // Warm the cache.
-  network.ExecuteQuery(u, 0, Variant::kFTPM);
-
-  // Join a dominator: the cached lists must not leak stale results.
-  ASSERT_TRUE(network.JoinPeer(1, PointSet(4, {{0, 0, 0, 0}})).ok());
-  QueryResult result = network.ExecuteQuery(u, 0, Variant::kFTPM);
-  ASSERT_EQ(result.skyline.size(), 1u);
-  EXPECT_EQ(SortedIds(result.skyline.points),
-            SortedIds(network.GroundTruthSkyline(u)));
-}
-
-TEST(Cache, MatchesUncachedAcrossSeeds) {
-  for (uint64_t seed : {21u, 22u, 23u}) {
-    NetworkConfig cached_config = DynamicConfig(seed);
-    cached_config.enable_cache = true;
-    NetworkConfig plain_config = DynamicConfig(seed);
-
-    SkypeerNetwork cached(cached_config);
-    cached.Preprocess();
-    SkypeerNetwork plain(plain_config);
-    plain.Preprocess();
-
-    const auto tasks = GenerateWorkload(4, 3, 6, cached.num_super_peers(),
-                                        seed);
-    for (const QueryTask& task : tasks) {
-      for (Variant variant : {Variant::kFTFM, Variant::kRTPM}) {
-        const auto a = SortedIds(
-            cached.ExecuteQuery(task.subspace, task.initiator_sp, variant)
-                .skyline.points);
-        const auto b = SortedIds(
-            plain.ExecuteQuery(task.subspace, task.initiator_sp, variant)
-                .skyline.points);
-        EXPECT_EQ(a, b);
-      }
-    }
-  }
-}
-
 // --- epoch-versioned stores ---------------------------------------------
 
 std::vector<std::vector<double>> StoreSignature(const ResultList& list) {
@@ -411,7 +341,7 @@ std::vector<Variant> SixVariants() {
 // between queries and (b) the same replay with incremental maintenance
 // replaced by full store rebuilds — across all six variants, 1/2/8
 // threads, resident and paged stores, plain and
-// cache+filter-set+block-skip compositions.
+// filter-set+block-skip compositions.
 //
 // The alignment works because a scheduled slot-q event batch is applied
 // *after* the q-th query pins its epochs: query q observes membership
@@ -435,7 +365,6 @@ TEST(ScheduledChurn, MatchesDirectReplayAndRebuildOracle) {
           base.page_size = 4096;
         }
         if (composed) {
-          base.enable_cache = true;
           base.filter_set_size = 6;
           base.block_skip = true;
         }

@@ -318,9 +318,6 @@ TEST(CountedDeterminism, FeatureCompositionsAreDeterministic) {
     void (*apply)(NetworkConfig*);
   };
   const Composition compositions[] = {
-      {"speculative-rt",
-       [](NetworkConfig* c) { c->speculative_rt = true; }},
-      {"cache", [](NetworkConfig* c) { c->enable_cache = true; }},
       {"faulted",
        [](NetworkConfig* c) {
          c->reliable = true;

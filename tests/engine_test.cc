@@ -457,81 +457,6 @@ TEST_F(DeterministicVolumeTest, VolumeIsSeedDeterministic) {
   EXPECT_EQ(bytes[0], bytes[1]);
 }
 
-// --- cache filter path vs. fresh threshold scan ----------------------------
-
-/// Full content signature of a result list: (id, f, coords) per entry.
-std::vector<std::vector<double>> FullSignature(const ResultList& list) {
-  std::vector<std::vector<double>> rows;
-  rows.reserve(list.size());
-  for (size_t i = 0; i < list.size(); ++i) {
-    std::vector<double> row;
-    row.push_back(static_cast<double>(list.points.id(i)));
-    row.push_back(list.f[i]);
-    for (int d = 0; d < list.points.dims(); ++d) {
-      row.push_back(list.points[i][d]);
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-TEST(CacheEquivalence, FilterPathRepliesMatchFreshScansForAllVariants) {
-  // The cache path answers a query by replaying the cached unconstrained
-  // scan trace under the incoming threshold; the reply — and hence
-  // every transfer-derived metric — must match the fresh threshold scan
-  // for the same (subspace, threshold_in) at every super-peer. (A cached
-  // skyline *list* would not suffice: the store is f-sorted in full
-  // space while dominance is tested in the query subspace, so the
-  // truncated scan can keep a point whose dominator lies beyond the
-  // threshold cutoff — the unconstrained skyline has already dropped
-  // it.) RT*M tightens thresholds mid-stream along the flood, so
-  // repeating each subspace from several initiators exercises cache hits
-  // under different (and progressively tighter) incoming thresholds.
-  NetworkConfig scan_config = SmallConfig(19);
-  NetworkConfig cache_config = scan_config;
-  cache_config.enable_cache = true;
-
-  SkypeerNetwork scan_network(scan_config);
-  scan_network.Preprocess();
-  SkypeerNetwork cache_network(cache_config);
-  cache_network.Preprocess();
-
-  const std::vector<Subspace> subspaces = {Subspace::FromDims({0, 2}),
-                                           Subspace::FromDims({1, 3, 4}),
-                                           Subspace::FromDims({2})};
-  for (Variant variant : kAllVariants) {
-    for (int round = 0; round < 3; ++round) {  // Round > 0: cache hits.
-      for (size_t s = 0; s < subspaces.size(); ++s) {
-        const int initiator = static_cast<int>((round * 5 + s * 3) %
-                                               scan_network.num_super_peers());
-        const QueryResult scan =
-            scan_network.ExecuteQuery(subspaces[s], initiator, variant);
-        const QueryResult cache =
-            cache_network.ExecuteQuery(subspaces[s], initiator, variant);
-        const std::string context = std::string(VariantName(variant)) +
-                                    " u=" + subspaces[s].ToString() +
-                                    " round " + std::to_string(round);
-        EXPECT_EQ(FullSignature(cache.skyline), FullSignature(scan.skyline))
-            << context;
-        EXPECT_EQ(cache.metrics.bytes_transferred,
-                  scan.metrics.bytes_transferred)
-            << context;
-        EXPECT_EQ(cache.metrics.messages, scan.metrics.messages) << context;
-        EXPECT_EQ(cache.metrics.result_size, scan.metrics.result_size)
-            << context;
-        EXPECT_EQ(cache.metrics.total_time_s, scan.metrics.total_time_s)
-            << context;
-        EXPECT_EQ(cache.metrics.computational_time_s,
-                  scan.metrics.computational_time_s)
-            << context;
-        EXPECT_EQ(cache.metrics.super_peers_participated,
-                  scan.metrics.super_peers_participated)
-            << context;
-      }
-    }
-  }
-}
-
 // --- workload driver -------------------------------------------------------
 
 TEST(Workload, GeneratesRequestedShape) {

@@ -357,5 +357,34 @@ TEST(FaultInjection, ValidationRejectsFaultsWithoutReliableTransport) {
   EXPECT_FALSE(SkypeerNetwork::Validate(config).ok());
 }
 
+TEST(FaultInjection, ValidationRejectsCrashIdsOutsideTheBackbone) {
+  NetworkConfig config = BaseConfig();
+  config.reliable = true;
+  config.crashed_sps = {-1};
+  EXPECT_EQ(SkypeerNetwork::Validate(config).code(),
+            StatusCode::kInvalidArgument);
+
+  // An explicit super-peer count bounds the ids.
+  config.num_peers = 40;
+  config.num_super_peers = 4;
+  config.crashed_sps = {3};
+  EXPECT_TRUE(SkypeerNetwork::Validate(config).ok());
+  config.crashed_sps = {4};
+  EXPECT_EQ(SkypeerNetwork::Validate(config).code(),
+            StatusCode::kInvalidArgument);
+  config.crashed_sps = {0, 99};
+  EXPECT_EQ(SkypeerNetwork::Validate(config).code(),
+            StatusCode::kInvalidArgument);
+
+  // 0 super-peers resolves through the paper's N_sp rule: 5% of 40 peers
+  // is 2 super-peers.
+  config.num_super_peers = 0;
+  config.crashed_sps = {1};
+  EXPECT_TRUE(SkypeerNetwork::Validate(config).ok());
+  config.crashed_sps = {2};
+  EXPECT_EQ(SkypeerNetwork::Validate(config).code(),
+            StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace skypeer

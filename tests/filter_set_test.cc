@@ -1,18 +1,13 @@
 // Unit and integration tests of the sampled filter-point broadcast
 // (algo/filter_set.h): deterministic selection with per-dimension minima,
-// exact up-rounding quantization onto the wire grid, fingerprinting,
-// seeded-scan equivalence (subset + merge-identity, across the direct,
-// traced and replayed scan forms) and the filter-aware trace
-// cache key — both at the cache unit level and end to end through two
-// initiators sharing one cached network.
+// exact up-rounding quantization onto the wire grid, fingerprinting and
+// seeded-scan equivalence (subset + merge-identity).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "skypeer/algo/bnl.h"
@@ -21,7 +16,6 @@
 #include "skypeer/common/op_counts.h"
 #include "skypeer/common/subspace.h"
 #include "skypeer/engine/network_builder.h"
-#include "skypeer/engine/subspace_cache.h"
 
 namespace skypeer {
 namespace {
@@ -89,6 +83,28 @@ TEST(SelectFilterSet, RespectsBudgetDeterministicallyAndChargesOneScanPass) {
   const auto boxed = BuildQueryFilter(local, u, 8, nullptr);
   ASSERT_NE(boxed, nullptr);
   EXPECT_EQ(FullSignature(*boxed), FullSignature(a));
+}
+
+TEST(SelectFilterSet, BudgetBeyondTheListSizeSelectsTheSameFilterAsN) {
+  // Any budget >= n already chooses every point, so it must select the
+  // n-budget filter — and return promptly even for SIZE_MAX.
+  SkypeerNetwork network(SmallConfig(31));
+  network.Preprocess();
+  const ResultList& local = network.super_peer(2).store();
+  const Subspace u = Subspace::FromDims({0, 2, 3});
+  const size_t n = local.size();
+  ASSERT_GT(n, 0u);
+  OpCounts ops_n;
+  OpCounts ops_max;
+  const ResultList at_n = SelectFilterSet(local, u, n, &ops_n);
+  const ResultList at_max = SelectFilterSet(
+      local, u, std::numeric_limits<size_t>::max(), &ops_max);
+  EXPECT_EQ(at_n.size(), n);
+  EXPECT_EQ(FullSignature(at_max), FullSignature(at_n));
+  EXPECT_EQ(FilterFingerprint(at_max), FilterFingerprint(at_n));
+  EXPECT_EQ(ops_max, ops_n);
+  EXPECT_EQ(FullSignature(SelectFilterSet(local, u, 4 * n, nullptr)),
+            FullSignature(at_n));
 }
 
 TEST(SelectFilterSet, QuantizesEveryCoordinateUpOntoTheWireGrid) {
@@ -211,119 +227,6 @@ TEST(SeededScan, FilteredResultIsASubsetAndMergesToTheSameSkyline) {
   }
   EXPECT_EQ(SortedIds(BnlSkyline(merged_filtered, u)),
             SortedIds(BnlSkyline(merged_unfiltered, u)));
-}
-
-TEST(SeededScan, TracedAndReplayedScansAgreeWithTheDirectScan) {
-  SkypeerNetwork network(SmallConfig(41));
-  network.Preprocess();
-  const Subspace u = Subspace::FromDims({0, 2, 4});
-  const ResultList local_a = SortedSkyline(network.super_peer(1).store(), u);
-  const ResultList filter = SelectFilterSet(local_a, u, 8, nullptr);
-  ASSERT_GT(filter.size(), 0u);
-  const ResultList& store_b = network.super_peer(5).store();
-
-  ThresholdScanOptions options;
-  options.filter = &filter;
-  ThresholdScanStats direct_stats;
-  const ResultList direct = SortedSkyline(store_b, u, options, &direct_stats);
-
-  // Traced scan: identical result, scan count and final threshold.
-  ScanTrace trace;
-  ThresholdScanStats traced_stats;
-  const ResultList traced =
-      SortedSkyline(store_b, u, options, &traced_stats, &trace);
-  EXPECT_EQ(FullSignature(traced), FullSignature(direct));
-  EXPECT_EQ(traced_stats.scanned, direct_stats.scanned);
-  EXPECT_EQ(traced_stats.final_threshold, direct_stats.final_threshold);
-
-  // Replaying the filtered trace under a tighter threshold reproduces
-  // the direct filtered scan at that threshold exactly.
-  const double tight = direct_stats.final_threshold;
-  ThresholdScanOptions tight_options = options;
-  tight_options.initial_threshold = tight;
-  ThresholdScanStats want_stats;
-  const ResultList want = SortedSkyline(store_b, u, tight_options, &want_stats);
-  ThresholdScanStats replay_stats;
-  const ResultList got = ReplayScanTrace(store_b, trace, tight, &replay_stats);
-  EXPECT_EQ(FullSignature(got), FullSignature(want));
-  EXPECT_EQ(replay_stats.scanned, want_stats.scanned);
-  EXPECT_EQ(replay_stats.final_threshold, want_stats.final_threshold);
-}
-
-// --- filter-aware trace cache -------------------------------------------
-
-TEST(TraceCache, FilterFingerprintSeparatesEntries) {
-  SubspaceScanTraceCache cache;
-  const uint32_t mask = 0b10110;
-  const uint64_t fp = 0x1234abcdULL;
-  const auto unfiltered_trace = std::make_shared<const ScanTrace>();
-  const auto filtered_trace = std::make_shared<const ScanTrace>();
-
-  EXPECT_EQ(cache.Lookup(0, 0, mask, 0), nullptr);
-  cache.Insert(0, 0, mask, 0, unfiltered_trace);
-  // A no-filter trace must never answer for a filtered query (and vice
-  // versa): the fingerprint is part of the key.
-  EXPECT_EQ(cache.Lookup(0, 0, mask, fp), nullptr);
-  cache.Insert(0, 0, mask, fp, filtered_trace);
-  EXPECT_EQ(cache.Lookup(0, 0, mask, 0), unfiltered_trace);
-  EXPECT_EQ(cache.Lookup(0, 0, mask, fp), filtered_trace);
-  EXPECT_EQ(cache.size(), 2u);
-
-  // Concurrent fillers converge on the first published trace.
-  EXPECT_EQ(cache.Insert(0, 0, mask, 0, std::make_shared<const ScanTrace>()),
-            unfiltered_trace);
-
-  cache.Invalidate(0);
-  EXPECT_EQ(cache.Lookup(0, 0, mask, 0), nullptr);
-  EXPECT_EQ(cache.Lookup(0, 0, mask, fp), nullptr);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(TraceCache, FilteredCachedQueriesMatchUncachedFromEveryInitiator) {
-  // Two initiators alternate over the same subspace, so every super-peer
-  // is eventually scanned both under its *own* filter context (as the
-  // non-initiating receiver of two different broadcast filters) and
-  // unfiltered (as the initiator): a cached trace recorded under one
-  // filter fingerprint must never answer for another, or the replayed
-  // survivors — and every transfer-derived metric — would drift from the
-  // scan network's.
-  NetworkConfig scan_config = SmallConfig(43);
-  scan_config.filter_set_size = 8;
-  NetworkConfig cache_config = scan_config;
-  cache_config.enable_cache = true;
-
-  SkypeerNetwork scan_network(scan_config);
-  scan_network.Preprocess();
-  SkypeerNetwork cache_network(cache_config);
-  cache_network.Preprocess();
-
-  const Subspace u = Subspace::FromDims({0, 2, 4});
-  for (int round = 0; round < 3; ++round) {  // Round > 0: cache hits.
-    for (int initiator : {0, 5}) {
-      for (Variant variant : {Variant::kFTPM, Variant::kRTFM}) {
-        const QueryResult scan =
-            scan_network.ExecuteQuery(u, initiator, variant);
-        const QueryResult cache =
-            cache_network.ExecuteQuery(u, initiator, variant);
-        const std::string context = std::string(VariantName(variant)) +
-                                    " initiator " + std::to_string(initiator) +
-                                    " round " + std::to_string(round);
-        EXPECT_EQ(FullSignature(cache.skyline), FullSignature(scan.skyline))
-            << context;
-        EXPECT_EQ(cache.metrics.bytes_transferred,
-                  scan.metrics.bytes_transferred)
-            << context;
-        EXPECT_EQ(cache.metrics.messages, scan.metrics.messages) << context;
-        EXPECT_EQ(cache.metrics.result_size, scan.metrics.result_size)
-            << context;
-        EXPECT_EQ(cache.metrics.total_time_s, scan.metrics.total_time_s)
-            << context;
-        EXPECT_EQ(cache.metrics.computational_time_s,
-                  scan.metrics.computational_time_s)
-            << context;
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -54,16 +54,15 @@ TEST(NetworkEdge, RestoredNetworkRefusesChurn) {
   std::remove(path.c_str());
 }
 
-TEST(NetworkEdge, CacheAndChurnAndPipelineTogether) {
+TEST(NetworkEdge, ChurnAndPipelineTogether) {
   NetworkConfig config = BaseConfig(2);
   config.dynamic_membership = true;
   config.retain_peer_data = true;
-  config.enable_cache = true;
   SkypeerNetwork network(config);
   network.Preprocess();
   const Subspace u = Subspace::FromDims({1, 3});
 
-  // Warm cache, churn, and re-query under the pipeline variant.
+  // Query, churn, and re-query under the pipeline variant.
   network.ExecuteQuery(u, 0, Variant::kRTPM);
   Rng rng(9);
   ASSERT_TRUE(network.JoinPeer(2, GenerateUniform(4, 15, &rng)).ok());

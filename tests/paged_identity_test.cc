@@ -6,8 +6,7 @@
 // modes — and simulated times are bit-identical between the in-memory
 // and the paged store, for all five variants plus the pipeline, at 1, 2
 // and 8 threads, with forced-scalar and dispatched SIMD kernels,
-// composed with --speculative-rt, --cache, --filter-set and fault
-// injection. Only the out-of-band physical pool counters may
+// composed with --filter-set, --block-skip and fault injection. Only the out-of-band physical pool counters may
 // differ.
 
 #include <gtest/gtest.h>
@@ -92,16 +91,6 @@ TEST(PagedIdentity, MatchesInMemoryForAllVariantsThreadsKernelsCompositions) {
   std::vector<std::pair<std::string, NetworkConfig>> compositions;
   compositions.emplace_back("plain", BaseConfig());
   {
-    NetworkConfig speculative = BaseConfig();
-    speculative.speculative_rt = true;
-    compositions.emplace_back("speculative", speculative);
-  }
-  {
-    NetworkConfig cached = BaseConfig();
-    cached.enable_cache = true;
-    compositions.emplace_back("cached", cached);
-  }
-  {
     NetworkConfig filtered = BaseConfig();
     filtered.filter_set_size = 8;
     compositions.emplace_back("filtered", filtered);
@@ -114,8 +103,6 @@ TEST(PagedIdentity, MatchesInMemoryForAllVariantsThreadsKernelsCompositions) {
   {
     // Everything at once, under injected faults.
     NetworkConfig faulted = BaseConfig();
-    faulted.speculative_rt = true;
-    faulted.enable_cache = true;
     faulted.filter_set_size = 6;
     faulted.block_skip = true;
     faulted.reliable = true;

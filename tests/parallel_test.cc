@@ -229,209 +229,6 @@ TEST(ParallelDeterminism, WorkloadAggregatesMatchSequential) {
   ThreadPool::SetGlobalConcurrency(1);
 }
 
-// --- speculative RT*M / pipeline staging -------------------------------------
-
-const std::vector<Variant> kRefinedVariants = {
-    Variant::kRTFM, Variant::kRTPM, Variant::kPipeline};
-
-struct Reference {
-  std::vector<std::vector<double>> skyline;
-  QueryMetrics metrics;
-  std::vector<double> final_thresholds;  // Per super-peer.
-};
-
-std::vector<double> CollectFinalThresholds(const SkypeerNetwork& network) {
-  std::vector<double> thresholds;
-  thresholds.reserve(network.num_super_peers());
-  for (int sp = 0; sp < network.num_super_peers(); ++sp) {
-    thresholds.push_back(network.super_peer(sp).last_query_stats()
-                             .final_threshold);
-  }
-  return thresholds;
-}
-
-/// Sequential (threads=1, speculation off) per-variant/per-task
-/// references for `config`.
-std::vector<std::vector<Reference>> SequentialReferences(
-    NetworkConfig config, const std::vector<QueryTask>& tasks) {
-  config.speculative_rt = false;
-  ThreadPool::SetGlobalConcurrency(1);
-  SkypeerNetwork sequential(config);
-  sequential.Preprocess();
-  std::vector<std::vector<Reference>> references;
-  for (Variant variant : kRefinedVariants) {
-    std::vector<Reference> per_task;
-    for (const QueryTask& task : tasks) {
-      const QueryResult result =
-          sequential.ExecuteQuery(task.subspace, task.initiator_sp, variant);
-      per_task.push_back({Signature(result.skyline), result.metrics,
-                          CollectFinalThresholds(sequential)});
-    }
-    references.push_back(std::move(per_task));
-  }
-  return references;
-}
-
-void ExpectSpeculativeMatchesReferences(
-    NetworkConfig config, const std::vector<QueryTask>& tasks,
-    const std::vector<std::vector<Reference>>& references) {
-  config.speculative_rt = true;
-  for (int threads : {1, 2, 8}) {
-    ThreadPool::SetGlobalConcurrency(threads);
-    SkypeerNetwork speculative(config);
-    speculative.Preprocess();
-    for (size_t v = 0; v < kRefinedVariants.size(); ++v) {
-      for (size_t t = 0; t < tasks.size(); ++t) {
-        const QueryResult result = speculative.ExecuteQuery(
-            tasks[t].subspace, tasks[t].initiator_sp, kRefinedVariants[v]);
-        const std::string context =
-            std::string(VariantName(kRefinedVariants[v])) + " task " +
-            std::to_string(t) + " threads " + std::to_string(threads);
-        EXPECT_EQ(Signature(result.skyline), references[v][t].skyline)
-            << context;
-        ExpectMetricsEqual(result.metrics, references[v][t].metrics,
-                           context.c_str());
-        // The refined thresholds every node ended with — the values RT*M
-        // forwards — must survive the reconcile bit-identically.
-        EXPECT_EQ(CollectFinalThresholds(speculative),
-                  references[v][t].final_thresholds)
-            << context;
-      }
-    }
-  }
-  ThreadPool::SetGlobalConcurrency(1);
-}
-
-TEST(SpeculativeRtDeterminism, MatchesSequentialAtAnyThreadCount) {
-  // The tentpole guarantee: with --speculative-rt the refined-threshold
-  // variants (RTFM, RTPM) and the pipeline produce bit-identical
-  // skylines, volume, messages, scan counts, per-node final thresholds
-  // and simulated times at 1, 2 and 8 threads.
-  const NetworkConfig config = SmallConfig();
-  const std::vector<QueryTask> tasks =
-      GenerateWorkload(config.dims, 2, 6, config.num_super_peers, 47);
-  const auto references = SequentialReferences(config, tasks);
-  ExpectSpeculativeMatchesReferences(config, tasks, references);
-}
-
-TEST(SpeculativeRtDeterminism, ComposesWithResultCache) {
-  // Speculation + --cache: the speculative wave warms the shared trace
-  // cache (same pure function of the store the protocol run would
-  // insert) and the reconcile replays it at the refined threshold; the
-  // replay is identical on hit and miss, so all metrics match the
-  // sequential cache-enabled run.
-  NetworkConfig config = SmallConfig();
-  config.enable_cache = true;
-  const std::vector<QueryTask> tasks =
-      GenerateWorkload(config.dims, 2, 5, config.num_super_peers, 59);
-  const auto references = SequentialReferences(config, tasks);
-  ExpectSpeculativeMatchesReferences(config, tasks, references);
-}
-
-TEST(SpeculativeRtDeterminism, SpeculativeWorkloadAggregatesMatch) {
-  // Speculation inside the parallel workload driver: replicas stage
-  // speculatively per query while the batch fans out over clones.
-  const NetworkConfig config = SmallConfig();
-  const std::vector<QueryTask> tasks =
-      GenerateWorkload(config.dims, 3, 8, config.num_super_peers, 61);
-
-  ThreadPool::SetGlobalConcurrency(1);
-  SkypeerNetwork sequential(config);
-  sequential.Preprocess();
-
-  NetworkConfig spec_config = config;
-  spec_config.speculative_rt = true;
-  ThreadPool::SetGlobalConcurrency(4);
-  SkypeerNetwork speculative(spec_config);
-  speculative.Preprocess();
-
-  for (Variant variant : kRefinedVariants) {
-    ThreadPool::SetGlobalConcurrency(1);
-    const AggregateMetrics seq = RunWorkload(&sequential, tasks, variant);
-    ThreadPool::SetGlobalConcurrency(4);
-    const AggregateMetrics par = RunWorkload(&speculative, tasks, variant);
-    EXPECT_EQ(seq.queries, par.queries) << VariantName(variant);
-    EXPECT_EQ(seq.comp_s.samples(), par.comp_s.samples())
-        << VariantName(variant);
-    EXPECT_EQ(seq.total_s.samples(), par.total_s.samples())
-        << VariantName(variant);
-    EXPECT_EQ(seq.kb.samples(), par.kb.samples()) << VariantName(variant);
-    EXPECT_EQ(seq.messages.samples(), par.messages.samples())
-        << VariantName(variant);
-    EXPECT_EQ(seq.result.samples(), par.result.samples())
-        << VariantName(variant);
-    EXPECT_EQ(seq.scanned.samples(), par.scanned.samples())
-        << VariantName(variant);
-  }
-  ThreadPool::SetGlobalConcurrency(1);
-}
-
-// --- shared result cache -----------------------------------------------------
-
-TEST(SharedCacheWorkloads, CacheEnabledAggregatesMatchSequential) {
-  // The lifted SupportsParallelWorkloads restriction: with the cache on,
-  // replicas share one thread-safe cache whose entries are pure
-  // functions of (store, subspace) and whose scan counters are identical
-  // on hit and miss — so parallel workload aggregates match the
-  // sequential ones sample for sample.
-  NetworkConfig config = SmallConfig();
-  config.enable_cache = true;
-  // Repeat subspaces so the workload actually exercises cache hits.
-  std::vector<QueryTask> tasks =
-      GenerateWorkload(config.dims, 3, 4, config.num_super_peers, 67);
-  const std::vector<QueryTask> base = tasks;
-  tasks.insert(tasks.end(), base.begin(), base.end());
-  tasks.insert(tasks.end(), base.begin(), base.end());
-
-  ThreadPool::SetGlobalConcurrency(1);
-  SkypeerNetwork sequential(config);
-  sequential.Preprocess();
-  ThreadPool::SetGlobalConcurrency(4);
-  SkypeerNetwork parallel(config);
-  parallel.Preprocess();
-  EXPECT_TRUE(parallel.SupportsParallelWorkloads());
-
-  std::vector<Variant> variants(kAllVariants, kAllVariants + 5);
-  variants.push_back(Variant::kPipeline);
-  for (Variant variant : variants) {
-    ThreadPool::SetGlobalConcurrency(1);
-    const AggregateMetrics seq = RunWorkload(&sequential, tasks, variant);
-    ThreadPool::SetGlobalConcurrency(4);
-    const AggregateMetrics par = RunWorkload(&parallel, tasks, variant);
-    EXPECT_EQ(seq.queries, par.queries) << VariantName(variant);
-    EXPECT_EQ(seq.comp_s.samples(), par.comp_s.samples())
-        << VariantName(variant);
-    EXPECT_EQ(seq.total_s.samples(), par.total_s.samples())
-        << VariantName(variant);
-    EXPECT_EQ(seq.kb.samples(), par.kb.samples()) << VariantName(variant);
-    EXPECT_EQ(seq.messages.samples(), par.messages.samples())
-        << VariantName(variant);
-    EXPECT_EQ(seq.result.samples(), par.result.samples())
-        << VariantName(variant);
-    EXPECT_EQ(seq.scanned.samples(), par.scanned.samples())
-        << VariantName(variant);
-  }
-  ThreadPool::SetGlobalConcurrency(1);
-}
-
-TEST(SharedCacheWorkloads, CloneSharesWarmCacheEntries) {
-  ThreadPool::SetGlobalConcurrency(1);
-  NetworkConfig config = SmallConfig();
-  config.enable_cache = true;
-  SkypeerNetwork network(config);
-  network.Preprocess();
-
-  // Warm the cache on the original, then query the clone: results and
-  // metrics must match a fresh sequential execution exactly (cached
-  // entries are pure functions of the stores the clone copied).
-  const Subspace u = Subspace::FromDims({1, 2});
-  const QueryResult original = network.ExecuteQuery(u, 3, Variant::kRTPM);
-  const auto clone = network.CloneForQueries();
-  const QueryResult replica = clone->ExecuteQuery(u, 3, Variant::kRTPM);
-  EXPECT_EQ(Signature(original.skyline), Signature(replica.skyline));
-  ExpectMetricsEqual(original.metrics, replica.metrics, "warm clone RTPM");
-}
-
 // --- per-network pool --------------------------------------------------------
 
 TEST(PerNetworkPool, ScopedPoolMatchesGlobalSequential) {
@@ -445,7 +242,6 @@ TEST(PerNetworkPool, ScopedPoolMatchesGlobalSequential) {
 
   NetworkConfig pooled_config = config;
   pooled_config.threads = 4;
-  pooled_config.speculative_rt = true;
   SkypeerNetwork pooled(pooled_config);
   EXPECT_EQ(pooled.pool()->num_threads(), 4);
   EXPECT_EQ(ThreadPool::Global()->num_threads(), 1);
@@ -487,71 +283,68 @@ TEST(PerNetworkPool, CloneSharesTheParentPool) {
 
 // --- kernel dispatch bit-identity --------------------------------------------
 
+struct Reference {
+  std::vector<std::vector<double>> skyline;
+  QueryMetrics metrics;
+  std::vector<double> final_thresholds;  // Per super-peer.
+};
+
+std::vector<double> CollectFinalThresholds(const SkypeerNetwork& network) {
+  std::vector<double> thresholds;
+  thresholds.reserve(network.num_super_peers());
+  for (int sp = 0; sp < network.num_super_peers(); ++sp) {
+    thresholds.push_back(network.super_peer(sp).last_query_stats()
+                             .final_threshold);
+  }
+  return thresholds;
+}
+
 TEST(KernelDispatchDeterminism, ForcedScalarMatchesDispatchedAcrossVariants) {
   // The SIMD tentpole guarantee: the dispatched (AVX2/NEON) dominance
   // kernels reproduce the forced-scalar execution bit-identically —
   // skylines, scan counts, volume, messages and simulated times —
-  // across all five variants plus the pipeline, at
-  // 1/2/8 threads, composed with --speculative-rt and --cache.
+  // across all five variants plus the pipeline, at 1/2/8 threads.
+  const NetworkConfig config = SmallConfig();
   const std::vector<QueryTask> tasks =
-      GenerateWorkload(4, 2, 4, SmallConfig().num_super_peers, 83);
+      GenerateWorkload(4, 2, 4, config.num_super_peers, 83);
   std::vector<Variant> variants(kAllVariants, kAllVariants + 5);
   variants.push_back(Variant::kPipeline);
 
-  std::vector<NetworkConfig> compositions;
-  compositions.push_back(SmallConfig());  // plain
-  {
-    NetworkConfig speculative = SmallConfig();
-    speculative.speculative_rt = true;
-    compositions.push_back(speculative);
-  }
-  {
-    NetworkConfig cached = SmallConfig();
-    cached.enable_cache = true;
-    compositions.push_back(cached);
-  }
-
-  for (size_t composition = 0; composition < compositions.size();
-       ++composition) {
-    const NetworkConfig& config = compositions[composition];
-
-    SetForceScalarKernels(true);
-    ThreadPool::SetGlobalConcurrency(1);
-    SkypeerNetwork scalar_net(config);
-    scalar_net.Preprocess();
-    std::vector<std::vector<Reference>> references;
-    for (Variant variant : variants) {
-      std::vector<Reference> per_task;
-      for (const QueryTask& task : tasks) {
-        const QueryResult result =
-            scalar_net.ExecuteQuery(task.subspace, task.initiator_sp, variant);
-        per_task.push_back({Signature(result.skyline), result.metrics,
-                            CollectFinalThresholds(scalar_net)});
-      }
-      references.push_back(std::move(per_task));
+  SetForceScalarKernels(true);
+  ThreadPool::SetGlobalConcurrency(1);
+  SkypeerNetwork scalar_net(config);
+  scalar_net.Preprocess();
+  std::vector<std::vector<Reference>> references;
+  for (Variant variant : variants) {
+    std::vector<Reference> per_task;
+    for (const QueryTask& task : tasks) {
+      const QueryResult result =
+          scalar_net.ExecuteQuery(task.subspace, task.initiator_sp, variant);
+      per_task.push_back({Signature(result.skyline), result.metrics,
+                          CollectFinalThresholds(scalar_net)});
     }
+    references.push_back(std::move(per_task));
+  }
 
-    SetForceScalarKernels(false);
-    for (int threads : {1, 2, 8}) {
-      ThreadPool::SetGlobalConcurrency(threads);
-      SkypeerNetwork dispatched(config);
-      dispatched.Preprocess();
-      for (size_t v = 0; v < variants.size(); ++v) {
-        for (size_t t = 0; t < tasks.size(); ++t) {
-          const QueryResult result = dispatched.ExecuteQuery(
-              tasks[t].subspace, tasks[t].initiator_sp, variants[v]);
-          const std::string context =
-              "composition " + std::to_string(composition) + " " +
-              VariantName(variants[v]) + " task " + std::to_string(t) +
-              " threads " + std::to_string(threads);
-          EXPECT_EQ(Signature(result.skyline), references[v][t].skyline)
-              << context;
-          ExpectMetricsEqual(result.metrics, references[v][t].metrics,
-                             context.c_str());
-          EXPECT_EQ(CollectFinalThresholds(dispatched),
-                    references[v][t].final_thresholds)
-              << context;
-        }
+  SetForceScalarKernels(false);
+  for (int threads : {1, 2, 8}) {
+    ThreadPool::SetGlobalConcurrency(threads);
+    SkypeerNetwork dispatched(config);
+    dispatched.Preprocess();
+    for (size_t v = 0; v < variants.size(); ++v) {
+      for (size_t t = 0; t < tasks.size(); ++t) {
+        const QueryResult result = dispatched.ExecuteQuery(
+            tasks[t].subspace, tasks[t].initiator_sp, variants[v]);
+        const std::string context =
+            std::string(VariantName(variants[v])) + " task " +
+            std::to_string(t) + " threads " + std::to_string(threads);
+        EXPECT_EQ(Signature(result.skyline), references[v][t].skyline)
+            << context;
+        ExpectMetricsEqual(result.metrics, references[v][t].metrics,
+                           context.c_str());
+        EXPECT_EQ(CollectFinalThresholds(dispatched),
+                  references[v][t].final_thresholds)
+            << context;
       }
     }
   }
@@ -562,8 +355,8 @@ TEST(ParallelDeterminism, FaultedRunsAreThreadCountInvariant) {
   // Fault injection composes with every parallel-execution feature: the
   // fault pattern is a pure function of the (virtual-time) event
   // sequence and the fault seed, so results, coverage and transport
-  // statistics are bit-identical at any thread count — also when
-  // speculative staging, the subspace cache and the filter set are on.
+  // statistics are bit-identical at any thread count — also when the
+  // filter set is on.
   constexpr Variant kFaultedVariants[] = {Variant::kNaive, Variant::kFTPM,
                                           Variant::kRTFM, Variant::kRTPM,
                                           Variant::kPipeline};
@@ -578,8 +371,6 @@ TEST(ParallelDeterminism, FaultedRunsAreThreadCountInvariant) {
     config.crashed_sps = {5};
     config.max_retries = 2;
     if (features) {
-      config.speculative_rt = true;
-      config.enable_cache = true;
       config.filter_set_size = 6;
     }
 
@@ -649,69 +440,52 @@ TEST(FilterBroadcastDeterminism, MatchesUnfilteredOracleAcrossCompositions) {
   // the flooded query changes what is *shipped*, never what is
   // *answered*. For all five variants plus the pipeline the filtered
   // skyline is bit-identical to the unfiltered oracle's at 1, 2 and 8
-  // threads, composed with --speculative-rt and --cache —
-  // and the filtered run's own simulated metrics are thread-count
-  // invariant.
+  // threads, and the filtered run's own simulated metrics are
+  // thread-count invariant.
+  const NetworkConfig config = SmallConfig();
   const std::vector<QueryTask> tasks =
-      GenerateWorkload(4, 2, 4, SmallConfig().num_super_peers, 91);
+      GenerateWorkload(4, 2, 4, config.num_super_peers, 91);
   std::vector<Variant> variants(kAllVariants, kAllVariants + 5);
   variants.push_back(Variant::kPipeline);
 
-  std::vector<NetworkConfig> compositions;
-  compositions.push_back(SmallConfig());  // plain
-  {
-    NetworkConfig speculative = SmallConfig();
-    speculative.speculative_rt = true;
-    compositions.push_back(speculative);
-  }
-  {
-    NetworkConfig cached = SmallConfig();
-    cached.enable_cache = true;
-    compositions.push_back(cached);
-  }
-
   using SkylineSig = std::vector<std::vector<double>>;
-  for (size_t composition = 0; composition < compositions.size();
-       ++composition) {
-    // Unfiltered sequential oracle of this composition.
-    ThreadPool::SetGlobalConcurrency(1);
-    std::vector<std::vector<SkylineSig>> oracle;
-    {
-      SkypeerNetwork network(compositions[composition]);
-      network.Preprocess();
-      for (Variant variant : variants) {
-        std::vector<SkylineSig> per_task;
-        for (const QueryTask& task : tasks) {
-          per_task.push_back(Signature(
-              network.ExecuteQuery(task.subspace, task.initiator_sp, variant)
-                  .skyline));
-        }
-        oracle.push_back(std::move(per_task));
+  // Unfiltered sequential oracle.
+  ThreadPool::SetGlobalConcurrency(1);
+  std::vector<std::vector<SkylineSig>> oracle;
+  {
+    SkypeerNetwork network(config);
+    network.Preprocess();
+    for (Variant variant : variants) {
+      std::vector<SkylineSig> per_task;
+      for (const QueryTask& task : tasks) {
+        per_task.push_back(Signature(
+            network.ExecuteQuery(task.subspace, task.initiator_sp, variant)
+                .skyline));
       }
+      oracle.push_back(std::move(per_task));
     }
+  }
 
-    NetworkConfig filtered = compositions[composition];
-    filtered.filter_set_size = 8;
-    std::vector<std::vector<QueryMetrics>> reference(variants.size());
-    for (int threads : {1, 2, 8}) {
-      ThreadPool::SetGlobalConcurrency(threads);
-      SkypeerNetwork network(filtered);
-      network.Preprocess();
-      for (size_t v = 0; v < variants.size(); ++v) {
-        for (size_t t = 0; t < tasks.size(); ++t) {
-          const QueryResult result = network.ExecuteQuery(
-              tasks[t].subspace, tasks[t].initiator_sp, variants[v]);
-          const std::string context =
-              "composition " + std::to_string(composition) + " " +
-              VariantName(variants[v]) + " task " + std::to_string(t) +
-              " threads " + std::to_string(threads);
-          EXPECT_EQ(Signature(result.skyline), oracle[v][t]) << context;
-          if (threads == 1) {
-            reference[v].push_back(result.metrics);
-          } else {
-            ExpectMetricsEqual(result.metrics, reference[v][t],
-                               context.c_str());
-          }
+  NetworkConfig filtered = config;
+  filtered.filter_set_size = 8;
+  std::vector<std::vector<QueryMetrics>> reference(variants.size());
+  for (int threads : {1, 2, 8}) {
+    ThreadPool::SetGlobalConcurrency(threads);
+    SkypeerNetwork network(filtered);
+    network.Preprocess();
+    for (size_t v = 0; v < variants.size(); ++v) {
+      for (size_t t = 0; t < tasks.size(); ++t) {
+        const QueryResult result = network.ExecuteQuery(
+            tasks[t].subspace, tasks[t].initiator_sp, variants[v]);
+        const std::string context =
+            std::string(VariantName(variants[v])) + " task " +
+            std::to_string(t) + " threads " + std::to_string(threads);
+        EXPECT_EQ(Signature(result.skyline), oracle[v][t]) << context;
+        if (threads == 1) {
+          reference[v].push_back(result.metrics);
+        } else {
+          ExpectMetricsEqual(result.metrics, reference[v][t],
+                             context.c_str());
         }
       }
     }

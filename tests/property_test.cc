@@ -1,6 +1,6 @@
 // Randomized cross-invariant property tests tying the library's pieces
 // together: algebraic laws of skyline/ext-skyline computation, the
-// threshold-filter equivalence behind the result cache, and the
+// threshold-filter equivalence of the threshold scan, and the
 // distribution theorem behind SKYPEER itself.
 
 #include <gtest/gtest.h>
@@ -104,8 +104,7 @@ TEST_P(PropertyTest, DistributionTheorem) {
   }
 }
 
-// Threshold-filter equivalence (the cache's correctness argument): a
-// scan under initial threshold t equals the unconstrained scan filtered
+// Threshold-filter equivalence: a scan under initial threshold t equals the unconstrained scan filtered
 // in f-order with an evolving threshold.
 TEST_P(PropertyTest, ThresholdFilterEquivalence) {
   PointSet data = RandomData(dims(), 500, 19 * dims(), gridded());

@@ -39,7 +39,6 @@ TEST_P(ProtocolFuzzTest, RandomNetworkRandomChurnStaysExact) {
   config.topology = rng.Uniform() < 0.3 ? BackboneTopology::kHypercube
                                         : BackboneTopology::kWaxman;
   config.distribution = static_cast<Distribution>(rng.UniformInt(0, 3));
-  config.enable_cache = rng.Uniform() < 0.5;
   config.dynamic_membership = true;
   config.retain_peer_data = true;
   config.seed = rng.Fork();

@@ -4,7 +4,7 @@
 //               [--degree G] [--dist uniform|clustered|correlated|anti]
 //               [--k K] [--queries Q] [--variant naive|FTFM|FTPM|RTFM|RTPM|all]
 //               [--bandwidth BYTES_PER_S] [--latency S] [--seed S]
-//               [--cache] [--verbose]
+//               [--verbose]
 //
 // Prints pre-processing statistics and per-variant averages in the
 // paper's three metrics (computational time, total time, volume).
@@ -86,10 +86,6 @@ void PrintUsageAndExit(const char* binary, int code) {
       "                   are never read in paged mode. Results and all\n"
       "                   simulated metrics except the new skip counters\n"
       "                   are identical either way\n"
-      "  --speculative-rt stage RT*M/pipeline local scans concurrently\n"
-      "                   under the initiator's fixed threshold and\n"
-      "                   reconcile when the refined threshold arrives;\n"
-      "                   results and simulated metrics are identical\n"
       "  --net-threads N  scope the worker pool to the network instead of\n"
       "                   the process-wide pool (default 0 = global pool)\n"
       "  --filter-set N   broadcast at most N sampled filter points from\n"
@@ -111,10 +107,6 @@ void PrintUsageAndExit(const char* binary, int code) {
       "                   store from the retained lists instead of the\n"
       "                   default incremental drop + candidate re-merge;\n"
       "                   stores and all metrics are bit-identical\n"
-      "  --cache          enable the per-subspace result cache\n"
-      "  --cache-cap N    bound the result cache to N entries with LRU\n"
-      "                   eviction (default 0 = unbounded); results and\n"
-      "                   simulated metrics are identical at any cap\n"
       "  --page-size B    store page size in bytes, a power of two in\n"
       "                   [4096, 1048576] (default 4096); fixes the\n"
       "                   logical page-charging geometry in both store\n"
@@ -226,8 +218,6 @@ CliOptions Parse(int argc, char** argv) {
           static_cast<size_t>(ParseU64Flag("--filter-set", next_value(&i)));
     } else if (std::strcmp(arg, "--block-skip") == 0) {
       options.network.block_skip = true;
-    } else if (std::strcmp(arg, "--speculative-rt") == 0) {
-      options.network.speculative_rt = true;
     } else if (std::strcmp(arg, "--net-threads") == 0) {
       options.network.threads = static_cast<int>(
           ParseIntFlag("--net-threads", next_value(&i), 0, 4096));
@@ -264,11 +254,6 @@ CliOptions Parse(int argc, char** argv) {
           ParseU64Flag("--churn-seed", next_value(&i));
     } else if (std::strcmp(arg, "--rebuild-maintenance") == 0) {
       options.network.incremental_maintenance = false;
-    } else if (std::strcmp(arg, "--cache") == 0) {
-      options.network.enable_cache = true;
-    } else if (std::strcmp(arg, "--cache-cap") == 0) {
-      options.network.cache_max_entries =
-          static_cast<size_t>(ParseU64Flag("--cache-cap", next_value(&i)));
     } else if (std::strcmp(arg, "--page-size") == 0) {
       options.network.page_size =
           static_cast<size_t>(ParseU64Flag("--page-size", next_value(&i)));
@@ -626,17 +611,6 @@ int main(int argc, char** argv) {
   // Out-of-band physical counters: hit/miss/eviction totals depend on
   // thread interleaving in parallel workloads, so they are printed under
   // a greppable prefix and never enter determinism comparisons.
-  if (const SubspaceScanTraceCache* cache = network.result_cache()) {
-    const SubspaceScanTraceCache::Stats cs = cache->stats();
-    std::printf(
-        "physical: cache hits=%llu misses=%llu evictions=%llu "
-        "entries=%llu bytes=%llu\n",
-        static_cast<unsigned long long>(cs.hits),
-        static_cast<unsigned long long>(cs.misses),
-        static_cast<unsigned long long>(cs.evictions),
-        static_cast<unsigned long long>(cs.entries),
-        static_cast<unsigned long long>(cs.bytes));
-  }
   if (const BufferManager* buffer = network.buffer_manager()) {
     const BufferManager::Stats bs = buffer->stats();
     std::printf(
