@@ -15,9 +15,12 @@ namespace skypeer {
 /// Since the library is main-memory, the window is unbounded (a single
 /// "block"). Returns the skyline of `input` on subspace `u`, in input
 /// order; with `ext` the extended skyline (strict dominance) instead.
-/// When `ops` is non-null the scalar dominance calls performed are added
-/// to `ops->dominance_tests` and the points consumed to
-/// `ops->scan_steps`.
+/// The window is a blocked-SoA `BlockedProjection` tested with the batched
+/// kernels. When `ops` is non-null, `ops->dominance_tests` receives
+/// exactly the tests of the classic scalar loop ("does entry j dominate
+/// p", then "does p dominate entry j", in window order; DESIGN.md,
+/// "Blocked-SoA dominance kernels") and `ops->scan_steps` the points
+/// consumed.
 PointSet BnlSkyline(const PointSet& input, Subspace u, bool ext = false,
                     OpCounts* ops = nullptr);
 

@@ -24,8 +24,8 @@ constexpr size_t kW = kDomBlockWidth;
 /// raw block data plus the logical point count (padding lanes are +inf).
 struct KernelTable {
   DomKernelMode mode;
-  bool (*any_dominates)(const double* blocks, size_t n, int k, const double* q,
-                        bool strict);
+  size_t (*first_dominator)(const double* blocks, size_t n, int k,
+                            const double* q, bool strict);
   void (*dominated_mask)(const double* blocks, size_t n, int k,
                          const double* p, bool strict, uint8_t* out_masks);
   bool (*any_dominates_rows)(const double* rows, size_t stride, size_t n,
@@ -38,89 +38,73 @@ struct KernelTable {
 
 // --- scalar / compiler-vectorizable blocked loops ---------------------------
 
-bool ScalarAnyDominates(const double* blocks, size_t n, int k, const double* q,
-                        bool strict) {
-  const size_t num_blocks = (n + kW - 1) / kW;
-  for (size_t b = 0; b < num_blocks; ++b) {
-    const double* block = blocks + b * kW * static_cast<size_t>(k);
-    // Padding and killed lanes are +inf: they fail `<= q[d]` and `< q[d]`
-    // on every dimension, so all 8 lanes can run unconditionally.
-    uint8_t dom[kW];
-    uint8_t lt[kW];
-    for (size_t l = 0; l < kW; ++l) {
-      dom[l] = 1;
-      lt[l] = 0;
-    }
-    for (int d = 0; d < k; ++d) {
-      const double* row = block + static_cast<size_t>(d) * kW;
-      const double qd = q[d];
-      uint8_t live = 0;
-      if (strict) {
-        for (size_t l = 0; l < kW; ++l) {
-          dom[l] &= static_cast<uint8_t>(row[l] < qd);
-          live |= dom[l];
-        }
-      } else {
-        for (size_t l = 0; l < kW; ++l) {
-          dom[l] &= static_cast<uint8_t>(row[l] <= qd);
-          lt[l] |= static_cast<uint8_t>(row[l] < qd);
-          live |= dom[l];
-        }
+/// Bit l set when lane l of the block dominates `q` — with `kReverse`,
+/// when `q` dominates lane l — strictly on every dimension when `strict`.
+/// Padding and killed lanes are +inf, so all 8 lanes run unconditionally:
+/// they never dominate `q`, and the reverse direction reports them as
+/// dominated for callers to filter.
+template <bool kReverse>
+unsigned ScalarBlockMask(const double* block, int k, const double* q,
+                         bool strict) {
+  uint8_t dom[kW];
+  uint8_t lt[kW];
+  for (size_t l = 0; l < kW; ++l) {
+    dom[l] = 1;
+    lt[l] = 0;
+  }
+  for (int d = 0; d < k; ++d) {
+    const double* row = block + static_cast<size_t>(d) * kW;
+    const double qd = q[d];
+    // Lane l dominates when a[l] <= b[l] (strict: a[l] < b[l]) everywhere.
+    const auto a = [&](size_t l) { return kReverse ? qd : row[l]; };
+    const auto b = [&](size_t l) { return kReverse ? row[l] : qd; };
+    uint8_t live = 0;
+    if (strict) {
+      for (size_t l = 0; l < kW; ++l) {
+        dom[l] &= static_cast<uint8_t>(a(l) < b(l));
+        live |= dom[l];
       }
-      if (!live) {
-        break;
+    } else {
+      for (size_t l = 0; l < kW; ++l) {
+        dom[l] &= static_cast<uint8_t>(a(l) <= b(l));
+        lt[l] |= static_cast<uint8_t>(a(l) < b(l));
+        live |= dom[l];
       }
     }
-    uint8_t any = 0;
-    for (size_t l = 0; l < kW; ++l) {
-      any |= static_cast<uint8_t>(dom[l] & (strict ? 1 : lt[l]));
-    }
-    if (any) {
-      return true;
+    if (!live) {
+      return 0;
     }
   }
-  return false;
+  unsigned mask = 0;
+  for (size_t l = 0; l < kW; ++l) {
+    mask |= static_cast<unsigned>(dom[l] & (strict ? 1 : lt[l])) << l;
+  }
+  return mask;
+}
+
+size_t ScalarFirstDominator(const double* blocks, size_t n, int k,
+                            const double* q, bool strict) {
+  const size_t num_blocks = (n + kW - 1) / kW;
+  for (size_t b = 0; b < num_blocks; ++b) {
+    const unsigned mask = ScalarBlockMask<false>(
+        blocks + b * kW * static_cast<size_t>(k), k, q, strict);
+    if (mask != 0) {
+      return b * kW + static_cast<size_t>(__builtin_ctz(mask));
+    }
+  }
+  return n;
 }
 
 void ScalarDominatedMask(const double* blocks, size_t n, int k,
                          const double* p, bool strict, uint8_t* out_masks) {
   const size_t num_blocks = (n + kW - 1) / kW;
   for (size_t b = 0; b < num_blocks; ++b) {
-    const double* block = blocks + b * kW * static_cast<size_t>(k);
-    uint8_t dom[kW];
-    uint8_t gt[kW];
-    for (size_t l = 0; l < kW; ++l) {
-      dom[l] = 1;
-      gt[l] = 0;
-    }
-    for (int d = 0; d < k; ++d) {
-      const double* row = block + static_cast<size_t>(d) * kW;
-      const double pd = p[d];
-      uint8_t live = 0;
-      if (strict) {
-        for (size_t l = 0; l < kW; ++l) {
-          dom[l] &= static_cast<uint8_t>(pd < row[l]);
-          live |= dom[l];
-        }
-      } else {
-        for (size_t l = 0; l < kW; ++l) {
-          dom[l] &= static_cast<uint8_t>(pd <= row[l]);
-          gt[l] |= static_cast<uint8_t>(pd < row[l]);
-          live |= dom[l];
-        }
-      }
-      if (!live) {
-        break;
-      }
-    }
-    uint8_t mask = 0;
-    for (size_t l = 0; l < kW; ++l) {
-      mask |= static_cast<uint8_t>((dom[l] & (strict ? 1 : gt[l])) << l);
-    }
+    unsigned mask = ScalarBlockMask<true>(
+        blocks + b * kW * static_cast<size_t>(k), k, p, strict);
     if (b == num_blocks - 1 && n % kW != 0) {
-      mask &= static_cast<uint8_t>((1u << (n % kW)) - 1);
+      mask &= (1u << (n % kW)) - 1;
     }
-    out_masks[b] = mask;
+    out_masks[b] = static_cast<uint8_t>(mask);
   }
 }
 
@@ -201,7 +185,7 @@ void ScalarMinCoord(const double* rows, size_t n, int dims, double* out) {
 }
 
 constexpr KernelTable kScalarTable = {
-    DomKernelMode::kScalar,     ScalarAnyDominates,
+    DomKernelMode::kScalar,     ScalarFirstDominator,
     ScalarDominatedMask,        ScalarAnyDominatesRows,
     ScalarDominatedFlagsRows,   ScalarMinCoord,
 };
@@ -210,11 +194,14 @@ constexpr KernelTable kScalarTable = {
 
 #ifdef SKYPEER_HAVE_AVX2_PATH
 
-/// Lower/upper half of one block: lanes [0,4) and [4,8). Templated on
-/// strictness because `_mm256_cmp_pd` predicates must be immediates.
-template <bool kStrict>
-__attribute__((target("avx2"))) inline int BlockDomMaskAvx2(
-    const double* block, int k, const double* q) {
+/// Bit l set when lane l of the block dominates `q` — with `kReverse`,
+/// when `q` dominates lane l. Each block runs as its lower/upper half,
+/// lanes [0,4) and [4,8). Templated on strictness because `_mm256_cmp_pd`
+/// predicates must be immediates.
+template <bool kStrict, bool kReverse>
+__attribute__((target("avx2"))) inline int BlockMaskAvx2(const double* block,
+                                                         int k,
+                                                         const double* q) {
   __m256d dom_lo = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
   __m256d dom_hi = dom_lo;
   __m256d lt_lo = _mm256_setzero_pd();
@@ -224,14 +211,19 @@ __attribute__((target("avx2"))) inline int BlockDomMaskAvx2(
     const __m256d qd = _mm256_set1_pd(q[d]);
     const __m256d e_lo = _mm256_loadu_pd(row);
     const __m256d e_hi = _mm256_loadu_pd(row + 4);
+    // Lane l dominates when a[l] <= b[l] (strict: a[l] < b[l]) everywhere.
+    const __m256d a_lo = kReverse ? qd : e_lo;
+    const __m256d b_lo = kReverse ? e_lo : qd;
+    const __m256d a_hi = kReverse ? qd : e_hi;
+    const __m256d b_hi = kReverse ? e_hi : qd;
     if constexpr (kStrict) {
-      dom_lo = _mm256_and_pd(dom_lo, _mm256_cmp_pd(e_lo, qd, _CMP_LT_OQ));
-      dom_hi = _mm256_and_pd(dom_hi, _mm256_cmp_pd(e_hi, qd, _CMP_LT_OQ));
+      dom_lo = _mm256_and_pd(dom_lo, _mm256_cmp_pd(a_lo, b_lo, _CMP_LT_OQ));
+      dom_hi = _mm256_and_pd(dom_hi, _mm256_cmp_pd(a_hi, b_hi, _CMP_LT_OQ));
     } else {
-      dom_lo = _mm256_and_pd(dom_lo, _mm256_cmp_pd(e_lo, qd, _CMP_LE_OQ));
-      dom_hi = _mm256_and_pd(dom_hi, _mm256_cmp_pd(e_hi, qd, _CMP_LE_OQ));
-      lt_lo = _mm256_or_pd(lt_lo, _mm256_cmp_pd(e_lo, qd, _CMP_LT_OQ));
-      lt_hi = _mm256_or_pd(lt_hi, _mm256_cmp_pd(e_hi, qd, _CMP_LT_OQ));
+      dom_lo = _mm256_and_pd(dom_lo, _mm256_cmp_pd(a_lo, b_lo, _CMP_LE_OQ));
+      dom_hi = _mm256_and_pd(dom_hi, _mm256_cmp_pd(a_hi, b_hi, _CMP_LE_OQ));
+      lt_lo = _mm256_or_pd(lt_lo, _mm256_cmp_pd(a_lo, b_lo, _CMP_LT_OQ));
+      lt_hi = _mm256_or_pd(lt_hi, _mm256_cmp_pd(a_hi, b_hi, _CMP_LT_OQ));
     }
     if (_mm256_movemask_pd(dom_lo) == 0 && _mm256_movemask_pd(dom_hi) == 0) {
       return 0;
@@ -244,54 +236,18 @@ __attribute__((target("avx2"))) inline int BlockDomMaskAvx2(
   return _mm256_movemask_pd(dom_lo) | (_mm256_movemask_pd(dom_hi) << 4);
 }
 
-__attribute__((target("avx2"))) bool Avx2AnyDominates(const double* blocks,
-                                                      size_t n, int k,
-                                                      const double* q,
-                                                      bool strict) {
+__attribute__((target("avx2"))) size_t Avx2FirstDominator(
+    const double* blocks, size_t n, int k, const double* q, bool strict) {
   const size_t num_blocks = (n + kW - 1) / kW;
   for (size_t b = 0; b < num_blocks; ++b) {
     const double* block = blocks + b * kW * static_cast<size_t>(k);
-    const int mask = strict ? BlockDomMaskAvx2<true>(block, k, q)
-                            : BlockDomMaskAvx2<false>(block, k, q);
+    const int mask = strict ? BlockMaskAvx2<true, false>(block, k, q)
+                            : BlockMaskAvx2<false, false>(block, k, q);
     if (mask != 0) {
-      return true;
+      return b * kW + static_cast<size_t>(__builtin_ctz(mask));
     }
   }
-  return false;
-}
-
-/// Bit l set when p dominates the block's lane l (reverse direction of
-/// BlockDomMaskAvx2: all e >= p and, non-strict, some e > p).
-template <bool kStrict>
-__attribute__((target("avx2"))) inline int BlockRevDomMaskAvx2(
-    const double* block, int k, const double* p) {
-  __m256d dom_lo = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  __m256d dom_hi = dom_lo;
-  __m256d gt_lo = _mm256_setzero_pd();
-  __m256d gt_hi = _mm256_setzero_pd();
-  for (int d = 0; d < k; ++d) {
-    const double* row = block + static_cast<size_t>(d) * kW;
-    const __m256d pd = _mm256_set1_pd(p[d]);
-    const __m256d e_lo = _mm256_loadu_pd(row);
-    const __m256d e_hi = _mm256_loadu_pd(row + 4);
-    if constexpr (kStrict) {
-      dom_lo = _mm256_and_pd(dom_lo, _mm256_cmp_pd(e_lo, pd, _CMP_GT_OQ));
-      dom_hi = _mm256_and_pd(dom_hi, _mm256_cmp_pd(e_hi, pd, _CMP_GT_OQ));
-    } else {
-      dom_lo = _mm256_and_pd(dom_lo, _mm256_cmp_pd(e_lo, pd, _CMP_GE_OQ));
-      dom_hi = _mm256_and_pd(dom_hi, _mm256_cmp_pd(e_hi, pd, _CMP_GE_OQ));
-      gt_lo = _mm256_or_pd(gt_lo, _mm256_cmp_pd(e_lo, pd, _CMP_GT_OQ));
-      gt_hi = _mm256_or_pd(gt_hi, _mm256_cmp_pd(e_hi, pd, _CMP_GT_OQ));
-    }
-    if (_mm256_movemask_pd(dom_lo) == 0 && _mm256_movemask_pd(dom_hi) == 0) {
-      return 0;
-    }
-  }
-  if constexpr (!kStrict) {
-    dom_lo = _mm256_and_pd(dom_lo, gt_lo);
-    dom_hi = _mm256_and_pd(dom_hi, gt_hi);
-  }
-  return _mm256_movemask_pd(dom_lo) | (_mm256_movemask_pd(dom_hi) << 4);
+  return n;
 }
 
 __attribute__((target("avx2"))) void Avx2DominatedMask(const double* blocks,
@@ -302,8 +258,8 @@ __attribute__((target("avx2"))) void Avx2DominatedMask(const double* blocks,
   const size_t num_blocks = (n + kW - 1) / kW;
   for (size_t b = 0; b < num_blocks; ++b) {
     const double* block = blocks + b * kW * static_cast<size_t>(k);
-    int mask = strict ? BlockRevDomMaskAvx2<true>(block, k, p)
-                      : BlockRevDomMaskAvx2<false>(block, k, p);
+    int mask = strict ? BlockMaskAvx2<true, true>(block, k, p)
+                      : BlockMaskAvx2<false, true>(block, k, p);
     if (b == num_blocks - 1 && n % kW != 0) {
       mask &= (1 << (n % kW)) - 1;
     }
@@ -400,7 +356,7 @@ __attribute__((target("avx2"))) void Avx2DominatedFlagsRows(
 // blocked loop at every k <= 16 (bench_dominance_kernels, MinCoord
 // rows). The result is bitwise the same either way.
 constexpr KernelTable kAvx2Table = {
-    DomKernelMode::kAvx2,     Avx2AnyDominates,
+    DomKernelMode::kAvx2,     Avx2FirstDominator,
     Avx2DominatedMask,        Avx2AnyDominatesRows,
     Avx2DominatedFlagsRows,   ScalarMinCoord,
 };
@@ -447,16 +403,17 @@ inline int BlockDomMaskNeon(const double* block, int k, const double* q,
   return mask;
 }
 
-bool NeonAnyDominates(const double* blocks, size_t n, int k, const double* q,
-                      bool strict) {
+size_t NeonFirstDominator(const double* blocks, size_t n, int k,
+                          const double* q, bool strict) {
   const size_t num_blocks = (n + kW - 1) / kW;
   for (size_t b = 0; b < num_blocks; ++b) {
-    if (BlockDomMaskNeon(blocks + b * kW * static_cast<size_t>(k), k, q,
-                         strict) != 0) {
-      return true;
+    const int mask = BlockDomMaskNeon(
+        blocks + b * kW * static_cast<size_t>(k), k, q, strict);
+    if (mask != 0) {
+      return b * kW + static_cast<size_t>(__builtin_ctz(mask));
     }
   }
-  return false;
+  return n;
 }
 
 inline int BlockRevDomMaskNeon(const double* block, int k, const double* p,
@@ -508,7 +465,7 @@ void NeonDominatedMask(const double* blocks, size_t n, int k, const double* p,
 }
 
 constexpr KernelTable kNeonTable = {
-    DomKernelMode::kNeon,       NeonAnyDominates,
+    DomKernelMode::kNeon,       NeonFirstDominator,
     NeonDominatedMask,          ScalarAnyDominatesRows,
     ScalarDominatedFlagsRows,   ScalarMinCoord,
 };
@@ -573,11 +530,12 @@ void SetForceScalarKernels(bool force) {
   }
 }
 
-bool AnyDominates(const BlockedProjection& w, const double* q, bool strict) {
+size_t FirstDominator(const BlockedProjection& w, const double* q,
+                      bool strict) {
   if (w.empty()) {
-    return false;
+    return 0;
   }
-  return Table()->any_dominates(w.BlockData(0), w.size(), w.k(), q, strict);
+  return Table()->first_dominator(w.BlockData(0), w.size(), w.k(), q, strict);
 }
 
 void DominatedMask(const BlockedProjection& w, const double* p, bool strict,

@@ -68,11 +68,9 @@ class BlockedProjection {
       data_.resize(data_.size() + kDomBlockWidth * static_cast<size_t>(k_),
                    std::numeric_limits<double>::infinity());
     }
-    double* block = BlockData(size_ / kDomBlockWidth);
-    const size_t lane = size_ % kDomBlockWidth;
     for (int d = 0; d < k_; ++d) {
       SKYPEER_DCHECK(!std::isnan(row[d]));
-      block[static_cast<size_t>(d) * kDomBlockWidth + lane] = row[d];
+      data_[Lane(size_, d)] = row[d];
     }
     ++size_;
   }
@@ -81,22 +79,37 @@ class BlockedProjection {
   /// query point. Used when the owning window evicts a candidate.
   void Kill(size_t i) {
     SKYPEER_DCHECK(i < size_);
-    double* block = BlockData(i / kDomBlockWidth);
-    const size_t lane = i % kDomBlockWidth;
     for (int d = 0; d < k_; ++d) {
-      block[static_cast<size_t>(d) * kDomBlockWidth + lane] =
-          std::numeric_limits<double>::infinity();
+      data_[Lane(i, d)] = std::numeric_limits<double>::infinity();
     }
   }
 
   /// Gathers the `k()` coordinates of point `i` into `out`.
   void Row(size_t i, double* out) const {
     SKYPEER_DCHECK(i < size_);
-    const double* block = BlockData(i / kDomBlockWidth);
-    const size_t lane = i % kDomBlockWidth;
     for (int d = 0; d < k_; ++d) {
-      out[d] = block[static_cast<size_t>(d) * kDomBlockWidth + lane];
+      out[d] = data_[Lane(i, d)];
     }
+  }
+
+  /// Removes every point whose bit is set in `drop_masks` (bit `i % 8` of
+  /// `drop_masks[i / 8]`, the `DominatedMask` layout), keeping the
+  /// survivors in order; freed lanes return to `+inf`.
+  void Erase(const uint8_t* drop_masks) {
+    size_t kept = 0;
+    for (size_t i = 0; i < size_; ++i) {
+      if (!((drop_masks[i / kDomBlockWidth] >> (i % kDomBlockWidth)) & 1)) {
+        for (int d = 0; kept != i && d < k_; ++d) {
+          data_[Lane(kept, d)] = data_[Lane(i, d)];
+        }
+        ++kept;
+      }
+    }
+    for (size_t i = kept; i < size_; ++i) {
+      Kill(i);
+    }
+    size_ = kept;
+    data_.resize(num_blocks() * kDomBlockWidth * static_cast<size_t>(k_));
   }
 
   void Clear() {
@@ -109,8 +122,11 @@ class BlockedProjection {
   }
 
  private:
-  double* BlockData(size_t b) {
-    return data_.data() + b * kDomBlockWidth * static_cast<size_t>(k_);
+  /// Index in `data_` of coordinate `d` of point `i`: lane `i % 8` of the
+  /// `d` run of block `i / 8`.
+  size_t Lane(size_t i, int d) const {
+    return (i / kDomBlockWidth * static_cast<size_t>(k_) +
+            static_cast<size_t>(d)) * kDomBlockWidth + i % kDomBlockWidth;
   }
 
   int k_;
@@ -139,12 +155,20 @@ const char* DomKernelModeName(DomKernelMode mode);
 /// process-wide.
 void SetForceScalarKernels(bool force);
 
-/// True if some stored point of `w` dominates `q` (`k()` coordinates) —
-/// strictly on every dimension when `strict` (ext-dominance), the usual
-/// `<= everywhere, < somewhere` otherwise. Killed and padding lanes are
-/// `+inf` and never dominate. Equivalent to OR-ing `Dominates(p_i, q)`
-/// over all stored points; evaluated blockwise with early exit.
-bool AnyDominates(const BlockedProjection& w, const double* q, bool strict);
+/// Index of the first stored point of `w` that dominates `q` (`k()`
+/// coordinates) — strictly on every dimension when `strict`
+/// (ext-dominance), the usual `<= everywhere, < somewhere` otherwise — or
+/// `w.size()` when none does. Killed and padding lanes are `+inf` and
+/// never dominate, so they are never returned. Equivalent to the first `i`
+/// with `Dominates(p_i, q)`; evaluated blockwise with early exit.
+size_t FirstDominator(const BlockedProjection& w, const double* q,
+                      bool strict);
+
+/// True if some stored point of `w` dominates `q` (see `FirstDominator`).
+inline bool AnyDominates(const BlockedProjection& w, const double* q,
+                         bool strict) {
+  return FirstDominator(w, q, strict) < w.size();
+}
 
 /// For every stored point `i`, sets bit `i % 8` of `out_masks[i / 8]` to
 /// whether `p` dominates point `i`. `out_masks` must hold `num_blocks()`

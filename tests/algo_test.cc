@@ -1,7 +1,8 @@
 // Tests for the centralized skyline substrate: cross-algorithm
 // equivalence (BNL = SFS = SortedSkyline) over a parameterized
-// sweep, SkylineAccumulator semantics, Algorithm 2 merging, and the
-// f-sorted list builder.
+// sweep, BNL's blocked window against the scalar BNL loop,
+// SkylineAccumulator semantics, Algorithm 2 merging, and the f-sorted
+// list builder.
 
 #include <gtest/gtest.h>
 
@@ -18,9 +19,13 @@
 #include "skypeer/algo/sfs.h"
 #include "skypeer/algo/sorted_skyline.h"
 #include "skypeer/common/dominance.h"
+#include "skypeer/common/dominance_batch.h"
 #include "skypeer/common/rng.h"
 #include "skypeer/common/thread_pool.h"
 #include "skypeer/data/generator.h"
+#include "skypeer/storage/buffer_manager.h"
+#include "skypeer/storage/paged_store.h"
+#include "skypeer/storage/store_view.h"
 
 namespace skypeer {
 namespace {
@@ -115,6 +120,145 @@ TEST(Bnl, SingleDimension) {
 TEST(Bnl, EmptyInput) {
   PointSet data(2);
   EXPECT_TRUE(BnlSkyline(data, Subspace::FullSpace(2)).empty());
+}
+
+// --- BNL on the blocked window vs the scalar BNL loop -------------------
+
+// The classic scalar BNL loop, kept as the oracle of the blocked-window
+// BNL: window order, "does entry w dominate p" then "does p dominate
+// entry w", one counted test each.
+struct ScalarBnlResult {
+  std::vector<PointId> ids;  // window order
+  uint64_t tests = 0;
+};
+
+ScalarBnlResult ScalarBnl(const PointSet& input, Subspace u, bool ext) {
+  ScalarBnlResult out;
+  std::vector<size_t> window;
+  for (size_t i = 0; i < input.size(); ++i) {
+    const double* p = input[i];
+    bool dominated = false;
+    size_t kept = 0;
+    for (size_t w = 0; w < window.size(); ++w) {
+      const double* q = input[window[w]];
+      ++out.tests;
+      if (ext ? ExtDominates(q, p, u) : Dominates(q, p, u)) {
+        dominated = true;
+        for (; w < window.size(); ++w) {
+          window[kept++] = window[w];
+        }
+        break;
+      }
+      ++out.tests;
+      if (ext ? ExtDominates(p, q, u) : Dominates(p, q, u)) {
+        continue;
+      }
+      window[kept++] = window[w];
+    }
+    window.resize(kept);
+    if (!dominated) {
+      window.push_back(i);
+    }
+  }
+  for (size_t i : window) {
+    out.ids.push_back(input.id(i));
+  }
+  return out;
+}
+
+/// Uniform points, or points on a coarse 4-value grid with every fifth
+/// point a copy of an earlier one, so ties and duplicates are common.
+PointSet BnlInput(int dims, size_t n, uint64_t seed, bool gridded) {
+  Rng rng(seed);
+  PointSet data(dims);
+  for (size_t i = 0; i < n; ++i) {
+    double row[kMaxDims];
+    if (gridded && i % 5 == 4) {
+      const auto earlier =
+          static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(i) - 1));
+      std::copy_n(data[earlier], dims, row);
+    } else {
+      for (int d = 0; d < dims; ++d) {
+        row[d] = gridded ? rng.UniformInt(0, 3) / 4.0 : rng.Uniform();
+      }
+    }
+    data.Append(row, i);
+  }
+  return data;
+}
+
+void ExpectMatchesScalarBnl(const PointSet& result, const OpCounts& ops,
+                            const ScalarBnlResult& oracle,
+                            const PointSet& input, const std::string& context) {
+  EXPECT_EQ(result.Ids(), oracle.ids) << context;
+  EXPECT_EQ(ops.dominance_tests, oracle.tests) << context;
+  EXPECT_EQ(ops.scan_steps, input.size()) << context;
+  // Rows travel with their ids.
+  for (size_t i = 0; i < result.size() && i < oracle.ids.size(); ++i) {
+    const size_t src = static_cast<size_t>(result.id(i));
+    EXPECT_TRUE(std::equal(result[i], result[i] + input.dims(), input[src]))
+        << context << " row " << i;
+  }
+}
+
+// Ids in window order, dominance tests, scan steps and page charges of
+// `BnlSkyline` and `BnlSkylineView` (resident and paged) equal the scalar
+// loop's, under both kernel families.
+TEST(Bnl, BlockedWindowMatchesScalarLoop) {
+  constexpr size_t kPageSize = 4096;
+  for (bool force_scalar : {false, true}) {
+    SetForceScalarKernels(force_scalar);
+    for (int dims : {2, 3, 5, 8}) {
+      for (bool gridded : {false, true}) {
+        for (size_t n : {0u, 1u, 9u, 300u}) {
+          const uint64_t seed = 97 * dims + 7 * n + gridded;
+          const PointSet data = BnlInput(dims, n, seed, gridded);
+          const ResultList sorted = BuildSortedByF(data);
+          BufferManager buffer(kPageSize, 3);
+          const PagedStore paged_store = PagedStore::Build(sorted, &buffer);
+          std::vector<Subspace> subspaces = {Subspace::FullSpace(dims),
+                                             Subspace::FromDims({0})};
+          if (dims >= 3) {
+            subspaces.push_back(Subspace::FromDims({0, 2}));
+          }
+          for (Subspace u : subspaces) {
+            for (bool ext : {false, true}) {
+              const std::string context =
+                  "scalar=" + std::to_string(force_scalar) +
+                  " d=" + std::to_string(dims) + " n=" + std::to_string(n) +
+                  " gridded=" + std::to_string(gridded) + " u=" +
+                  u.ToString() + " ext=" + std::to_string(ext);
+              OpCounts ops;
+              const PointSet bnl = BnlSkyline(data, u, ext, &ops);
+              ExpectMatchesScalarBnl(bnl, ops, ScalarBnl(data, u, ext), data,
+                                     context);
+              EXPECT_EQ(ops.page_reads, 0u) << context;
+
+              // Views stream the f-sorted store in its own order.
+              const ScalarBnlResult oracle = ScalarBnl(sorted.points, u, ext);
+              OpCounts expect_pages;
+              ChargeScanPages(PageLayout(kPageSize, dims), n, n,
+                              &expect_pages);
+              for (const StoreView& view :
+                   {StoreView(&sorted, kPageSize), StoreView(&paged_store)}) {
+                const std::string view_context =
+                    context + (view.paged() ? " paged" : " resident");
+                OpCounts view_ops;
+                const PointSet result = BnlSkylineView(view, u, ext, &view_ops);
+                ExpectMatchesScalarBnl(result, view_ops, oracle, data,
+                                       view_context);
+                EXPECT_EQ(view_ops.page_reads, expect_pages.page_reads)
+                    << view_context;
+                EXPECT_EQ(view_ops.page_bytes, expect_pages.page_bytes)
+                    << view_context;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  SetForceScalarKernels(false);
 }
 
 TEST(SortedSkyline, StatsReportScanAndThreshold) {

@@ -1,5 +1,6 @@
 // Equivalence suite for the batched dominance kernels: every batched
-// result must match the scalar dominance.h predicates lane by lane, for
+// result must match the scalar dominance.h predicates lane by lane (and
+// `FirstDominator` the first scalar dominator in window order), for
 // both the forced-scalar and the runtime-dispatched implementation, on
 // sizes that exercise partial final blocks and killed lanes.
 
@@ -142,6 +143,55 @@ TEST_P(KernelEquivalenceTest, KilledLanesNeverDominate) {
   }
 }
 
+// `FirstDominator` is the first window entry a scalar scan in window order
+// finds dominating q, or `size()`. Duplicated window points and queries
+// copied from the window make ties common; killed lanes sit at +inf and
+// must never be returned, even where the point they held dominated q.
+TEST_P(KernelEquivalenceTest, FirstDominatorIsTheFirstScalarDominator) {
+  ScopedKernelMode mode(force_scalar());
+  for (int k = 1; k <= 12; ++k) {
+    const Subspace full = Subspace::FullSpace(k);
+    for (size_t n : kSizeSweep) {
+      for (bool gridded : {false, true}) {
+        const uint64_t seed = 7000 * k + 10 * n + gridded;
+        PointSet window = RandomPoints(k, n, seed, gridded);
+        for (size_t i = 0; i + 1 < n; i += 4) {
+          std::copy_n(window[i], k, window.mutable_row(i + 1));
+        }
+        BlockedProjection blocked(k);
+        for (size_t i = 0; i < n; ++i) {
+          blocked.Append(window[i]);
+        }
+        std::vector<bool> alive(n, true);
+        for (size_t i = 2; i < n; i += 5) {
+          blocked.Kill(i);
+          alive[i] = false;
+        }
+        PointSet queries = RandomPoints(k, 24, seed ^ 0x5eed, gridded);
+        for (size_t i = 0; i < n; i += 3) {
+          queries.AppendFrom(window, i);
+        }
+        for (size_t qi = 0; qi < queries.size(); ++qi) {
+          const double* q = queries[qi];
+          for (bool strict : {false, true}) {
+            size_t expect = n;
+            for (size_t i = 0; i < n && expect == n; ++i) {
+              if (alive[i] && (strict ? ExtDominates(window[i], q, full)
+                                      : Dominates(window[i], q, full))) {
+                expect = i;
+              }
+            }
+            EXPECT_EQ(FirstDominator(blocked, q, strict), expect)
+                << "k=" << k << " n=" << n << " q=" << qi
+                << " strict=" << strict << " gridded=" << gridded;
+            EXPECT_EQ(AnyDominates(blocked, q, strict), expect < n);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_P(KernelEquivalenceTest, BatchMinCoordBitwiseEqual) {
   ScopedKernelMode mode(force_scalar());
   for (int dims : kDimSweep) {
@@ -189,6 +239,56 @@ TEST(BlockedProjectionTest, AppendRowRoundTripAndBookkeeping) {
   blocked.Clear();
   EXPECT_TRUE(blocked.empty());
   EXPECT_EQ(blocked.num_blocks(), 0u);
+}
+
+// Erase keeps the survivors in order, shrinks the block count, and leaves
+// a projection the kernels treat exactly like one built from the
+// survivors alone.
+TEST(BlockedProjectionTest, EraseCompactsInOrder) {
+  for (size_t n : {1u, 8u, 19u, 33u}) {
+    PointSet data = RandomPoints(3, n, 40 + n, /*gridded=*/false);
+    BlockedProjection blocked(3);
+    for (size_t i = 0; i < n; ++i) {
+      blocked.Append(data[i]);
+    }
+    std::vector<uint8_t> drop(blocked.num_blocks(), 0);
+    BlockedProjection expect(3);
+    for (size_t i = 0; i < n; ++i) {
+      if (i % 3 == 1 || i + 1 == n) {
+        drop[i / kDomBlockWidth] |=
+            static_cast<uint8_t>(1u << (i % kDomBlockWidth));
+      } else {
+        expect.Append(data[i]);
+      }
+    }
+    blocked.Erase(drop.data());
+    ASSERT_EQ(blocked.size(), expect.size()) << "n=" << n;
+    EXPECT_EQ(blocked.num_blocks(), expect.num_blocks());
+    double got[3];
+    double want[3];
+    for (size_t i = 0; i < expect.size(); ++i) {
+      blocked.Row(i, got);
+      expect.Row(i, want);
+      EXPECT_EQ(std::vector<double>(got, got + 3),
+                std::vector<double>(want, want + 3));
+    }
+    // Freed lanes of a partial last block are back at +inf.
+    if (blocked.size() % kDomBlockWidth != 0) {
+      const BlockedProjection& erased = blocked;
+      const double* tail = erased.BlockData(erased.num_blocks() - 1);
+      for (size_t lane = blocked.size() % kDomBlockWidth;
+           lane < kDomBlockWidth; ++lane) {
+        for (size_t d = 0; d < 3; ++d) {
+          EXPECT_TRUE(std::isinf(tail[d * kDomBlockWidth + lane]));
+        }
+      }
+    }
+    PointSet queries = RandomPoints(3, 16, 77 + n, /*gridded=*/false);
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      EXPECT_EQ(FirstDominator(blocked, queries[qi], false),
+                FirstDominator(expect, queries[qi], false));
+    }
+  }
 }
 
 TEST(KernelDispatchTest, ForceScalarPinsTheMode) {
