@@ -7,13 +7,20 @@
 //   Dispatch  blocked SoA kernels with runtime dispatch (AVX2/NEON)
 //
 // The acceptance bar for the SIMD work is Dispatch >= 2x Baseline on
-// `AnyDominates` for k <= 8 at window >= 256. Queries are taken near the
-// origin so no window point dominates them: every call scans the full
-// window, which is the worst case Algorithm 1 pays per accepted skyline
-// point and the case the blocked kernels target.
+// `AnyDominates` for k <= 8 at window >= 256. In the grid runs queries
+// are taken near the origin so no window point dominates them: every
+// call scans the full window, which is the worst case Algorithm 1 pays
+// per accepted skyline point and the case the blocked kernels target.
+// Every lane also fails on the first dimension there, so every branch is
+// predictable. The `Mixed` runs (k = 3, 4, 8) draw window and queries
+// from one anti-correlated distribution, so some queries are dominated
+// early, some late and some not at all, as offers to a scan window are;
+// their `dominated` counter is the share of queries with a dominator
+// (EXPERIMENTS.md §A19).
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -175,6 +182,93 @@ void BM_MinCoord_Dispatch(benchmark::State& state) {
   BM_MinCoord_Blocked<false>(state);
 }
 
+// Rows near the plane sum(x) = k/2: a uniform point of that simplex plus
+// a uniform jitter per coordinate. The jitter doubles with each dimension,
+// which keeps the share of queries a window of 256 such rows dominates
+// mixed (a quarter to a half) at k = 3, 4 and 8.
+std::vector<double> AnticorrelatedRows(int k, size_t n, uint64_t seed) {
+  Rng rng(seed);
+  const double jitter = 0.3 * std::ldexp(1.0, k - 3);
+  std::vector<double> rows(n * static_cast<size_t>(k));
+  for (size_t i = 0; i < n; ++i) {
+    double* row = rows.data() + i * static_cast<size_t>(k);
+    double sum = 0.0;
+    for (int d = 0; d < k; ++d) {
+      row[d] = -std::log(1.0 - rng.Uniform());
+      sum += row[d];
+    }
+    for (int d = 0; d < k; ++d) {
+      row[d] = 0.5 * k * row[d] / sum + jitter * rng.Uniform();
+    }
+  }
+  return rows;
+}
+
+constexpr size_t kMixedQueries = 512;
+
+template <bool kForceScalar>
+void BM_FirstDominator_Mixed(benchmark::State& state) {
+  ScopedKernelMode mode(kForceScalar);
+  const int k = static_cast<int>(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(1));
+  const BlockedProjection proj = ToBlocked(AnticorrelatedRows(k, n, 31), k);
+  const std::vector<double> queries = AnticorrelatedRows(k, kMixedQueries, 37);
+  size_t dominated = 0;
+  for (size_t i = 0; i < kMixedQueries; ++i) {
+    dominated += AnyDominates(proj, queries.data() + i * k, false) ? 1 : 0;
+  }
+  size_t qi = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        FirstDominator(proj, queries.data() + qi * k, false));
+    qi = qi + 1 == kMixedQueries ? 0 : qi + 1;
+  }
+  state.counters["dominated"] =
+      static_cast<double>(dominated) / static_cast<double>(kMixedQueries);
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_FirstDominator_Mixed_Scalar(benchmark::State& state) {
+  BM_FirstDominator_Mixed<true>(state);
+}
+
+void BM_FirstDominator_Mixed_Dispatch(benchmark::State& state) {
+  BM_FirstDominator_Mixed<false>(state);
+}
+
+template <bool kForceScalar>
+void BM_DominatedMask_Mixed(benchmark::State& state) {
+  ScopedKernelMode mode(kForceScalar);
+  const int k = static_cast<int>(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(1));
+  const BlockedProjection proj = ToBlocked(AnticorrelatedRows(k, n, 41), k);
+  const std::vector<double> queries = AnticorrelatedRows(k, kMixedQueries, 43);
+  std::vector<uint8_t> masks(proj.num_blocks());
+  size_t qi = 0;
+  for (auto _ : state) {
+    DominatedMask(proj, queries.data() + qi * k, false, masks.data());
+    benchmark::DoNotOptimize(masks.data());
+    qi = qi + 1 == kMixedQueries ? 0 : qi + 1;
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+
+void BM_DominatedMask_Mixed_Scalar(benchmark::State& state) {
+  BM_DominatedMask_Mixed<true>(state);
+}
+
+void BM_DominatedMask_Mixed_Dispatch(benchmark::State& state) {
+  BM_DominatedMask_Mixed<false>(state);
+}
+
+void MixedGrid(benchmark::internal::Benchmark* b) {
+  for (int k : {3, 4, 8}) {
+    for (int window : {64, 256, 1024}) {
+      b->Args({k, window});
+    }
+  }
+}
+
 void KernelGrid(benchmark::internal::Benchmark* b) {
   for (int k : {1, 2, 3, 5, 8}) {
     for (int window : {64, 256, 1024, 4096}) {
@@ -192,6 +286,10 @@ BENCHMARK(BM_DominatedMask_Dispatch)->Apply(KernelGrid);
 BENCHMARK(BM_MinCoord_Baseline)->Apply(KernelGrid);
 BENCHMARK(BM_MinCoord_Scalar)->Apply(KernelGrid);
 BENCHMARK(BM_MinCoord_Dispatch)->Apply(KernelGrid);
+BENCHMARK(BM_FirstDominator_Mixed_Scalar)->Apply(MixedGrid);
+BENCHMARK(BM_FirstDominator_Mixed_Dispatch)->Apply(MixedGrid);
+BENCHMARK(BM_DominatedMask_Mixed_Scalar)->Apply(MixedGrid);
+BENCHMARK(BM_DominatedMask_Mixed_Dispatch)->Apply(MixedGrid);
 
 }  // namespace
 }  // namespace skypeer

@@ -1,6 +1,7 @@
 #include "skypeer/algo/sorted_skyline.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <numeric>
 #include <vector>
 
@@ -16,6 +17,18 @@ namespace {
 /// fewer than `kCompactLiveFraction` of them are alive.
 constexpr size_t kCompactMinWindow = 64;
 constexpr double kCompactLiveFraction = 0.5;
+
+/// Front key of a u-projected point: the sum of its `k` coordinates, each
+/// clamped to +-DBL_MAX so that a point holding both -inf and +inf sums
+/// to an ordered value rather than NaN (partial sums may overflow to
+/// +-inf, but no operand is ever infinite).
+double FrontKey(const double* proj, int k) {
+  double key = 0.0;
+  for (int d = 0; d < k; ++d) {
+    key += std::clamp(proj[d], -DBL_MAX, DBL_MAX);
+  }
+  return key;
+}
 
 /// Consume loop of the threshold scan: scans `input` in ascending order,
 /// offering each point whose `f` is within the accumulator's running
@@ -179,7 +192,8 @@ SkylineAccumulator::SkylineAccumulator(int dims, Subspace u,
       strict_(options.ext),
       threshold_(options.initial_threshold),
       window_points_(dims),
-      window_proj_(u.Count()) {
+      window_proj_(u.Count()),
+      front_proj_(u.Count()) {
   SKYPEER_CHECK(!u.empty());
 }
 
@@ -224,13 +238,17 @@ bool SkylineAccumulator::Offer(const double* p, PointId id, double f) {
 
   // Killed lanes are +inf and never dominate, so the batched test needs no
   // liveness filtering. Count the logical window size, not the kernel's
-  // internal lane count, so scalar and SIMD dispatch report identical work.
+  // internal lane count, so scalar and SIMD dispatch report identical work
+  // whether the front or the window found the dominator.
   ops_.dominance_tests += window_points_.size();
-  if (AnyDominates(window_proj_, proj, strict_)) {
+  if (AnyDominates(front_proj_, proj, strict_) ||
+      (front_proj_.size() < alive_ &&
+       AnyDominates(window_proj_, proj, strict_))) {
     return false;
   }
   EvictDominatedLinear(proj);
   MaybeCompact();
+  EvictFront(proj);
 
   window_points_.Append(p, id);
   window_f_.push_back(f);
@@ -238,11 +256,87 @@ bool SkylineAccumulator::Offer(const double* p, PointId id, double f) {
   emit_flags_.push_back(1);
   window_proj_.Append(proj);
   ++alive_;
+  AdmitToFront(proj);
 
   // A dominator has dist_U no larger than any point it dominates, so the
   // minimum only ever decreases; track it incrementally.
   threshold_ = std::min(threshold_, DistU(p, u_));
   return true;
+}
+
+void SkylineAccumulator::EvictFront(const double* proj) {
+  if (front_proj_.empty()) {
+    return;
+  }
+  uint8_t mask = 0;
+  DominatedMask(front_proj_, proj, strict_, &mask);
+  if (mask == 0) {
+    return;
+  }
+  size_t kept = 0;
+  for (size_t i = 0; i < front_proj_.size(); ++i) {
+    if (!((mask >> i) & 1)) {
+      front_key_[kept++] = front_key_[i];
+    }
+  }
+  front_proj_.Erase(&mask);
+  if (front_proj_.size() < alive_) {
+    RefillFront();
+  }
+}
+
+void SkylineAccumulator::RefillFront() {
+  // Insertion into `best`/`front_key_`, kept ascending by key: the live
+  // entries with the smallest keys, ties keeping the earlier entry.
+  size_t best[kDomBlockWidth];
+  size_t count = 0;
+  double row[kMaxDims];
+  for (size_t i = 0; i < alive_flags_.size(); ++i) {
+    if (!alive_flags_[i]) {
+      continue;
+    }
+    window_proj_.Row(i, row);
+    const double key = FrontKey(row, u_.Count());
+    if (count == kDomBlockWidth && !(key < front_key_[count - 1])) {
+      continue;
+    }
+    size_t pos = count < kDomBlockWidth ? count++ : count - 1;
+    for (; pos > 0 && key < front_key_[pos - 1]; --pos) {
+      best[pos] = best[pos - 1];
+      front_key_[pos] = front_key_[pos - 1];
+    }
+    best[pos] = i;
+    front_key_[pos] = key;
+  }
+  front_proj_.Clear();
+  for (size_t j = 0; j < count; ++j) {
+    window_proj_.Row(best[j], row);
+    front_proj_.Append(row);
+  }
+}
+
+void SkylineAccumulator::AdmitToFront(const double* proj) {
+  const double key = FrontKey(proj, u_.Count());
+  const size_t n = front_proj_.size();
+  if (n < kDomBlockWidth) {
+    front_proj_.Append(proj);
+    front_key_[n] = key;
+    return;
+  }
+  size_t worst = 0;
+  for (size_t i = 1; i < n; ++i) {
+    if (front_key_[i] > front_key_[worst]) {
+      worst = i;
+    }
+  }
+  if (!(key < front_key_[worst])) {
+    return;
+  }
+  const uint8_t drop = static_cast<uint8_t>(1u << worst);
+  front_proj_.Erase(&drop);
+  std::copy(front_key_ + worst + 1, front_key_ + n, front_key_ + worst);
+  front_proj_.Append(proj);
+  front_key_[n - 1] = key;
 }
 
 bool SkylineAccumulator::WindowRejectsSummary(const double* min_row) const {
@@ -271,23 +365,21 @@ void SkylineAccumulator::MaybeCompact() {
   f.reserve(alive_);
   std::vector<char> emit;
   emit.reserve(alive_);
-  BlockedProjection proj(u_.Count());
-  proj.Reserve(alive_);
-  double row[kMaxDims];
+  scratch_masks_.assign(window_proj_.num_blocks(), 0);
   for (size_t i = 0; i < window_points_.size(); ++i) {
     if (!alive_flags_[i]) {
+      scratch_masks_[i / kDomBlockWidth] |=
+          static_cast<uint8_t>(1u << (i % kDomBlockWidth));
       continue;
     }
     points.AppendFrom(window_points_, i);
     f.push_back(window_f_[i]);
     emit.push_back(emit_flags_[i]);
-    window_proj_.Row(i, row);
-    proj.Append(row);
   }
+  window_proj_.Erase(scratch_masks_.data());
   window_points_ = std::move(points);
   window_f_ = std::move(f);
   emit_flags_ = std::move(emit);
-  window_proj_ = std::move(proj);
   alive_flags_.assign(alive_, 1);
 }
 
@@ -306,6 +398,7 @@ ResultList SkylineAccumulator::TakeResult() {
   alive_flags_.clear();
   emit_flags_.clear();
   window_proj_.Clear();
+  front_proj_.Clear();
   alive_ = 0;
   return result;
 }
@@ -330,6 +423,7 @@ void SkylineAccumulator::SeedWindow(const ResultList& seed) {
   alive_flags_.assign(n, 1);
   emit_flags_.assign(n, 0);
   alive_ = n;
+  RefillFront();
 }
 
 ResultList SortedSkyline(const StoreView& input, Subspace u,

@@ -81,6 +81,13 @@ struct ThresholdScanStats {
 /// pruning threshold `min dist_U` (Observation 5). Once
 /// `f(p) > threshold()` no future point can survive and the caller may
 /// stop scanning.
+///
+/// Besides the window, a one-block *front* holds copies of the (up to 8)
+/// live window entries with the smallest coordinate sum on `u`, the
+/// points most likely to dominate a newcomer (the SFS/SaLSa presorting
+/// argument). Each offer tests the front before the window. Every front
+/// entry is a live window entry, so the front rejects only what the
+/// window would; it changes no decision and no charged count.
 class SkylineAccumulator {
  public:
   /// `u` is the query subspace over points of dimensionality `dims`.
@@ -139,6 +146,20 @@ class SkylineAccumulator {
  private:
   void EvictDominatedLinear(const double* proj);
 
+  /// Drops the front entries `proj` dominates (the copies of the window
+  /// entries `EvictDominatedLinear` just evicted, by the same
+  /// comparisons) and refills the front if it lost one while more live
+  /// entries exist.
+  void EvictFront(const double* proj);
+
+  /// Rebuilds the front from the live window entries with the smallest
+  /// keys. O(window) per call.
+  void RefillFront();
+
+  /// Adds the new live entry `proj` to the front if there is room or its
+  /// key beats the largest key there, which it then replaces.
+  void AdmitToFront(const double* proj);
+
   /// Drops evicted window slots once fewer than half of the entries are
   /// alive (and the window holds at least 64), so the batched dominance
   /// tests and `window_proj_` stay proportional to the running skyline
@@ -164,6 +185,13 @@ class SkylineAccumulator {
   // liveness mask.
   BlockedProjection window_proj_;
   size_t alive_ = 0;
+
+  // Front block: u-projected copies of live window entries, at most
+  // `kDomBlockWidth`, with their keys in `front_key_`. When it holds
+  // every live entry (`front_proj_.size() == alive_`) a front miss
+  // settles the offer without the window test.
+  BlockedProjection front_proj_;
+  double front_key_[kDomBlockWidth] = {};
 
   std::vector<uint8_t> scratch_masks_;  // per-block eviction bit masks
   OpCounts ops_;

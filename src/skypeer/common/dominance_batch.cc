@@ -194,55 +194,111 @@ constexpr KernelTable kScalarTable = {
 
 #ifdef SKYPEER_HAVE_AVX2_PATH
 
-/// Bit l set when lane l of the block dominates `q` — with `kReverse`,
-/// when `q` dominates lane l. Each block runs as its lower/upper half,
-/// lanes [0,4) and [4,8). Templated on strictness because `_mm256_cmp_pd`
-/// predicates must be immediates.
+/// Lane masks of one block while its dimensions are folded in, as the
+/// lower/upper halves, lanes [0,4) and [4,8): `dom` holds "a <= b"
+/// (strict: "a < b") on every dimension so far, `lt` holds "a < b" on
+/// some dimension.
+struct Avx2BlockState {
+  __m256d dom_lo;
+  __m256d dom_hi;
+  __m256d lt_lo;
+  __m256d lt_hi;
+};
+
+/// Folds one dimension run of a block (8 lanes at `row`) against the
+/// broadcast query coordinate `qd`. Lane l dominates when a[l] <= b[l]
+/// (strict: a[l] < b[l]) everywhere; `kReverse` swaps the operands, so the
+/// lane passes when `q` dominates it. Templated on strictness because
+/// `_mm256_cmp_pd` predicates must be immediates.
 template <bool kStrict, bool kReverse>
-__attribute__((target("avx2"))) inline int BlockMaskAvx2(const double* block,
-                                                         int k,
-                                                         const double* q) {
-  __m256d dom_lo = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  __m256d dom_hi = dom_lo;
-  __m256d lt_lo = _mm256_setzero_pd();
-  __m256d lt_hi = _mm256_setzero_pd();
-  for (int d = 0; d < k; ++d) {
-    const double* row = block + static_cast<size_t>(d) * kW;
-    const __m256d qd = _mm256_set1_pd(q[d]);
-    const __m256d e_lo = _mm256_loadu_pd(row);
-    const __m256d e_hi = _mm256_loadu_pd(row + 4);
-    // Lane l dominates when a[l] <= b[l] (strict: a[l] < b[l]) everywhere.
-    const __m256d a_lo = kReverse ? qd : e_lo;
-    const __m256d b_lo = kReverse ? e_lo : qd;
-    const __m256d a_hi = kReverse ? qd : e_hi;
-    const __m256d b_hi = kReverse ? e_hi : qd;
-    if constexpr (kStrict) {
-      dom_lo = _mm256_and_pd(dom_lo, _mm256_cmp_pd(a_lo, b_lo, _CMP_LT_OQ));
-      dom_hi = _mm256_and_pd(dom_hi, _mm256_cmp_pd(a_hi, b_hi, _CMP_LT_OQ));
-    } else {
-      dom_lo = _mm256_and_pd(dom_lo, _mm256_cmp_pd(a_lo, b_lo, _CMP_LE_OQ));
-      dom_hi = _mm256_and_pd(dom_hi, _mm256_cmp_pd(a_hi, b_hi, _CMP_LE_OQ));
-      lt_lo = _mm256_or_pd(lt_lo, _mm256_cmp_pd(a_lo, b_lo, _CMP_LT_OQ));
-      lt_hi = _mm256_or_pd(lt_hi, _mm256_cmp_pd(a_hi, b_hi, _CMP_LT_OQ));
-    }
-    if (_mm256_movemask_pd(dom_lo) == 0 && _mm256_movemask_pd(dom_hi) == 0) {
-      return 0;
-    }
+__attribute__((target("avx2"))) inline void Avx2BlockStep(const double* row,
+                                                          __m256d qd,
+                                                          Avx2BlockState* s) {
+  const __m256d e_lo = _mm256_loadu_pd(row);
+  const __m256d e_hi = _mm256_loadu_pd(row + 4);
+  const __m256d a_lo = kReverse ? qd : e_lo;
+  const __m256d b_lo = kReverse ? e_lo : qd;
+  const __m256d a_hi = kReverse ? qd : e_hi;
+  const __m256d b_hi = kReverse ? e_hi : qd;
+  if constexpr (kStrict) {
+    s->dom_lo = _mm256_and_pd(s->dom_lo, _mm256_cmp_pd(a_lo, b_lo, _CMP_LT_OQ));
+    s->dom_hi = _mm256_and_pd(s->dom_hi, _mm256_cmp_pd(a_hi, b_hi, _CMP_LT_OQ));
+  } else {
+    s->dom_lo = _mm256_and_pd(s->dom_lo, _mm256_cmp_pd(a_lo, b_lo, _CMP_LE_OQ));
+    s->dom_hi = _mm256_and_pd(s->dom_hi, _mm256_cmp_pd(a_hi, b_hi, _CMP_LE_OQ));
+    s->lt_lo = _mm256_or_pd(s->lt_lo, _mm256_cmp_pd(a_lo, b_lo, _CMP_LT_OQ));
+    s->lt_hi = _mm256_or_pd(s->lt_hi, _mm256_cmp_pd(a_hi, b_hi, _CMP_LT_OQ));
   }
-  if constexpr (!kStrict) {
-    dom_lo = _mm256_and_pd(dom_lo, lt_lo);
-    dom_hi = _mm256_and_pd(dom_hi, lt_hi);
-  }
-  return _mm256_movemask_pd(dom_lo) | (_mm256_movemask_pd(dom_hi) << 4);
 }
 
-__attribute__((target("avx2"))) size_t Avx2FirstDominator(
-    const double* blocks, size_t n, int k, const double* q, bool strict) {
+/// Widths that get their own instance of the block test.
+constexpr int kAvx2FixedWidths = 4;
+
+/// The block test of one kernel call: bit l of `Mask(block)` is set when
+/// lane l dominates `q` (with `kReverse`, when `q` dominates lane l). The
+/// query broadcasts are made once per call.
+///
+/// `K` in 1..4 fixes the width at compile time, so the dimension loop
+/// unrolls with the broadcasts in registers, and every comparison of a
+/// block runs: at the query widths (k = 3, 4) an "all lanes dead" exit is
+/// a data-dependent branch that mispredicts and costs more than the few
+/// comparisons it saves. `K = 0` is the runtime width k > 4. It exits
+/// after dimension 1, where a query that no lane dominates usually loses
+/// every lane, and then once every 4 dimensions, on one OR'd movemask.
+/// An exit only ever returns the 0 that the remaining ANDs would leave,
+/// so every mask is the same with or without it.
+template <bool kStrict, bool kReverse, int K>
+class Avx2BlockTest {
+ public:
+  __attribute__((target("avx2"))) Avx2BlockTest(const double* q, int k)
+      : k_(K > 0 ? K : k) {
+    for (int d = 0; d < (K > 0 ? K : k); ++d) {
+      qd_[d] = _mm256_set1_pd(q[d]);
+    }
+  }
+
+  __attribute__((target("avx2"))) int Mask(const double* block) const {
+    const int k = K > 0 ? K : k_;
+    const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+    Avx2BlockState s{all, all, _mm256_setzero_pd(), _mm256_setzero_pd()};
+    Avx2BlockStep<kStrict, kReverse>(block, qd_[0], &s);
+    int d = 1;
+    if constexpr (K == 0) {
+      while (true) {
+        if (_mm256_movemask_pd(_mm256_or_pd(s.dom_lo, s.dom_hi)) == 0) {
+          return 0;
+        }
+        if (d + 4 >= k) {
+          break;
+        }
+        for (const int end = d + 4; d < end; ++d) {
+          Avx2BlockStep<kStrict, kReverse>(block + d * kW, qd_[d], &s);
+        }
+      }
+    }
+    for (; d < k; ++d) {
+      Avx2BlockStep<kStrict, kReverse>(block + d * kW, qd_[d], &s);
+    }
+    if constexpr (!kStrict) {
+      s.dom_lo = _mm256_and_pd(s.dom_lo, s.lt_lo);
+      s.dom_hi = _mm256_and_pd(s.dom_hi, s.lt_hi);
+    }
+    return _mm256_movemask_pd(s.dom_lo) | (_mm256_movemask_pd(s.dom_hi) << 4);
+  }
+
+ private:
+  int k_;
+  __m256d qd_[K > 0 ? K : kMaxDims];
+};
+
+template <bool kStrict, int K>
+__attribute__((target("avx2"))) size_t Avx2FirstDominatorK(
+    const double* blocks, size_t n, int k, const double* q) {
+  const Avx2BlockTest<kStrict, false, K> test(q, k);
   const size_t num_blocks = (n + kW - 1) / kW;
+  const size_t stride = kW * static_cast<size_t>(k);
   for (size_t b = 0; b < num_blocks; ++b) {
-    const double* block = blocks + b * kW * static_cast<size_t>(k);
-    const int mask = strict ? BlockMaskAvx2<true, false>(block, k, q)
-                            : BlockMaskAvx2<false, false>(block, k, q);
+    const int mask = test.Mask(blocks + b * stride);
     if (mask != 0) {
       return b * kW + static_cast<size_t>(__builtin_ctz(mask));
     }
@@ -250,20 +306,53 @@ __attribute__((target("avx2"))) size_t Avx2FirstDominator(
   return n;
 }
 
-__attribute__((target("avx2"))) void Avx2DominatedMask(const double* blocks,
-                                                       size_t n, int k,
-                                                       const double* p,
-                                                       bool strict,
-                                                       uint8_t* out_masks) {
+template <bool kStrict, int K>
+__attribute__((target("avx2"))) void Avx2DominatedMaskK(const double* blocks,
+                                                        size_t n, int k,
+                                                        const double* p,
+                                                        uint8_t* out_masks) {
+  const Avx2BlockTest<kStrict, true, K> test(p, k);
   const size_t num_blocks = (n + kW - 1) / kW;
+  const size_t stride = kW * static_cast<size_t>(k);
   for (size_t b = 0; b < num_blocks; ++b) {
-    const double* block = blocks + b * kW * static_cast<size_t>(k);
-    int mask = strict ? BlockMaskAvx2<true, true>(block, k, p)
-                      : BlockMaskAvx2<false, true>(block, k, p);
-    if (b == num_blocks - 1 && n % kW != 0) {
-      mask &= (1 << (n % kW)) - 1;
-    }
-    out_masks[b] = static_cast<uint8_t>(mask);
+    out_masks[b] = static_cast<uint8_t>(test.Mask(blocks + b * stride));
+  }
+  if (n % kW != 0) {
+    out_masks[num_blocks - 1] &= static_cast<uint8_t>((1u << (n % kW)) - 1);
+  }
+}
+
+/// Instances by width slot: slot k in 1..4 is the fixed width k, slot 0
+/// the runtime width.
+template <bool kStrict>
+constexpr size_t (*kAvx2FirstDominators[])(const double*, size_t, int,
+                                           const double*) = {
+    Avx2FirstDominatorK<kStrict, 0>, Avx2FirstDominatorK<kStrict, 1>,
+    Avx2FirstDominatorK<kStrict, 2>, Avx2FirstDominatorK<kStrict, 3>,
+    Avx2FirstDominatorK<kStrict, 4>};
+template <bool kStrict>
+constexpr void (*kAvx2DominatedMasks[])(const double*, size_t, int,
+                                        const double*, uint8_t*) = {
+    Avx2DominatedMaskK<kStrict, 0>, Avx2DominatedMaskK<kStrict, 1>,
+    Avx2DominatedMaskK<kStrict, 2>, Avx2DominatedMaskK<kStrict, 3>,
+    Avx2DominatedMaskK<kStrict, 4>};
+
+inline int Avx2WidthSlot(int k) { return k <= kAvx2FixedWidths ? k : 0; }
+
+size_t Avx2FirstDominator(const double* blocks, size_t n, int k,
+                          const double* q, bool strict) {
+  const int slot = Avx2WidthSlot(k);
+  return strict ? kAvx2FirstDominators<true>[slot](blocks, n, k, q)
+                : kAvx2FirstDominators<false>[slot](blocks, n, k, q);
+}
+
+void Avx2DominatedMask(const double* blocks, size_t n, int k, const double* p,
+                       bool strict, uint8_t* out_masks) {
+  const int slot = Avx2WidthSlot(k);
+  if (strict) {
+    kAvx2DominatedMasks<true>[slot](blocks, n, k, p, out_masks);
+  } else {
+    kAvx2DominatedMasks<false>[slot](blocks, n, k, p, out_masks);
   }
 }
 

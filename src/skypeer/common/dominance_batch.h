@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "skypeer/common/macros.h"
+#include "skypeer/common/subspace.h"
 
 namespace skypeer {
 
@@ -46,7 +47,9 @@ inline constexpr size_t kDomBlockWidth = 8;
 /// are cleared by the kernel itself).
 class BlockedProjection {
  public:
-  explicit BlockedProjection(int k) : k_(k) { SKYPEER_CHECK(k >= 1); }
+  explicit BlockedProjection(int k) : k_(k) {
+    SKYPEER_CHECK(k >= 1 && k <= kMaxDims);
+  }
 
   int k() const { return k_; }
   size_t size() const { return size_; }

@@ -2,12 +2,15 @@
 // result must match the scalar dominance.h predicates lane by lane (and
 // `FirstDominator` the first scalar dominator in window order), for
 // both the forced-scalar and the runtime-dispatched implementation, on
-// sizes that exercise partial final blocks and killed lanes.
+// every width up to kMaxDims and on sizes that exercise partial final
+// blocks and killed lanes. The accumulator suite checks the front block
+// against the window-only offer loop.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "skypeer/algo/sorted_skyline.h"
@@ -28,15 +31,41 @@ struct ScopedKernelMode {
   ~ScopedKernelMode() { SetForceScalarKernels(false); }
 };
 
-/// Gridded coordinates make equal values (and thus tie-sensitive lanes)
-/// common; continuous coordinates exercise the generic ordering.
-PointSet RandomPoints(int k, size_t n, uint64_t seed, bool gridded) {
+/// How `RandomPoints` draws coordinates. Gridded coordinates make equal
+/// values (and thus tie-sensitive lanes) common; continuous coordinates
+/// exercise the generic ordering; infinite ones are gridded with about a
+/// sixth of the coordinates at -inf or +inf, so rows may hold both.
+enum class Coords { kContinuous, kGridded, kInfinite };
+
+constexpr Coords kAllCoords[] = {Coords::kContinuous, Coords::kGridded,
+                                 Coords::kInfinite};
+
+const char* CoordsName(Coords coords) {
+  switch (coords) {
+    case Coords::kContinuous:
+      return "continuous";
+    case Coords::kGridded:
+      return "gridded";
+    case Coords::kInfinite:
+      return "infinite";
+  }
+  return "?";
+}
+
+PointSet RandomPoints(int k, size_t n, uint64_t seed, Coords coords) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   Rng rng(seed);
   PointSet data(k);
   for (size_t i = 0; i < n; ++i) {
     double row[kMaxDims];
     for (int d = 0; d < k; ++d) {
-      row[d] = gridded ? rng.UniformInt(0, 3) / 4.0 : rng.Uniform();
+      if (coords == Coords::kContinuous) {
+        row[d] = rng.Uniform();
+        continue;
+      }
+      const int cell = static_cast<int>(
+          rng.UniformInt(0, coords == Coords::kInfinite ? 11 : 3));
+      row[d] = cell == 10 ? -kInf : cell == 11 ? kInf : (cell % 4) / 4.0;
     }
     data.Append(row, i);
   }
@@ -51,21 +80,24 @@ class KernelEquivalenceTest : public ::testing::TestWithParam<bool> {
   bool force_scalar() const { return GetParam(); }
 };
 
+// Every width 1..kMaxDims: the AVX2 kernels test for dead blocks after
+// dimension 1 and then every 4 dimensions, so the 1/2, 5/6, 9/10 and
+// 13/14 boundaries all need covering.
 TEST_P(KernelEquivalenceTest, BlockedMatchesScalarLaneByLane) {
   ScopedKernelMode mode(force_scalar());
-  for (int k : kDimSweep) {
+  for (int k = 1; k <= kMaxDims; ++k) {
     const Subspace full = Subspace::FullSpace(k);
     for (size_t n : kSizeSweep) {
-      for (bool gridded : {false, true}) {
-        const uint64_t seed = 1000 * k + 10 * n + gridded;
-        PointSet window = RandomPoints(k, n, seed, gridded);
+      for (Coords coords : kAllCoords) {
+        const uint64_t seed = 1000 * k + 10 * n + static_cast<int>(coords);
+        PointSet window = RandomPoints(k, n, seed, coords);
         BlockedProjection blocked(k);
         for (size_t i = 0; i < n; ++i) {
           blocked.Append(window[i]);
         }
         ASSERT_EQ(blocked.size(), n);
 
-        PointSet queries = RandomPoints(k, 32, seed ^ 0xabcd, gridded);
+        PointSet queries = RandomPoints(k, 32, seed ^ 0xabcd, coords);
         std::vector<uint8_t> masks(blocked.num_blocks());
         std::vector<uint8_t> flags(n);
         for (size_t qi = 0; qi < queries.size(); ++qi) {
@@ -79,7 +111,8 @@ TEST_P(KernelEquivalenceTest, BlockedMatchesScalarLaneByLane) {
                                         : Dominates(window[i], q, full));
             }
             EXPECT_EQ(AnyDominates(blocked, q, strict), expect_any)
-                << "k=" << k << " n=" << n << " strict=" << strict;
+                << "k=" << k << " n=" << n << " strict=" << strict
+                << " coords=" << CoordsName(coords);
             EXPECT_EQ(AnyDominatesRows(window.values().data(),
                                        static_cast<size_t>(k), n, k, q,
                                        strict),
@@ -95,7 +128,7 @@ TEST_P(KernelEquivalenceTest, BlockedMatchesScalarLaneByLane) {
               EXPECT_EQ((masks[i / kDomBlockWidth] >> (i % kDomBlockWidth)) & 1,
                         expect ? 1 : 0)
                   << "k=" << k << " n=" << n << " i=" << i
-                  << " strict=" << strict;
+                  << " strict=" << strict << " coords=" << CoordsName(coords);
               EXPECT_EQ(flags[i] != 0, expect);
             }
             // Padding bits past size() must be clear.
@@ -114,7 +147,7 @@ TEST_P(KernelEquivalenceTest, KilledLanesNeverDominate) {
   for (int k : {2, 5}) {
     const Subspace full = Subspace::FullSpace(k);
     const size_t n = 21;
-    PointSet window = RandomPoints(k, n, 7 * k, /*gridded=*/true);
+    PointSet window = RandomPoints(k, n, 7 * k, Coords::kGridded);
     BlockedProjection blocked(k);
     for (size_t i = 0; i < n; ++i) {
       blocked.Append(window[i]);
@@ -125,7 +158,7 @@ TEST_P(KernelEquivalenceTest, KilledLanesNeverDominate) {
       blocked.Kill(i);
       alive[i] = false;
     }
-    PointSet queries = RandomPoints(k, 16, 99 * k, /*gridded=*/true);
+    PointSet queries = RandomPoints(k, 16, 99 * k, Coords::kGridded);
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       const double* q = queries[qi];
       for (bool strict : {false, true}) {
@@ -147,14 +180,15 @@ TEST_P(KernelEquivalenceTest, KilledLanesNeverDominate) {
 // finds dominating q, or `size()`. Duplicated window points and queries
 // copied from the window make ties common; killed lanes sit at +inf and
 // must never be returned, even where the point they held dominated q.
+// Every width 1..kMaxDims, as for the lane-by-lane test.
 TEST_P(KernelEquivalenceTest, FirstDominatorIsTheFirstScalarDominator) {
   ScopedKernelMode mode(force_scalar());
-  for (int k = 1; k <= 12; ++k) {
+  for (int k = 1; k <= kMaxDims; ++k) {
     const Subspace full = Subspace::FullSpace(k);
     for (size_t n : kSizeSweep) {
-      for (bool gridded : {false, true}) {
-        const uint64_t seed = 7000 * k + 10 * n + gridded;
-        PointSet window = RandomPoints(k, n, seed, gridded);
+      for (Coords coords : kAllCoords) {
+        const uint64_t seed = 7000 * k + 10 * n + static_cast<int>(coords);
+        PointSet window = RandomPoints(k, n, seed, coords);
         for (size_t i = 0; i + 1 < n; i += 4) {
           std::copy_n(window[i], k, window.mutable_row(i + 1));
         }
@@ -167,7 +201,7 @@ TEST_P(KernelEquivalenceTest, FirstDominatorIsTheFirstScalarDominator) {
           blocked.Kill(i);
           alive[i] = false;
         }
-        PointSet queries = RandomPoints(k, 24, seed ^ 0x5eed, gridded);
+        PointSet queries = RandomPoints(k, 24, seed ^ 0x5eed, coords);
         for (size_t i = 0; i < n; i += 3) {
           queries.AppendFrom(window, i);
         }
@@ -183,7 +217,7 @@ TEST_P(KernelEquivalenceTest, FirstDominatorIsTheFirstScalarDominator) {
             }
             EXPECT_EQ(FirstDominator(blocked, q, strict), expect)
                 << "k=" << k << " n=" << n << " q=" << qi
-                << " strict=" << strict << " gridded=" << gridded;
+                << " strict=" << strict << " coords=" << CoordsName(coords);
             EXPECT_EQ(AnyDominates(blocked, q, strict), expect < n);
           }
         }
@@ -196,7 +230,7 @@ TEST_P(KernelEquivalenceTest, BatchMinCoordBitwiseEqual) {
   ScopedKernelMode mode(force_scalar());
   for (int dims : kDimSweep) {
     for (size_t n : kSizeSweep) {
-      PointSet data = RandomPoints(dims, n, 31 * dims + n, /*gridded=*/false);
+      PointSet data = RandomPoints(dims, n, 31 * dims + n, Coords::kContinuous);
       std::vector<double> batched(n);
       BatchMinCoord(data.values().data(), n, dims, batched.data());
       for (size_t i = 0; i < n; ++i) {
@@ -218,7 +252,7 @@ TEST(BlockedProjectionTest, AppendRowRoundTripAndBookkeeping) {
   BlockedProjection blocked(3);
   EXPECT_TRUE(blocked.empty());
   EXPECT_EQ(blocked.num_blocks(), 0u);
-  PointSet data = RandomPoints(3, 19, 5, /*gridded=*/false);
+  PointSet data = RandomPoints(3, 19, 5, Coords::kContinuous);
   for (size_t i = 0; i < data.size(); ++i) {
     blocked.Append(data[i]);
   }
@@ -246,7 +280,7 @@ TEST(BlockedProjectionTest, AppendRowRoundTripAndBookkeeping) {
 // survivors alone.
 TEST(BlockedProjectionTest, EraseCompactsInOrder) {
   for (size_t n : {1u, 8u, 19u, 33u}) {
-    PointSet data = RandomPoints(3, n, 40 + n, /*gridded=*/false);
+    PointSet data = RandomPoints(3, n, 40 + n, Coords::kContinuous);
     BlockedProjection blocked(3);
     for (size_t i = 0; i < n; ++i) {
       blocked.Append(data[i]);
@@ -283,7 +317,7 @@ TEST(BlockedProjectionTest, EraseCompactsInOrder) {
         }
       }
     }
-    PointSet queries = RandomPoints(3, 16, 77 + n, /*gridded=*/false);
+    PointSet queries = RandomPoints(3, 16, 77 + n, Coords::kContinuous);
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       EXPECT_EQ(FirstDominator(blocked, queries[qi], false),
                 FirstDominator(expect, queries[qi], false));
@@ -325,11 +359,170 @@ TEST(AccumulatorCompactionTest, EvictHeavyStreamKeepsWindowBounded) {
   EXPECT_EQ(result.points.id(0), kOffers - 1);
 }
 
+/// `SkylineAccumulator::Offer` as it was before the front block, kept as
+/// the oracle for it: one scalar pass over every window slot per test,
+/// `|W|` dominance tests charged for the rejection test and `|W|` more
+/// for an accepted point's eviction pass, killed slots kept until fewer
+/// than half of at least 64 are alive.
+class WindowOnlyAccumulator {
+ public:
+  WindowOnlyAccumulator(Subspace u, bool strict) : u_(u), strict_(strict) {}
+
+  void Seed(const ResultList& seed) {
+    for (size_t i = 0; i < seed.size(); ++i) {
+      const double* p = seed.points[i];
+      window_.push_back({std::vector<double>(p, p + seed.points.dims()),
+                         seed.points.id(i), seed.f[i], true, false});
+    }
+    alive_ = seed.size();
+  }
+
+  bool Offer(const double* p, int dims, PointId id, double f) {
+    if (f > threshold_) {
+      return false;
+    }
+    ops_.dominance_tests += window_.size();
+    for (const Entry& e : window_) {
+      if (e.alive && Dom(e.row.data(), p)) {
+        return false;
+      }
+    }
+    ops_.dominance_tests += window_.size();
+    for (Entry& e : window_) {
+      if (e.alive && Dom(p, e.row.data())) {
+        e.alive = false;
+        --alive_;
+      }
+    }
+    if (window_.size() >= 64 && 2 * alive_ < window_.size()) {
+      std::erase_if(window_, [](const Entry& e) { return !e.alive; });
+    }
+    window_.push_back({std::vector<double>(p, p + dims), id, f, true, true});
+    ++alive_;
+    threshold_ = std::min(threshold_, DistU(p, u_));
+    return true;
+  }
+
+  std::vector<PointId> ResultIds() const {
+    std::vector<PointId> ids;
+    for (const Entry& e : window_) {
+      if (e.alive && e.emit) {
+        ids.push_back(e.id);
+      }
+    }
+    return ids;
+  }
+
+  std::vector<double> ResultF() const {
+    std::vector<double> f;
+    for (const Entry& e : window_) {
+      if (e.alive && e.emit) {
+        f.push_back(e.f);
+      }
+    }
+    return f;
+  }
+
+  double threshold() const { return threshold_; }
+  const OpCounts& ops() const { return ops_; }
+
+ private:
+  struct Entry {
+    std::vector<double> row;
+    PointId id;
+    double f;
+    bool alive;
+    bool emit;
+  };
+
+  bool Dom(const double* a, const double* b) const {
+    return strict_ ? ExtDominates(a, b, u_) : Dominates(a, b, u_);
+  }
+
+  Subspace u_;
+  bool strict_;
+  double threshold_ = std::numeric_limits<double>::infinity();
+  std::vector<Entry> window_;
+  size_t alive_ = 0;
+  OpCounts ops_;
+};
+
+using AccumulatorFrontTest = KernelEquivalenceTest;
+
+// The front block changes no decision and no charge: on f-sorted streams
+// whose subspace leaves out dimensions that set f (so later points evict
+// earlier ones, front entries included, and the front refills), with and
+// without ext-dominance and a seeded filter that is not itself a skyline,
+// every offer's verdict, the result ids, f values and order, the
+// threshold and `ops()` equal the window-only loop's. The infinite
+// streams hold rows with both -inf and +inf, whose front keys must not be
+// NaN.
+TEST_P(AccumulatorFrontTest, MatchesWindowOnlyOfferLoop) {
+  ScopedKernelMode mode(force_scalar());
+  struct Shape {
+    int dims;
+    Subspace u;
+  };
+  const Shape shapes[] = {{5, Subspace::FromDims({1, 2, 4})},
+                          {4, Subspace::FullSpace(4)},
+                          {6, Subspace::FromDims({0, 3})},
+                          {8, Subspace::FromDims({1, 2, 3, 5, 6, 7})}};
+  for (const Shape& shape : shapes) {
+    const int dims = shape.dims;
+    for (int stream = 0; stream < 4; ++stream) {
+      const uint64_t seed = 97 * dims + stream;
+      Rng rng(seed);
+      PointSet data =
+          stream == 0 ? GenerateAnticorrelated(dims, 700, &rng)
+          : stream == 1
+              ? RandomPoints(dims, 700, seed, Coords::kContinuous)
+              : RandomPoints(dims, 700, seed,
+                             stream == 2 ? Coords::kGridded
+                                         : Coords::kInfinite);
+      const ResultList sorted = BuildSortedByF(data);
+      const ResultList filter =
+          BuildSortedByF(RandomPoints(dims, 40, seed ^ 0xf1, Coords::kGridded));
+      for (bool ext : {false, true}) {
+        for (bool seeded : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "dims=" << dims << " stream=" << stream
+                       << " ext=" << ext << " seeded=" << seeded);
+          ThresholdScanOptions options;
+          options.ext = ext;
+          SkylineAccumulator accumulator(dims, shape.u, options);
+          WindowOnlyAccumulator oracle(shape.u, ext);
+          if (seeded) {
+            accumulator.SeedWindow(filter);
+            oracle.Seed(filter);
+          }
+          for (size_t i = 0; i < sorted.size(); ++i) {
+            const double* p = sorted.points[i];
+            const PointId id = sorted.points.id(i);
+            ASSERT_EQ(accumulator.Offer(p, id, sorted.f[i]),
+                      oracle.Offer(p, dims, id, sorted.f[i]))
+                << "offer " << i;
+          }
+          EXPECT_EQ(accumulator.threshold(), oracle.threshold());
+          EXPECT_EQ(accumulator.ops(), oracle.ops());
+          const ResultList result = accumulator.TakeResult();
+          EXPECT_EQ(result.points.Ids(), oracle.ResultIds());
+          EXPECT_EQ(result.f, oracle.ResultF());
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, AccumulatorFrontTest, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "forced_scalar" : "dispatched";
+                         });
+
 // End-to-end scan bit-identity between the forced-scalar and dispatched
 // kernels.
 TEST(KernelDispatchTest, SortedSkylineBitIdenticalAcrossModes) {
   for (int dims : {2, 4, 8}) {
-    PointSet data = RandomPoints(dims, 800, 13 * dims, /*gridded=*/true);
+    PointSet data = RandomPoints(dims, 800, 13 * dims, Coords::kGridded);
     const Subspace u = Subspace::FullSpace(dims);
     ResultList scalar_result(dims);
     ThresholdScanStats scalar_stats;
