@@ -115,6 +115,31 @@ void BM_MergeSortedSkylines(benchmark::State& state) {
 }
 BENCHMARK(BM_MergeSortedSkylines)->Arg(2)->Arg(8)->Arg(32);
 
+void BM_ExtMergeSortedSkylines(benchmark::State& state) {
+  // The super-peer pre-processing merge: 20 peers' extended skylines of
+  // 250 uniform d = 8 points each, ext-merged on the full space.
+  constexpr int kDims = 8;
+  constexpr int kPeers = 20;
+  constexpr size_t kPointsPerPeer = 250;
+  std::vector<ResultList> inputs;
+  size_t offered = 0;
+  for (int peer = 0; peer < kPeers; ++peer) {
+    Rng rng(20 + peer);
+    const PointSet data = GenerateUniform(kDims, kPointsPerPeer, &rng,
+                                          peer * kPointsPerPeer);
+    inputs.push_back(ExtendedSkyline(data));
+    offered += inputs.back().size();
+  }
+  ThresholdScanOptions options;
+  options.ext = true;
+  const Subspace full = Subspace::FullSpace(kDims);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MergeSortedSkylines(inputs, full, options));
+  }
+  state.SetItemsProcessed(state.iterations() * offered);
+}
+BENCHMARK(BM_ExtMergeSortedSkylines);
+
 void BM_KSkyband(benchmark::State& state) {
   const int band = static_cast<int>(state.range(0));
   PointSet data = UniformData(4, 2000, 14);

@@ -3,7 +3,9 @@
 // emitted `--json` report — op counts, simulated times, volume — is
 // bit-reproducible across runs, machines and thread counts, so CI diffs
 // the report byte-for-byte against the committed baseline in
-// bench/baselines/ and fails on any perf-relevant drift.
+// bench/baselines/ and fails on any perf-relevant drift. Each network's
+// pre-processing op counts (peer extended skylines, super-peer merges)
+// are part of the report, so the set-up path is gated as well.
 
 #include "bench/bench_util.h"
 
@@ -21,7 +23,7 @@ int main(int argc, char** argv) {
   config.dims = 6;
   config.seed = options.seed;
   SkypeerNetwork network = BuildNetwork(config, options);
-  network.Preprocess();
+  RecordPreprocess("plain", network.Preprocess());
 
   static const Variant kGateVariants[] = {Variant::kNaive, Variant::kFTFM,
                                           Variant::kFTPM,  Variant::kRTFM,
@@ -50,7 +52,7 @@ int main(int argc, char** argv) {
     filtered.filter_set = 16;
   }
   SkypeerNetwork filtered_network = BuildNetwork(config, filtered);
-  filtered_network.Preprocess();
+  RecordPreprocess("filtered", filtered_network.Preprocess());
   Table filtered_table({"variant", "comp_ms", "total_ms", "kb", "msgs",
                         "dominance", "scan_steps", "merge_pulls"});
   for (Variant variant : kGateVariants) {

@@ -99,6 +99,9 @@ struct BenchReport {
   std::string name;       // Basename of argv[0].
   std::string path;       // --json destination; empty disables emission.
   std::string options_json;
+  // Per-RecordPreprocess JSON objects; the "preprocess" section is
+  // written only when a bench recorded one.
+  std::vector<std::string> preprocess_objects;
   std::vector<std::string> run_objects;    // Per-RunVariant JSON objects.
   std::vector<std::string> table_objects;  // Per-Table JSON objects.
 };
@@ -166,6 +169,14 @@ inline void WriteBenchReport() {
   }
   std::fprintf(file, "{\n  \"bench\": \"%s\",\n  \"options\": %s,\n",
                JsonEscape(report.name).c_str(), report.options_json.c_str());
+  if (!report.preprocess_objects.empty()) {
+    std::fprintf(file, "  \"preprocess\": [\n");
+    for (size_t i = 0; i < report.preprocess_objects.size(); ++i) {
+      std::fprintf(file, "    %s%s\n", report.preprocess_objects[i].c_str(),
+                   i + 1 < report.preprocess_objects.size() ? "," : "");
+    }
+    std::fprintf(file, "  ],\n");
+  }
   std::fprintf(file, "  \"runs\": [\n");
   for (size_t i = 0; i < report.run_objects.size(); ++i) {
     std::fprintf(file, "    %s%s\n", report.run_objects[i].c_str(),
@@ -407,6 +418,22 @@ inline SkypeerNetwork BuildNetwork(NetworkConfig config,
       config.block_skip ? 1 : 0, config.page_size, config.buffer_pages,
       CostModelModeName(config.cost_model.mode));
   return SkypeerNetwork(config);
+}
+
+/// Records one network's pre-processing (store sizes and the op counts
+/// of the peer and super-peer phases) into the JSON report under
+/// `label`.
+inline void RecordPreprocess(const std::string& label,
+                             const PreprocessStats& stats) {
+  char buffer[128];
+  std::snprintf(buffer, sizeof(buffer),
+                "\",\"peer_ext_points\":%zu,\"super_peer_ext_points\":%zu",
+                stats.peer_ext_points, stats.super_peer_ext_points);
+  std::string object = "{\"network\":\"" + JsonEscape(label) + buffer;
+  object += ",\"peer_ops\":" + JsonOpCounts(stats.peer_ops);
+  object += ",\"super_peer_ops\":" + JsonOpCounts(stats.super_peer_ops);
+  object += "}";
+  GlobalBenchReport().preprocess_objects.push_back(std::move(object));
 }
 
 /// Runs `queries` workload queries of dimensionality `k` under `variant`,

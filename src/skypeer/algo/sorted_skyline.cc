@@ -190,6 +190,7 @@ SkylineAccumulator::SkylineAccumulator(int dims, Subspace u,
     : dims_(dims),
       u_(u),
       strict_(options.ext),
+      append_only_(options.ext && u == Subspace::FullSpace(dims)),
       threshold_(options.initial_threshold),
       window_points_(dims),
       window_proj_(u.Count()),
@@ -246,9 +247,22 @@ bool SkylineAccumulator::Offer(const double* p, PointId id, double f) {
        AnyDominates(window_proj_, proj, strict_))) {
     return false;
   }
-  EvictDominatedLinear(proj);
-  MaybeCompact();
-  EvictFront(proj);
+  if (append_only_) {
+    // f order leaves the eviction pass empty (see the class comment):
+    // charge its |W| tests without running it. Debug builds run it and
+    // check that it evicts nothing.
+#ifdef NDEBUG
+    ops_.dominance_tests += window_points_.size();
+#else
+    const size_t alive = alive_;
+    EvictDominatedLinear(proj);
+    SKYPEER_DCHECK(alive_ == alive);
+#endif
+  } else {
+    EvictDominatedLinear(proj);
+    MaybeCompact();
+    EvictFront(proj);
+  }
 
   window_points_.Append(p, id);
   window_f_.push_back(f);
@@ -405,6 +419,7 @@ ResultList SkylineAccumulator::TakeResult() {
 
 void SkylineAccumulator::SeedWindow(const ResultList& seed) {
   SKYPEER_CHECK(window_points_.empty());
+  append_only_ = false;
   const size_t n = seed.size();
   window_points_.Reserve(n);
   window_f_.reserve(n);

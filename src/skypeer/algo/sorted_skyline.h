@@ -88,6 +88,15 @@ struct ThresholdScanStats {
 /// argument). Each offer tests the front before the window. Every front
 /// entry is a live window entry, so the front rejects only what the
 /// window would; it changes no decision and no charged count.
+///
+/// Ext-dominance on the full space without `SeedWindow` entries (peer
+/// extended skylines and super-peer store merges) runs *append-only*: an
+/// accepted offer skips the eviction pass. If `p` ext-dominates `q` on
+/// every dimension, then `f(p) = min_i p[i] < f(q)`, so no point offered
+/// in `f` order ext-dominates an earlier one and the pass would evict
+/// nothing. The pass is still charged its `|W|` dominance tests, so
+/// results, thresholds and `ops()` are those of the evicting path; debug
+/// builds run it anyway and check that it finds no live entry.
 class SkylineAccumulator {
  public:
   /// `u` is the query subspace over points of dimensionality `dims`.
@@ -141,6 +150,8 @@ class SkylineAccumulator {
   /// not f-ordered against the scanned store).
   /// Only valid on an empty accumulator; does not tighten `threshold()`
   /// (fold the seed's threshold into `options.initial_threshold` instead).
+  /// A seeded accumulator always runs the eviction pass: seeds are not
+  /// f-ordered against the offers, so an offer may evict one.
   void SeedWindow(const ResultList& seed);
 
  private:
@@ -170,6 +181,9 @@ class SkylineAccumulator {
   int dims_;
   Subspace u_;
   bool strict_;
+  // Ext-dominance on the full space and no seeds: offers never evict
+  // (see the class comment), so `Offer` skips the eviction pass.
+  bool append_only_;
   double threshold_;
 
   // Candidate window: points appended in offer order; `alive_flags_[i]`

@@ -4,7 +4,7 @@
 // both the forced-scalar and the runtime-dispatched implementation, on
 // every width up to kMaxDims and on sizes that exercise partial final
 // blocks and killed lanes. The accumulator suite checks the front block
-// against the window-only offer loop.
+// and the append-only path against the window-only offer loop.
 
 #include <gtest/gtest.h>
 
@@ -456,7 +456,9 @@ using AccumulatorFrontTest = KernelEquivalenceTest;
 // every offer's verdict, the result ids, f values and order, the
 // threshold and `ops()` equal the window-only loop's. The infinite
 // streams hold rows with both -inf and +inf, whose front keys must not be
-// NaN.
+// NaN. The full-space shapes with ext on and no seed run append-only; the
+// 12-dimension one (`lossy_wide`'s pre-processing shape) takes the
+// runtime-width kernel.
 TEST_P(AccumulatorFrontTest, MatchesWindowOnlyOfferLoop) {
   ScopedKernelMode mode(force_scalar());
   struct Shape {
@@ -466,7 +468,8 @@ TEST_P(AccumulatorFrontTest, MatchesWindowOnlyOfferLoop) {
   const Shape shapes[] = {{5, Subspace::FromDims({1, 2, 4})},
                           {4, Subspace::FullSpace(4)},
                           {6, Subspace::FromDims({0, 3})},
-                          {8, Subspace::FromDims({1, 2, 3, 5, 6, 7})}};
+                          {8, Subspace::FromDims({1, 2, 3, 5, 6, 7})},
+                          {12, Subspace::FullSpace(12)}};
   for (const Shape& shape : shapes) {
     const int dims = shape.dims;
     for (int stream = 0; stream < 4; ++stream) {
@@ -510,6 +513,74 @@ TEST_P(AccumulatorFrontTest, MatchesWindowOnlyOfferLoop) {
         }
       }
     }
+  }
+}
+
+// The append-only path covers only ext-dominance on the full space with
+// no seeds. Just outside that shape a later offer does evict an earlier
+// entry, and the accumulator must still run the eviction pass:
+// (a) ext-dominance on a proper subspace, where the dimension that sets
+//     f lies outside `u`; (b) ext-dominance on the full space with a seed,
+//     which need not precede the offers in f order; (c) plain dominance
+//     on the full space, where a point of equal f dominates. Verdicts,
+//     result, threshold and `ops()` match the window-only loop, and the
+//     dominated entry is gone.
+TEST_P(AccumulatorFrontTest, EvictsOutsideTheAppendOnlyShape) {
+  ScopedKernelMode mode(force_scalar());
+  struct Case {
+    const char* name;
+    int dims;
+    Subspace u;
+    bool ext;
+    std::vector<std::vector<double>> seed;
+    std::vector<std::vector<double>> offers;
+    size_t alive_after;
+    std::vector<PointId> result;
+  };
+  const Case cases[] = {
+      {"ext_proper_subspace", 3, Subspace::FromDims({0, 1}), true,
+       {},
+       {{0.5, 0.6, 0.0}, {0.4, 0.5, 0.1}},
+       1,
+       {1}},
+      {"ext_full_space_seeded", 3, Subspace::FullSpace(3), true,
+       {{0.5, 0.5, 0.5}},
+       {{0.2, 0.3, 0.4}, {0.3, 0.2, 0.45}},
+       2,
+       {0, 1}},
+      {"dominance_full_space_equal_f", 2, Subspace::FullSpace(2), false,
+       {},
+       {{0.2, 0.5}, {0.2, 0.4}},
+       1,
+       {1}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ThresholdScanOptions options;
+    options.ext = c.ext;
+    SkylineAccumulator accumulator(c.dims, c.u, options);
+    WindowOnlyAccumulator oracle(c.u, c.ext);
+    if (!c.seed.empty()) {
+      PointSet seed_points(c.dims);
+      for (size_t i = 0; i < c.seed.size(); ++i) {
+        seed_points.Append(c.seed[i].data(), 100 + i);
+      }
+      const ResultList seed = BuildSortedByF(seed_points);
+      accumulator.SeedWindow(seed);
+      oracle.Seed(seed);
+    }
+    for (size_t i = 0; i < c.offers.size(); ++i) {
+      const double* p = c.offers[i].data();
+      const double f = MinCoord(p, c.dims);
+      EXPECT_EQ(accumulator.Offer(p, i, f), oracle.Offer(p, c.dims, i, f))
+          << "offer " << i;
+    }
+    EXPECT_EQ(accumulator.alive(), c.alive_after);
+    EXPECT_EQ(accumulator.threshold(), oracle.threshold());
+    EXPECT_EQ(accumulator.ops(), oracle.ops());
+    const ResultList result = accumulator.TakeResult();
+    EXPECT_EQ(result.points.Ids(), oracle.ResultIds());
+    EXPECT_EQ(result.points.Ids(), c.result);
   }
 }
 
