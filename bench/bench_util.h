@@ -26,9 +26,6 @@ namespace skypeer::bench {
 ///   --filter-set N broadcast at most N sampled filter points from the
 ///                  initiator's local skyline with every query (default 0
 ///                  = no filter); skylines are identical either way
-///   --block-skip   consult per-block zone-map summaries during threshold
-///                  scans (default off); results and all metrics except
-///                  the new skip counters are identical either way
 ///   --page-size B  store page size in bytes (power of two in
 ///                  [4096, 1048576], default 4096); fixes the logical
 ///                  page-charging geometry in both store modes
@@ -62,7 +59,6 @@ struct BenchOptions {
   double churn_rate = 0.05;
   uint64_t churn_seed = 0;  // 0: derive from seed.
   bool rebuild_maintenance = false;  // Full rebuilds instead of incremental.
-  bool block_skip = false;  // Zone-map block skipping in threshold scans.
   bool full = false;
   CostModel cost_model;
   std::string json_path;  // Empty: no JSON report.
@@ -143,17 +139,14 @@ inline std::string JsonOpCounts(const OpCounts& ops) {
                 "{\"dominance_tests\":%llu,\"scan_steps\":%llu,"
                 "\"merge_pulls\":%llu,\"sort_steps\":%llu,"
                 "\"bytes_serialized\":%llu,\"page_reads\":%llu,"
-                "\"page_bytes\":%llu,\"summary_tests\":%llu,"
-                "\"blocks_skipped\":%llu}",
+                "\"page_bytes\":%llu}",
                 static_cast<unsigned long long>(ops.dominance_tests),
                 static_cast<unsigned long long>(ops.scan_steps),
                 static_cast<unsigned long long>(ops.merge_pulls),
                 static_cast<unsigned long long>(ops.sort_steps),
                 static_cast<unsigned long long>(ops.bytes_serialized),
                 static_cast<unsigned long long>(ops.page_reads),
-                static_cast<unsigned long long>(ops.page_bytes),
-                static_cast<unsigned long long>(ops.summary_tests),
-                static_cast<unsigned long long>(ops.blocks_skipped));
+                static_cast<unsigned long long>(ops.page_bytes));
   return buffer;
 }
 
@@ -240,8 +233,6 @@ inline BenchOptions ParseArgs(int argc, char** argv) {
       options.churn_seed = ParseU64Flag("--churn-seed", argv[++i]);
     } else if (std::strcmp(argv[i], "--rebuild-maintenance") == 0) {
       options.rebuild_maintenance = true;
-    } else if (std::strcmp(argv[i], "--block-skip") == 0) {
-      options.block_skip = true;
     } else if (std::strcmp(argv[i], "--cost-model") == 0 && i + 1 < argc) {
       CostModelMode mode;
       if (!ParseCostModelMode(argv[++i], &mode)) {
@@ -263,7 +254,6 @@ inline BenchOptions ParseArgs(int argc, char** argv) {
           "[--filter-set N] [--page-size B] "
           "[--buffer-pages N] [--churn-events N] "
           "[--churn-rate R] [--churn-seed S] [--rebuild-maintenance] "
-          "[--block-skip] "
           "[--cost-model calibrated|unit] [--json PATH] [--full]\n",
           argv[0]);
       std::exit(0);
@@ -285,7 +275,7 @@ inline BenchOptions ParseArgs(int argc, char** argv) {
       "\"filter_set\": %llu, \"page_size\": %llu, "
       "\"buffer_pages\": %llu, \"churn_events\": %d, "
       "\"churn_rate\": %s, \"churn_seed\": %llu, "
-      "\"rebuild_maintenance\": %s, \"block_skip\": %s, "
+      "\"rebuild_maintenance\": %s, "
       "\"full\": %s, \"cost_model\": \"%s\"}",
       options.queries, static_cast<unsigned long long>(options.seed),
       options.threads, static_cast<unsigned long long>(options.filter_set),
@@ -294,7 +284,6 @@ inline BenchOptions ParseArgs(int argc, char** argv) {
       options.churn_events, JsonNumber(options.churn_rate).c_str(),
       static_cast<unsigned long long>(options.churn_seed),
       options.rebuild_maintenance ? "true" : "false",
-      options.block_skip ? "true" : "false",
       options.full ? "true" : "false", CostModelModeName(options.cost_model.mode));
   report.options_json = buffer;
   if (!report.path.empty()) {
@@ -390,11 +379,10 @@ inline std::string FmtMs(double seconds) { return Fmt(seconds * 1e3, 3); }
 
 /// Builds + preprocesses a network, echoing the configuration. Applies
 /// the harness options that map onto the network config (`--filter-set`,
-/// `--block-skip`, `--cost-model`, ...).
+/// `--cost-model`, ...).
 inline SkypeerNetwork BuildNetwork(NetworkConfig config,
                                    const BenchOptions& options) {
   config.filter_set_size = options.filter_set;
-  config.block_skip = options.block_skip;
   config.page_size = options.page_size;
   config.buffer_pages = options.buffer_pages;
   config.cost_model = options.cost_model;
@@ -407,7 +395,7 @@ inline SkypeerNetwork BuildNetwork(NetworkConfig config,
   }
   std::printf(
       "# N_p=%d N_sp=%d points/peer=%d d=%d DEG_sp=%.0f dist=%s seed=%llu "
-      "filter_set=%zu block_skip=%d page_size=%zu "
+      "filter_set=%zu page_size=%zu "
       "buffer_pages=%zu cost_model=%s\n",
       config.num_peers,
       config.num_super_peers > 0 ? config.num_super_peers
@@ -415,7 +403,7 @@ inline SkypeerNetwork BuildNetwork(NetworkConfig config,
       config.points_per_peer, config.dims, config.degree_sp,
       DistributionName(config.distribution),
       static_cast<unsigned long long>(config.seed), config.filter_set_size,
-      config.block_skip ? 1 : 0, config.page_size, config.buffer_pages,
+      config.page_size, config.buffer_pages,
       CostModelModeName(config.cost_model.mode));
   return SkypeerNetwork(config);
 }

@@ -30,141 +30,6 @@ double FrontKey(const double* proj, int k) {
   return key;
 }
 
-/// Consume loop of the threshold scan: scans `input` in ascending order,
-/// offering each point whose `f` is within the accumulator's running
-/// threshold, and returns the number of points consumed. Scan-level
-/// charges (scan steps, page charges and — under block skipping —
-/// summary probes and skipped blocks) accumulate into `scan_ops`, kept
-/// apart from the accumulator's window-evolution ops.
-///
-/// With `block_skip` and a store summary attached, each 8-wide block is
-/// probed before its points: a block whose min-vector is dominated by a
-/// live window entry is consumed without per-point offers — wholesale
-/// (without reading the store at all) when its `[f_min, f_max]` range
-/// fits under the running threshold, else by a per-position `f` walk
-/// that keeps the stopping point bit-identical to the plain scan. Page
-/// charges then switch from the whole-prefix `ChargeScanPages` to
-/// incremental per-page touches, so pages covered only by wholesale-
-/// skipped blocks are never charged (nor pinned on a paged store).
-size_t RunThresholdScanLoop(const StoreView& input, bool block_skip,
-                            SkylineAccumulator* acc, OpCounts* scan_ops) {
-  const size_t end = input.size();
-  const StoreSummary* summary = input.summary();
-  const bool skip = block_skip && summary != nullptr;
-  StoreCursor cursor(input);
-  const auto consume = [&](size_t i, double f) {
-    acc->Offer(cursor.row(i), cursor.id(i), f);
-  };
-
-  if (!skip) {
-    size_t scanned = 0;
-    for (size_t i = 0; i < end; ++i) {
-      const double f = cursor.f(i);
-      if (f > acc->threshold()) {
-        break;
-      }
-      consume(i, f);
-      ++scanned;
-    }
-    scan_ops->scan_steps += scanned;
-    ChargeScanPages(input.layout(), end, scanned, scan_ops);
-    return scanned;
-  }
-
-  if (input.paged()) {
-    // Physical-only read-ahead hint: upcoming pages whose summary fold
-    // already satisfies both skip conditions will never be pinned by
-    // this scan, so read-ahead jumps them. The filter consults the live
-    // threshold and window, so a hint can be stale by the time the scan
-    // arrives — that costs one synchronous pin, never correctness, and
-    // logical charges do not see prefetches at all.
-    cursor.set_prefetch_filter([acc, summary](size_t page) {
-      return summary->page_f_max(page) <= acc->threshold() &&
-             acc->WindowRejectsSummary(summary->page_min(page));
-    });
-  }
-
-  const PageLayout& layout = input.layout();
-  const size_t points_per_page = layout.points_per_page();
-  size_t last_page = static_cast<size_t>(-1);
-  // Incremental page charging: positions ascend and every 8-block sits
-  // inside one page (pages hold whole blocks), so charging on page
-  // change reproduces `ChargeScanPages` exactly when nothing skips
-  // wholesale, and drops exactly the pages no position of which is
-  // examined. Identical in both store modes — it reads the layout only.
-  const auto touch = [&](size_t i) {
-    const size_t page = i / points_per_page;
-    if (page != last_page) {
-      scan_ops->page_reads += 1;
-      scan_ops->page_bytes += layout.page_size;
-      last_page = page;
-    }
-  };
-  size_t scanned = 0;
-  size_t i = 0;
-  while (i < end) {
-    const size_t block = i / kDomBlockWidth;
-    const size_t block_end = std::min(end, (block + 1) * kDomBlockWidth);
-    // Cheapest test first: the block's own f minimum (its first point —
-    // the store is f-sorted) already proves the stop condition without
-    // touching the store or the window. Charges nothing, exactly like
-    // the plain scan's terminating f-read.
-    if (summary->block_f_min(block) > acc->threshold()) {
-      break;
-    }
-    scan_ops->summary_tests += 1;
-    if (acc->WindowRejectsSummary(summary->block_min(block))) {
-      scan_ops->blocks_skipped += 1;
-      if (summary->block_f_max(block) <= acc->threshold()) {
-        // Wholesale skip: every point of the block is within threshold
-        // and dominated; consume the block without reading it. No scan
-        // steps, no page touch — and rejected points have no side
-        // effects on window or threshold, so nothing downstream can
-        // tell the offers never ran.
-        scanned += block_end - i;
-        i = block_end;
-        continue;
-      }
-      // The running threshold may cut inside this block: walk `f` only
-      // (no dominance work — the probe already rejected every point) so
-      // the stopping position, and with it `scanned`, stays
-      // bit-identical to the plain scan.
-      bool stopped = false;
-      for (; i < block_end; ++i) {
-        touch(i);
-        if (cursor.f(i) > acc->threshold()) {
-          stopped = true;
-          break;
-        }
-        scan_ops->scan_steps += 1;
-        ++scanned;
-      }
-      if (stopped) {
-        break;
-      }
-      continue;
-    }
-    // Unrejected block: the plain per-point offer loop. Accepts may
-    // tighten the threshold mid-block; later block probes see it.
-    bool stopped = false;
-    for (; i < block_end; ++i) {
-      touch(i);
-      const double f = cursor.f(i);
-      if (f > acc->threshold()) {
-        stopped = true;
-        break;
-      }
-      consume(i, f);
-      scan_ops->scan_steps += 1;
-      ++scanned;
-    }
-    if (stopped) {
-      break;
-    }
-  }
-  return scanned;
-}
-
 }  // namespace
 
 ResultList BuildSortedByF(const PointSet& input) {
@@ -353,20 +218,6 @@ void SkylineAccumulator::AdmitToFront(const double* proj) {
   front_key_[n - 1] = key;
 }
 
-bool SkylineAccumulator::WindowRejectsSummary(const double* min_row) const {
-  double proj[kMaxDims];
-  {
-    int j = 0;
-    for (int dim : u_) {
-      proj[j++] = min_row[dim];
-    }
-  }
-  // One batched kernel call over the window; killed lanes are +inf and
-  // never dominate. Deliberately uncharged here — callers account
-  // `summary_tests` in scan-level ops (see header).
-  return AnyDominatesSummary(window_proj_, proj, strict_);
-}
-
 void SkylineAccumulator::MaybeCompact() {
   if (window_points_.size() < kCompactMinWindow ||
       !(static_cast<double>(alive_) <
@@ -449,14 +300,22 @@ ResultList SortedSkyline(const StoreView& input, Subspace u,
   if (options.filter != nullptr && !options.filter->empty()) {
     accumulator.SeedWindow(*options.filter);
   }
-  OpCounts scan_ops;
-  const size_t scanned = RunThresholdScanLoop(input, options.block_skip,
-                                              &accumulator, &scan_ops);
+  const size_t end = input.size();
+  StoreCursor cursor(input);
+  size_t scanned = 0;
+  for (; scanned < end; ++scanned) {
+    const double f = cursor.f(scanned);
+    if (f > accumulator.threshold()) {
+      break;
+    }
+    accumulator.Offer(cursor.row(scanned), cursor.id(scanned), f);
+  }
   if (stats != nullptr) {
     stats->scanned = scanned;
     stats->final_threshold = accumulator.threshold();
     stats->ops = accumulator.ops();
-    stats->ops += scan_ops;
+    stats->ops.scan_steps += scanned;
+    ChargeScanPages(input.layout(), end, scanned, &stats->ops);
   }
   return accumulator.TakeResult();
 }

@@ -35,21 +35,6 @@ struct ThresholdScanOptions {
   /// without it.
   bool dedup_ids = false;
 
-  /// Consult the store's zone-map summary (`StoreView::summary()`) before
-  /// each 8-wide block: a block whose per-dimension min-vector, projected
-  /// on the query subspace, is dominated by a live window entry (or a
-  /// seeded filter point) is consumed without per-point dominance tests,
-  /// and without reading the store at all when its `[f_min, f_max]` range
-  /// also fits under the running threshold — runs of such blocks leave
-  /// whole pages unread. Results, thresholds, scan counts and window
-  /// evolution are bit-identical to the plain scan; op counts differ only
-  /// in the new `summary_tests`/`blocks_skipped` charges and reduced
-  /// dominance/scan/page charges, and are themselves bit-identical across
-  /// store modes, thread counts and kernels (the probe is a pure function
-  /// of summary, subspace and window). Ignored when the view carries no
-  /// summary. Off by default for baseline comparability.
-  bool block_skip = false;
-
   /// Threshold-scan algorithms only: broadcast filter set to seed the
   /// window with before scanning (`SkylineAccumulator::SeedWindow`).
   /// Filter points prune offers — and may themselves be evicted by
@@ -114,16 +99,6 @@ class SkylineAccumulator {
   /// enter the skyline (Observation 5); with `f == threshold()` ties are
   /// still possible, so callers scan while `f <= threshold()`.
   double threshold() const { return threshold_; }
-
-  /// Zone-map probe for block-skipping scans: true when some live window
-  /// entry dominates `min_row` (a store block's per-dimension min-vector,
-  /// full dimensionality) on this accumulator's subspace. Dominating the
-  /// min-vector implies dominating every point of the block — the strict
-  /// coordinate carries over through `w[j] < m[j] <= p[j]` — so a true
-  /// probe proves the whole block would be rejected point by point.
-  /// Op-free by design: callers charge `summary_tests` themselves so the
-  /// accumulator's `ops()` stay pure window-evolution counts.
-  bool WindowRejectsSummary(const double* min_row) const;
 
   /// Number of points currently in the running skyline.
   size_t alive() const { return alive_; }

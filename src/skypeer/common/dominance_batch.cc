@@ -659,18 +659,4 @@ void BatchMinCoord(const double* rows, size_t n, int dims, double* out) {
   Table()->min_coord(rows, n, dims, out);
 }
 
-bool AnyDominatesSummary(const BlockedProjection& w, const double* m,
-                         bool strict) {
-  // A window point that dominates the min-vector dominates every point of
-  // the summarized block: each block point is coordinate-wise >= the
-  // min-vector, so non-strict dominance carries over (the strictly-better
-  // coordinate stays strictly better) and strict dominance trivially does.
-  // Equal-point ties are safe too — `w == m` non-strictly never passes the
-  // non-strict test (no strictly smaller coordinate), so a duplicated
-  // skyline point can never skip away its own copies. The probe therefore
-  // reuses the forward kernel verbatim and inherits its bit-exact
-  // scalar/SIMD equivalence.
-  return AnyDominates(w, m, strict);
-}
-
 }  // namespace skypeer

@@ -197,17 +197,6 @@ void DominatedFlagsRows(const double* rows, size_t stride, size_t n, int k,
 /// order, so results are bit-identical to scalar `MinCoord`.
 void BatchMinCoord(const double* rows, size_t n, int dims, double* out);
 
-/// Summary-vs-window probe of the block-skipping scans: true when some
-/// stored point of `w` dominates `m`, the u-projected per-dimension
-/// *minimum vector* of an upcoming 8-wide store block (`k()`
-/// coordinates). Dominating the min-vector implies dominating every point
-/// of the block (each is coordinate-wise >= the minima), so a true return
-/// licenses rejecting the whole block without per-point tests. Runs the
-/// same comparisons as `AnyDominates`, hence bit-identical across
-/// scalar/SIMD dispatch.
-bool AnyDominatesSummary(const BlockedProjection& w, const double* m,
-                         bool strict);
-
 }  // namespace skypeer
 
 #endif  // SKYPEER_COMMON_DOMINANCE_BATCH_H_

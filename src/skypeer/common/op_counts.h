@@ -41,16 +41,9 @@ struct OpCounts {
   uint64_t page_reads = 0;
   /// Bytes of those page reads (page_reads * page size; whole pages).
   uint64_t page_bytes = 0;
-  /// Block-summary dominance probes performed by block-skipping scans
-  /// (`--block-skip`): one per 8-wide store block whose zone-map
-  /// min-vector was tested against the scan window. Logical, like
-  /// `page_reads`: a pure function of (summary, scan state), charged
-  /// identically in both store modes.
-  uint64_t summary_tests = 0;
-  /// Store blocks whose points were all rejected via their summary
-  /// min-vector (full or partial consumption) — each one saved up to 8
-  /// per-point window tests, and a run of them can leave whole pages
-  /// unread.
+  /// Always 0, like `rtree_node_visits`: no scan skips store blocks. It
+  /// stays declared only because `bench/profile` reads it (ROADMAP item
+  /// 7), and it takes no part in `+=`, `==`, `total()` or `ToString()`.
   uint64_t blocks_skipped = 0;
 
   OpCounts& operator+=(const OpCounts& other) {
@@ -61,8 +54,6 @@ struct OpCounts {
     bytes_serialized += other.bytes_serialized;
     page_reads += other.page_reads;
     page_bytes += other.page_bytes;
-    summary_tests += other.summary_tests;
-    blocks_skipped += other.blocks_skipped;
     return *this;
   }
 
@@ -76,9 +67,7 @@ struct OpCounts {
            a.scan_steps == b.scan_steps && a.merge_pulls == b.merge_pulls &&
            a.sort_steps == b.sort_steps &&
            a.bytes_serialized == b.bytes_serialized &&
-           a.page_reads == b.page_reads && a.page_bytes == b.page_bytes &&
-           a.summary_tests == b.summary_tests &&
-           a.blocks_skipped == b.blocks_skipped;
+           a.page_reads == b.page_reads && a.page_bytes == b.page_bytes;
   }
   friend bool operator!=(const OpCounts& a, const OpCounts& b) {
     return !(a == b);
@@ -86,8 +75,7 @@ struct OpCounts {
 
   uint64_t total() const {
     return dominance_tests + scan_steps + merge_pulls + sort_steps +
-           bytes_serialized + page_reads + page_bytes + summary_tests +
-           blocks_skipped;
+           bytes_serialized + page_reads + page_bytes;
   }
 
   std::string ToString() const {
@@ -97,9 +85,7 @@ struct OpCounts {
            " sort=" + std::to_string(sort_steps) +
            " bytes=" + std::to_string(bytes_serialized) +
            " pages=" + std::to_string(page_reads) +
-           " pagebytes=" + std::to_string(page_bytes) +
-           " sumtests=" + std::to_string(summary_tests) +
-           " skipped=" + std::to_string(blocks_skipped);
+           " pagebytes=" + std::to_string(page_bytes);
   }
 };
 

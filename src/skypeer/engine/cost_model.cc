@@ -34,9 +34,7 @@ double CostModel::Seconds(const OpCounts& ops) const {
          static_cast<double>(ops.sort_steps) * sort_step_s +
          static_cast<double>(ops.bytes_serialized) * byte_s +
          static_cast<double>(ops.page_reads) * page_read_s +
-         static_cast<double>(ops.page_bytes) * page_byte_s +
-         static_cast<double>(ops.summary_tests) * summary_test_s +
-         static_cast<double>(ops.blocks_skipped) * block_skip_s;
+         static_cast<double>(ops.page_bytes) * page_byte_s;
 }
 
 std::string CostModel::ToProfileString() const {
@@ -48,12 +46,9 @@ std::string CostModel::ToProfileString() const {
                 "sort_step_s=%.6e\n"
                 "byte_s=%.6e\n"
                 "page_read_s=%.6e\n"
-                "page_byte_s=%.6e\n"
-                "summary_test_s=%.6e\n"
-                "block_skip_s=%.6e\n",
+                "page_byte_s=%.6e\n",
                 dominance_test_s, scan_step_s, merge_pull_s, sort_step_s,
-                byte_s, page_read_s, page_byte_s, summary_test_s,
-                block_skip_s);
+                byte_s, page_read_s, page_byte_s);
   return buffer;
 }
 
@@ -89,10 +84,6 @@ bool CostModel::LoadProfileString(const std::string& text) {
       page_read_s = parsed;
     } else if (key == "page_byte_s") {
       page_byte_s = parsed;
-    } else if (key == "summary_test_s") {
-      summary_test_s = parsed;
-    } else if (key == "block_skip_s") {
-      block_skip_s = parsed;
     }
     // Unknown keys are ignored for forward compatibility.
   }

@@ -47,12 +47,6 @@ struct CostModel {
   // *logical* page counts, so paged and in-memory runs bill identically.
   double page_read_s = 2.0e-5;
   double page_byte_s = 5.0e-10;
-  // Block-skipping scans: one zone-map probe is a batched dominance test
-  // against the whole window (priced as a flat per-probe cost, not per
-  // window entry), and a skipped block costs only the bookkeeping of
-  // jumping it.
-  double summary_test_s = 2.5e-8;
-  double block_skip_s = 1.0e-9;
 
   /// Virtual seconds for `ops` under this profile.
   double Seconds(const OpCounts& ops) const;
@@ -69,8 +63,6 @@ struct CostModel {
     model.byte_s = 1.0;
     model.page_read_s = 1.0;
     model.page_byte_s = 1.0;
-    model.summary_test_s = 1.0;
-    model.block_skip_s = 1.0;
     return model;
   }
 

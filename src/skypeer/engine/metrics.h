@@ -39,9 +39,8 @@ struct QueryMetrics {
   int super_peers_participated = 0;
   /// Machine-independent operation counts summed over all super-peers
   /// (node-id order): dominance tests, scan steps, merge pulls, sorts,
-  /// serialized bytes, page reads and block-skip probes. Identical across
-  /// runs, thread counts and kernel dispatch regardless of the cost-model
-  /// mode.
+  /// serialized bytes and page reads. Identical across runs, thread
+  /// counts and kernel dispatch regardless of the cost-model mode.
   OpCounts ops;
 
   // --- reliability / fault-injection (reliable protocol only) ----------

@@ -323,7 +323,6 @@ PreprocessStats SkypeerNetwork::Preprocess() {
   jobs.reserve(overlay_.num_peers());
   for (int sp = 0; sp < overlay_.num_super_peers(); ++sp) {
     super_peers_[sp]->set_retain_peer_lists(config_.dynamic_membership);
-    super_peers_[sp]->set_block_skip(config_.block_skip);
     super_peers_[sp]->set_filter_set_size(config_.filter_set_size);
     // The clustered workload has each super-peer pick a centroid; its
     // associated peers draw Gaussian points around it (§6).
@@ -441,7 +440,6 @@ Status SkypeerNetwork::AdoptStores(std::vector<ResultList> stores) {
     total += store.size();
   }
   for (int sp = 0; sp < num_super_peers(); ++sp) {
-    super_peers_[sp]->set_block_skip(config_.block_skip);
     super_peers_[sp]->set_filter_set_size(config_.filter_set_size);
     super_peers_[sp]->SetStore(std::move(stores[sp]));
   }

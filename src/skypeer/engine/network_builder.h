@@ -95,16 +95,6 @@ struct NetworkConfig {
   /// counts included) are bit-identical to the in-memory default (0);
   /// only physical pool statistics (hits/misses/evictions) differ.
   size_t buffer_pages = 0;
-  /// Zone-map block skipping in every super-peer's threshold scans (see
-  /// `ThresholdScanOptions::block_skip`): 8-wide store blocks whose
-  /// summary min-vector is dominated by the live scan window are consumed
-  /// without per-point dominance tests, and pages made only of such
-  /// blocks are never read in paged mode. Results, thresholds, scan
-  /// counts, volume and messages are bit-identical either way; op counts
-  /// gain `summary_tests`/`blocks_skipped` and shed the skipped
-  /// dominance/scan/page charges — identically across store modes,
-  /// thread counts and kernels. Off by default.
-  bool block_skip = false;
   /// Sampled filter-point broadcast (communication-optimal axis): the
   /// initiator attaches at most this many points of its local subspace
   /// skyline — the per-dimension minima plus an even f-rank sample (see

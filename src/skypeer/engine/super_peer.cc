@@ -50,13 +50,12 @@ void SuperPeer::RebuildStore(ThresholdScanStats* stats) {
 void SuperPeer::InstallStore(ResultList store) {
   if (current_pins_ > 0) {
     // The outgoing epoch is pinned by an in-flight query: retire it
-    // intact — resident list, paged pages and summary — instead of
-    // destroying it. `View()` keeps serving it through `scan_epoch_`
-    // until the last pin is released.
+    // intact — resident list and paged pages — instead of destroying
+    // it. `View()` keeps serving it through `scan_epoch_` until the last
+    // pin is released.
     EpochStore retiring;
     retiring.store = std::move(store_);
     retiring.paged = std::move(paged_store_);
-    retiring.summary = std::move(store_summary_);
     retiring.pins = current_pins_;
     current_pins_ = 0;
     retired_.emplace(store_epoch_, std::move(retiring));
@@ -68,18 +67,11 @@ void SuperPeer::InstallStore(ResultList store) {
     // so any frame still holding a page of the previous store is
     // unreachable; the old pages themselves are dropped by Release()
     // inside Build-then-move — or travel with their retired epoch when
-    // pinned. The paged store builds and carries its own summary.
+    // pinned.
     paged_store_ = PagedStore::Build(store, buffer_);
     store_ = ResultList(dims_);
-    store_summary_ = StoreSummary();
   } else {
     store_ = std::move(store);
-    // Same shared builder and page geometry as the paged mode, so skip
-    // decisions never diverge between modes. Rebuilt on every install —
-    // initial merge, churn maintenance, incremental join, snapshot
-    // restore — so an emptied store never keeps the previous summary.
-    store_summary_ =
-        StoreSummary::Build(store_, PageLayout(page_size_, dims_));
   }
   if (retired_.count(scan_epoch_) == 0) {
     scan_epoch_ = store_epoch_;
@@ -190,8 +182,8 @@ Status SuperPeer::RemovePeer(int peer_id, OpCounts* maintenance_ops) {
   if (!incremental_maintenance_) {
     // Legacy path, kept as the oracle: redo the full merge from the
     // remaining retained lists. RebuildStore routes the empty store (the
-    // last peer departed) through InstallStore too, so the summary and
-    // paged state always describe the store that is actually served.
+    // last peer departed) through InstallStore too, so the resident or
+    // paged state always describes the store that is actually served.
     ThresholdScanStats stats;
     RebuildStore(&stats);
     if (maintenance_ops != nullptr) {
@@ -224,8 +216,8 @@ Status SuperPeer::RemovePeer(int peer_id, OpCounts* maintenance_ops) {
     }
   }
   // The empty store (last peer departed) flows through the same install
-  // builder as every other store change: summary, paged state and epoch
-  // all advance — nothing is left describing the previous store.
+  // builder as every other store change: resident or paged state and
+  // epoch all advance — nothing is left describing the previous store.
   InstallStore(std::move(next));
   if (maintenance_ops != nullptr) {
     *maintenance_ops += ops;
@@ -801,7 +793,6 @@ void SuperPeer::RunLocalScan(const Subspace& subspace, const ResultList* filter,
 
   ThresholdScanOptions options;
   options.initial_threshold = threshold_in;
-  options.block_skip = block_skip_;
   options.filter = filter;
   ThresholdScanStats stats;
   scan->local = std::make_shared<const ResultList>(

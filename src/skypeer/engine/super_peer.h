@@ -113,22 +113,20 @@ class SuperPeer : public sim::Node {
   }
 
   /// The store as a scan view: pinned pages when paged, the resident list
-  /// otherwise. Page-charging geometry is identical in both modes, and so
-  /// is the attached zone-map summary (the paged store carries its own;
-  /// resident stores attach `store_summary_`, built by the same shared
-  /// function at install time). While a pinned epoch is older than the
-  /// current store epoch the view serves the pinned (retired) epoch, so
-  /// an in-flight query never observes a churn install.
+  /// otherwise. Page-charging geometry is identical in both modes. While
+  /// a pinned epoch is older than the current store epoch the view serves
+  /// the pinned (retired) epoch, so an in-flight query never observes a
+  /// churn install.
   StoreView View() const {
     if (scan_epoch_ != store_epoch_) {
       const EpochStore& epoch = retired_.at(scan_epoch_);
       return epoch.paged.valid()
                  ? StoreView(&epoch.paged)
-                 : StoreView(&epoch.store, page_size_, &epoch.summary);
+                 : StoreView(&epoch.store, page_size_);
     }
     return paged_store_.valid()
                ? StoreView(&paged_store_)
-               : StoreView(&store_, page_size_, &store_summary_);
+               : StoreView(&store_, page_size_);
   }
 
   // --- epoch-versioned stores -------------------------------------------
@@ -180,7 +178,7 @@ class SuperPeer : public sim::Node {
   /// resurrection candidates (surviving peers' retained list points not
   /// in the pre-removal store) are re-merged, seeded against the
   /// survivors under the exact Observation-5 threshold. The result —
-  /// points, order, summary — is bit-identical to a full rebuild from the
+  /// points and order — is bit-identical to a full rebuild from the
   /// retained lists (`set_verify_maintenance` checks it against that
   /// oracle). `maintenance_ops` as in `JoinPeer`.
   Status RemovePeer(int peer_id, OpCounts* maintenance_ops = nullptr);
@@ -199,16 +197,6 @@ class SuperPeer : public sim::Node {
   /// Ids of the peers currently contributing to the store (retained mode
   /// only).
   std::vector<int> RetainedPeerIds() const;
-
-  /// Enables zone-map block skipping in this node's threshold scans (see
-  /// `ThresholdScanOptions::block_skip`): store blocks whose summary
-  /// min-vector is dominated by the live window are consumed without
-  /// per-point dominance tests, and whole pages of such blocks are never
-  /// read. Results, thresholds and scan counts are bit-identical either
-  /// way; op counts gain `summary_tests`/`blocks_skipped` and shed the
-  /// skipped dominance/scan/page charges. All nodes of a network should
-  /// agree on the setting (the network builder wires it uniformly).
-  void set_block_skip(bool enable) { block_skip_ = enable; }
 
   /// Maximum size of the broadcast filter set this node selects when it
   /// initiates a non-naive query (see `SelectFilterSet`): sampled from
@@ -595,7 +583,6 @@ class SuperPeer : public sim::Node {
   struct EpochStore {
     ResultList store{1};
     PagedStore paged;
-    StoreSummary summary;
     int pins = 0;
   };
 
@@ -605,10 +592,6 @@ class SuperPeer : public sim::Node {
   ResultList store_;
   /// Beyond-RAM store (see ConfigurePaging); invalid in in-memory mode.
   PagedStore paged_store_;
-  /// Zone-map summary of the resident store (in-memory mode only — the
-  /// paged store owns its own); rebuilt by `InstallStore` on every store
-  /// change, so churn rebuilds and snapshot restores stay covered.
-  StoreSummary store_summary_;
   /// Epoch of the current store (see store_epoch()).
   uint64_t store_epoch_ = 0;
   /// Epoch `View()` serves: the current epoch in steady state, the
@@ -653,9 +636,6 @@ class SuperPeer : public sim::Node {
   /// the identical computation, so a run that recomputes and a run that
   /// recalls count the same.
   OpCounts query_ops_;
-  /// Zone-map block skipping in local threshold scans (see
-  /// set_block_skip).
-  bool block_skip_ = false;
   /// Broadcast filter-set size bound this node uses as initiator
   /// (see set_filter_set_size); 0 disables the filter axis.
   size_t filter_set_size_ = 0;

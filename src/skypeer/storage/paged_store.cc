@@ -14,12 +14,6 @@ PagedStore PagedStore::Build(const ResultList& list, BufferManager* buffer) {
   store.buffer_ = buffer;
   store.layout_ = PageLayout(buffer->page_size(), list.points.dims());
   store.size_ = list.size();
-  // The summary stays resident even though the store itself spills; it is
-  // built from the list (not the spilled pages) with the same shared
-  // function the in-memory mode uses, so both modes carry bit-identical
-  // zone maps.
-  store.summary_ = StoreSummary::Build(list, store.layout_);
-
   const PageLayout& layout = store.layout_;
   const size_t dims = static_cast<size_t>(layout.dims);
   const size_t num_pages = layout.PagesForPoints(store.size_);
@@ -100,7 +94,6 @@ void PagedStore::Release() {
   pages_.clear();
   buffer_ = nullptr;
   size_ = 0;
-  summary_ = StoreSummary();
 }
 
 }  // namespace skypeer

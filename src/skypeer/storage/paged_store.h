@@ -9,7 +9,6 @@
 #include "skypeer/algo/result_list.h"
 #include "skypeer/storage/buffer_manager.h"
 #include "skypeer/storage/page_layout.h"
-#include "skypeer/storage/store_summary.h"
 
 namespace skypeer {
 
@@ -34,11 +33,9 @@ class PagedStore {
       layout_ = other.layout_;
       size_ = other.size_;
       pages_ = std::move(other.pages_);
-      summary_ = std::move(other.summary_);
       other.buffer_ = nullptr;
       other.size_ = 0;
       other.pages_.clear();
-      other.summary_ = StoreSummary();
     }
     return *this;
   }
@@ -57,14 +54,6 @@ class PagedStore {
   uint64_t page_id(size_t page_index) const { return pages_[page_index]; }
   BufferManager* buffer() const { return buffer_; }
 
-  /// Always-resident zone-map summary of the spilled store, built by
-  /// `Build` from the same list with the shared `StoreSummary::Build`
-  /// — bit-identical to the summary the in-memory mode builds, so skip
-  /// decisions never diverge between modes. Null while invalid.
-  const StoreSummary* summary() const {
-    return valid() ? &summary_ : nullptr;
-  }
-
   /// Reads the whole store back into memory (persistence, cloning and
   /// churn-merge inputs). Bit-exact inverse of `Build`.
   ResultList Materialize() const;
@@ -77,7 +66,6 @@ class PagedStore {
   PageLayout layout_;
   size_t size_ = 0;
   std::vector<uint64_t> pages_;
-  StoreSummary summary_;
 };
 
 }  // namespace skypeer

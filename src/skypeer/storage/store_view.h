@@ -1,15 +1,13 @@
 #ifndef SKYPEER_STORAGE_STORE_VIEW_H_
 #define SKYPEER_STORAGE_STORE_VIEW_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
-#include <functional>
-#include <utility>
 #include <vector>
 
 #include "skypeer/algo/result_list.h"
 #include "skypeer/storage/paged_store.h"
-#include "skypeer/storage/store_summary.h"
 
 namespace skypeer {
 
@@ -24,20 +22,14 @@ namespace skypeer {
 class StoreView {
  public:
   /// View over a resident list; `page_size` fixes the logical page
-  /// geometry (the default mirrors the `--page-size` default). `summary`
-  /// optionally attaches a zone-map summary of the same list (see
-  /// `StoreSummary`); without one, block-skipping scans fall back to the
-  /// plain full scan.
+  /// geometry (the default mirrors the `--page-size` default).
   explicit StoreView(const ResultList* list,
-                     size_t page_size = kDefaultPageSize,
-                     const StoreSummary* summary = nullptr)
-      : list_(list), layout_(page_size, list->points.dims()),
-        summary_(summary) {}
+                     size_t page_size = kDefaultPageSize)
+      : list_(list), layout_(page_size, list->points.dims()) {}
 
-  /// View over a paged store; its own summary (built at spill time) rides
-  /// along automatically.
+  /// View over a paged store.
   explicit StoreView(const PagedStore* store)
-      : store_(store), layout_(store->layout()), summary_(store->summary()) {}
+      : store_(store), layout_(store->layout()) {}
 
   size_t size() const { return list_ != nullptr ? list_->size() : store_->size(); }
   bool empty() const { return size() == 0; }
@@ -46,17 +38,11 @@ class StoreView {
   bool paged() const { return store_ != nullptr; }
   const ResultList* list() const { return list_; }
   const PagedStore* paged_store() const { return store_; }
-  /// Zone-map summary of this store, or null when none was attached
-  /// (valid summaries only; an invalid one is reported as null).
-  const StoreSummary* summary() const {
-    return (summary_ != nullptr && summary_->valid()) ? summary_ : nullptr;
-  }
 
  private:
   const ResultList* list_ = nullptr;
   const PagedStore* store_ = nullptr;
   PageLayout layout_;
-  const StoreSummary* summary_ = nullptr;
 };
 
 /// \brief Stateful reader over a `StoreView`.
@@ -73,13 +59,6 @@ class StoreCursor {
  public:
   /// Pages of read-ahead issued when the cursor crosses into a new page.
   static constexpr size_t kPrefetchDepth = 2;
-  /// How far past the current page the read-ahead looks for non-skipped
-  /// pages when a prefetch filter is installed.
-  static constexpr size_t kPrefetchLookahead = 8;
-
-  /// Predicate consulted by the read-ahead: true means "this page will
-  /// (predictably) be skipped entirely, do not prefetch it".
-  using PrefetchFilter = std::function<bool(size_t page_index)>;
 
   explicit StoreCursor(const StoreView& view)
       : list_(view.list()), store_(view.paged_store()), layout_(view.layout()) {
@@ -91,17 +70,6 @@ class StoreCursor {
 
   StoreCursor(const StoreCursor&) = delete;
   StoreCursor& operator=(const StoreCursor&) = delete;
-
-  /// Installs a read-ahead filter: forward page crossings then prefetch
-  /// the first `kPrefetchDepth` upcoming pages the filter does *not*
-  /// predict-skip (looking at most `kPrefetchLookahead` pages ahead), so
-  /// read-ahead jumps over pages a block-skipping scan will never touch.
-  /// Purely physical: prefetches are best-effort hints and never enter
-  /// logical op counts, so an imperfect prediction (the window tightens
-  /// after the hint) costs at most one wasted or missed prefetch.
-  void set_prefetch_filter(PrefetchFilter filter) {
-    prefetch_filter_ = std::move(filter);
-  }
 
   double f(size_t i) {
     if (list_ != nullptr) {
@@ -159,18 +127,10 @@ class StoreCursor {
         reinterpret_cast<const double*>(buffer->Pin(store_->page_id(page)));
     current_page_ = page;
     if (forward) {
-      const size_t last = store_->num_pages() - 1;
-      size_t issued = 0;
-      for (size_t ahead = 1;
-           issued < kPrefetchDepth && ahead <= kPrefetchLookahead; ++ahead) {
-        if (page + ahead > last) {
-          break;
-        }
-        if (prefetch_filter_ && prefetch_filter_(page + ahead)) {
-          continue;  // scan will jump this page; read ahead past it
-        }
-        buffer->Prefetch(store_->page_id(page + ahead));
-        ++issued;
+      const size_t last = std::min(page + kPrefetchDepth,
+                                   store_->num_pages() - 1);
+      for (size_t next = page + 1; next <= last; ++next) {
+        buffer->Prefetch(store_->page_id(next));
       }
     }
   }
@@ -189,7 +149,6 @@ class StoreCursor {
   size_t current_page_ = kNoPage;
   const double* page_data_ = nullptr;
   std::vector<double> row_scratch_;
-  PrefetchFilter prefetch_filter_;
 };
 
 }  // namespace skypeer

@@ -340,8 +340,8 @@ std::vector<Variant> SixVariants() {
 // for store, to (a) a network that interleaves the same events directly
 // between queries and (b) the same replay with incremental maintenance
 // replaced by full store rebuilds — across all six variants, 1/2/8
-// threads, resident and paged stores, plain and
-// filter-set+block-skip compositions.
+// threads, resident and paged stores, with and without the broadcast
+// filter set.
 //
 // The alignment works because a scheduled slot-q event batch is applied
 // *after* the q-th query pins its epochs: query q observes membership
@@ -366,7 +366,6 @@ TEST(ScheduledChurn, MatchesDirectReplayAndRebuildOracle) {
         }
         if (composed) {
           base.filter_set_size = 6;
-          base.block_skip = true;
         }
         NetworkConfig rebuild_config = base;
         rebuild_config.incremental_maintenance = false;
@@ -567,7 +566,6 @@ TEST(ScheduledChurn, ComposesWithCrashFaultsDeterministically) {
 TEST(Maintenance, IncrementalMatchesRebuildOracleUnderStress) {
   NetworkConfig config = DynamicConfig(14);
   config.verify_maintenance = true;
-  config.block_skip = true;
   SkypeerNetwork network(config);
   network.Preprocess();
 
@@ -607,31 +605,33 @@ TEST(Maintenance, IncrementalMatchesRebuildOracleUnderStress) {
   ExpectAllVariantsExact(&network, Subspace::FullSpace(4));
 }
 
-// Regression: removing the *last* peer of a super-peer must rebuild the
-// zone-map summary through the shared install path — a stale summary
-// would let --block-skip skip phantom blocks (or scan freed ones).
-TEST(Maintenance, DrainedSuperPeerServesBlockSkipQueries) {
-  NetworkConfig config = DynamicConfig(13);
-  config.block_skip = true;
-  SkypeerNetwork network(config);
-  network.Preprocess();
+// Regression: removing the *last* peer of a super-peer must install the
+// empty store through the shared install path, resident or paged, so the
+// drained node serves an empty view rather than its previous store.
+TEST(Maintenance, DrainedSuperPeerServesQueries) {
+  for (size_t buffer_pages : {size_t{0}, size_t{4}}) {
+    SCOPED_TRACE("buffer_pages=" + std::to_string(buffer_pages));
+    NetworkConfig config = DynamicConfig(13);
+    config.buffer_pages = buffer_pages;
+    SkypeerNetwork network(config);
+    network.Preprocess();
 
-  const std::vector<int> victims = network.overlay().super_peer_peers[2];
-  ASSERT_FALSE(victims.empty());
-  for (int peer : victims) {
-    ASSERT_TRUE(network.RemovePeer(peer).ok());
+    const std::vector<int> victims = network.overlay().super_peer_peers[2];
+    ASSERT_FALSE(victims.empty());
+    for (int peer : victims) {
+      ASSERT_TRUE(network.RemovePeer(peer).ok());
+    }
+    EXPECT_EQ(network.super_peer(2).StoreSize(), 0u);
+    EXPECT_TRUE(network.super_peer(2).View().empty());
+
+    ExpectAllVariantsExact(&network, Subspace::FromDims({0, 3}));
+    ExpectAllVariantsExact(&network, Subspace::FullSpace(4));
+    // A query initiated at the drained node must still work.
+    const Subspace u = Subspace::FromDims({1, 2});
+    QueryResult from_drained = network.ExecuteQuery(u, 2, Variant::kRTFM);
+    EXPECT_EQ(SortedIds(from_drained.skyline.points),
+              SortedIds(network.GroundTruthSkyline(u)));
   }
-  EXPECT_EQ(network.super_peer(2).StoreSize(), 0u);
-  ASSERT_TRUE(network.super_peer(2).View().summary() != nullptr);
-  EXPECT_TRUE(network.super_peer(2).View().empty());
-
-  ExpectAllVariantsExact(&network, Subspace::FromDims({0, 3}));
-  ExpectAllVariantsExact(&network, Subspace::FullSpace(4));
-  // A query initiated at the drained node must still work.
-  const Subspace u = Subspace::FromDims({1, 2});
-  QueryResult from_drained = network.ExecuteQuery(u, 2, Variant::kRTFM);
-  EXPECT_EQ(SortedIds(from_drained.skyline.points),
-            SortedIds(network.GroundTruthSkyline(u)));
 }
 
 }  // namespace

@@ -89,12 +89,15 @@ TEST(CostModel, ProfileRoundTripsExactly) {
   model.sort_step_s = 9.125e-9;
   model.byte_s = 2.0e-10;
 
-  // Profiles saved while the threshold scan had an R-tree window carry a
-  // line for the deleted R-tree node-visit price; they must keep loading,
-  // the key ignored.
+  // Profiles saved while the threshold scan had an R-tree window or
+  // zone-map block skipping carry lines for the deleted R-tree node-visit,
+  // summary-probe and skipped-block prices; they must keep loading, the
+  // keys ignored.
   for (const std::string& profile :
        {model.ToProfileString(),
-        "rtree_node_visit" "_s=2.5e-08\n" + model.ToProfileString()}) {
+        "rtree_node_visit" "_s=2.5e-08\n" + model.ToProfileString(),
+        model.ToProfileString() + "summary_test_s=2.5e-08\n"
+                                  "block_" "skip_s=1.0e-09\n"}) {
     CostModel loaded = CostModel::Calibrated();
     ASSERT_TRUE(loaded.LoadProfileString(profile)) << profile;
     EXPECT_EQ(loaded.dominance_test_s, model.dominance_test_s);

@@ -288,7 +288,7 @@ TEST(QueryMemo, ComputationalTimeEqualsATwinOnInfiniteLinks) {
   // scan and merge in its run 1, so its total time must equal the
   // original's computational time to the bit, with the same answer —
   // under every variant, staged or inline scans, the broadcast filter,
-  // block skipping, paged stores and scheduled churn.
+  // paged stores and scheduled churn.
   const std::vector<Subspace> subspaces = {
       Subspace::FromDims({0, 2}),    Subspace::FromDims({1, 3, 4}),
       Subspace::FromDims({2}),       Subspace::FromDims({0, 1, 2, 3, 4}),
@@ -299,7 +299,6 @@ TEST(QueryMemo, ComputationalTimeEqualsATwinOnInfiniteLinks) {
     config.latency = 0.01;
     config.threads = threads;
     config.filter_set_size = 16;
-    config.block_skip = true;
     config.buffer_pages = 8;
     config.dynamic_membership = true;
     config.churn_events = 6;

@@ -6,8 +6,8 @@
 // modes — and simulated times are bit-identical between the in-memory
 // and the paged store, for all five variants plus the pipeline, at 1, 2
 // and 8 threads, with forced-scalar and dispatched SIMD kernels,
-// composed with --filter-set, --block-skip and fault injection. Only the out-of-band physical pool counters may
-// differ.
+// composed with --filter-set and fault injection. Only the out-of-band
+// physical pool counters may differ.
 
 #include <gtest/gtest.h>
 
@@ -96,15 +96,9 @@ TEST(PagedIdentity, MatchesInMemoryForAllVariantsThreadsKernelsCompositions) {
     compositions.emplace_back("filtered", filtered);
   }
   {
-    NetworkConfig skipping = BaseConfig();
-    skipping.block_skip = true;
-    compositions.emplace_back("block-skip", skipping);
-  }
-  {
     // Everything at once, under injected faults.
     NetworkConfig faulted = BaseConfig();
     faulted.filter_set_size = 6;
-    faulted.block_skip = true;
     faulted.reliable = true;
     faulted.drop_prob = 0.2;
     faulted.delay_jitter = 0.05;

@@ -57,6 +57,25 @@ TEST(PageLayout, BlockAndPageGeometry) {
   EXPECT_EQ(four.PagesForPoints(801), 11u);
 }
 
+TEST(PageLayout, PagesHoldWholeBlocks) {
+  // `StoreCursor::Block` and `PagedStore::Build` address a point as
+  // (page, block within the page, lane), so an 8-wide block must never
+  // straddle a page. Pages hold whole blocks by construction
+  // (`PageLayout::points_per_page`).
+  for (int dims = 1; dims <= 16; ++dims) {
+    for (size_t page_size : {1024u, 2048u, 4096u, 8192u, 65536u}) {
+      const size_t bytes_per_block =
+          (static_cast<size_t>(dims) + 2) * kDomBlockWidth * sizeof(double);
+      if (page_size < bytes_per_block) {
+        continue;  // A page must hold at least one whole block.
+      }
+      const PageLayout layout(page_size, dims);
+      EXPECT_EQ(layout.points_per_page() % kDomBlockWidth, 0u)
+          << "dims=" << dims << " page_size=" << page_size;
+    }
+  }
+}
+
 TEST(PageLayout, ScanExaminedCountsTheRejectedProbe) {
   // A threshold scan that stops early reads one rejected f past the
   // consumed prefix; a scan that exhausts the store does not.

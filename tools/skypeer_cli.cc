@@ -79,13 +79,6 @@ void PrintUsageAndExit(const char* binary, int code) {
       "                   lines, see --calibrate)\n"
       "  --calibrate      measure this host's per-op cost constants and\n"
       "                   print them as a profile on stdout, then exit\n"
-      "  --block-skip     consult per-block zone-map summaries during\n"
-      "                   threshold scans: store blocks dominated by the\n"
-      "                   live window are consumed without per-point\n"
-      "                   dominance tests, and whole pages of such blocks\n"
-      "                   are never read in paged mode. Results and all\n"
-      "                   simulated metrics except the new skip counters\n"
-      "                   are identical either way\n"
       "  --net-threads N  scope the worker pool to the network instead of\n"
       "                   the process-wide pool (default 0 = global pool)\n"
       "  --filter-set N   broadcast at most N sampled filter points from\n"
@@ -216,8 +209,6 @@ CliOptions Parse(int argc, char** argv) {
     } else if (std::strcmp(arg, "--filter-set") == 0) {
       options.network.filter_set_size =
           static_cast<size_t>(ParseU64Flag("--filter-set", next_value(&i)));
-    } else if (std::strcmp(arg, "--block-skip") == 0) {
-      options.network.block_skip = true;
     } else if (std::strcmp(arg, "--net-threads") == 0) {
       options.network.threads = static_cast<int>(
           ParseIntFlag("--net-threads", next_value(&i), 0, 4096));
@@ -516,10 +507,6 @@ int main(int argc, char** argv) {
     std::printf("store paging: %zu-byte pages, %zu-frame buffer pool\n",
                 options.network.page_size, options.network.buffer_pages);
   }
-  if (options.network.block_skip) {
-    std::printf("block skip: zone-map summaries consulted before each "
-                "8-point store block\n");
-  }
   const PreprocessStats stats = network.Preprocess();
   std::printf(
       "pre-processing: n=%zu  SEL_p=%.1f%%  SEL_sp=%.1f%%  "
@@ -577,19 +564,6 @@ int main(int argc, char** argv) {
           "retransmits/query %.1f\n",
           aggregate.avg_coverage() * 100, aggregate.partial_queries,
           aggregate.queries, aggregate.avg_retransmits());
-    }
-    if (options.network.block_skip) {
-      // Workload totals of the zone-map scan counters — deterministic
-      // logical ops, so they participate in determinism diffs (unlike
-      // the "physical:" lines below).
-      std::printf(
-          "       | block skip: summary_tests=%llu blocks_skipped=%llu "
-          "scan_steps=%llu dominance_tests=%llu page_reads=%llu\n",
-          static_cast<unsigned long long>(aggregate.total_ops.summary_tests),
-          static_cast<unsigned long long>(aggregate.total_ops.blocks_skipped),
-          static_cast<unsigned long long>(aggregate.total_ops.scan_steps),
-          static_cast<unsigned long long>(aggregate.total_ops.dominance_tests),
-          static_cast<unsigned long long>(aggregate.total_ops.page_reads));
     }
   }
   if (options.network.churn_events > 0) {
