@@ -268,15 +268,23 @@ ResultList SkylineAccumulator::TakeResult() {
   return result;
 }
 
-void SkylineAccumulator::SeedWindow(const ResultList& seed) {
+void SkylineAccumulator::SeedWindow(const ResultList& seed,
+                                    const std::vector<char>* skip) {
   SKYPEER_CHECK(window_points_.empty());
+  SKYPEER_CHECK(skip == nullptr || skip->size() == seed.size());
   append_only_ = false;
-  const size_t n = seed.size();
+  const size_t n =
+      skip == nullptr
+          ? seed.size()
+          : static_cast<size_t>(std::count(skip->begin(), skip->end(), 0));
   window_points_.Reserve(n);
   window_f_.reserve(n);
   window_proj_.Reserve(n);
   double proj[kMaxDims];
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < seed.size(); ++i) {
+    if (skip != nullptr && (*skip)[i]) {
+      continue;
+    }
     window_points_.AppendFrom(seed.points, i);
     window_f_.push_back(seed.f[i]);
     const double* p = seed.points[i];

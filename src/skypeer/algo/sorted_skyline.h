@@ -127,7 +127,10 @@ class SkylineAccumulator {
   /// (fold the seed's threshold into `options.initial_threshold` instead).
   /// A seeded accumulator always runs the eviction pass: seeds are not
   /// f-ordered against the offers, so an offer may evict one.
-  void SeedWindow(const ResultList& seed);
+  /// With `skip` (one flag per row of `seed`) the flagged rows are left
+  /// out, so a caller can seed a subset without copying it first.
+  void SeedWindow(const ResultList& seed,
+                  const std::vector<char>* skip = nullptr);
 
  private:
   void EvictDominatedLinear(const double* proj);

@@ -534,8 +534,9 @@ void SkypeerNetwork::StageLocalScans(Subspace subspace, int initiator_sp,
   // scan thresholds are known up front: infinity everywhere for naive;
   // for FT*M the initiator computes first (threshold infinity) and every
   // other node then scans under the initiator's flooded value. Each staged
-  // scan is its node's memo entry, which both simulation runs consume, so
-  // results and simulated metrics match the sequential run exactly.
+  // scan is a memo entry of its node, which both simulation runs consume,
+  // so results and simulated metrics match the sequential run exactly. A
+  // scan the memo already holds from the previous query is not rerun.
   ThreadPool* staging_pool = pool();
   const int num_sp = num_super_peers();
   if (staging_pool->num_threads() <= 1 || num_sp <= 1 ||
@@ -680,11 +681,14 @@ QueryResult SkypeerNetwork::ExecuteQuery(Subspace subspace, int initiator_sp,
 
   QueryResult query_result;
 
-  // The query memo starts empty; the staging wave (if any) fills each
-  // node's scan entry before run 1, and run 1 records every scan and
-  // merge it computes.
+  // Open the memo for this query (after the pins, so each node keeps the
+  // scans of the epoch this query reads): the previous query's merges go,
+  // and so does every scan entry of another subspace or epoch or that the
+  // previous query did not use. The staging wave (if any) then finds or
+  // makes each node's scan entry before run 1, and run 1 records every
+  // scan and merge it computes.
   for (auto& sp : super_peers_) {
-    sp->ClearQueryMemo();
+    sp->BeginQueryMemo(subspace);
   }
   StageLocalScans(subspace, initiator_sp, variant);
 
@@ -694,8 +698,9 @@ QueryResult SkypeerNetwork::ExecuteQuery(Subspace subspace, int initiator_sp,
                                    network_params, &query_result.skyline);
 
   // Run 2: infinite bandwidth — pure computational critical path. Every
-  // scan or merge whose inputs match run 1's exactly is recalled from the
-  // memo and charged run 1's ops; the rest (refined thresholds along a
+  // scan or merge whose inputs match run 1's exactly (and every scan that
+  // matches one of the previous query's) is recalled from the memo and
+  // charged its recorded ops; the rest (refined thresholds along a
   // different flood tree, replies in a different order, other drops)
   // are recomputed.
   const sim::LinkParams compute_params{sim::kInfiniteBandwidth, 0.0};
@@ -706,12 +711,10 @@ QueryResult SkypeerNetwork::ExecuteQuery(Subspace subspace, int initiator_sp,
     SKYPEER_DCHECK(compute_result.size() == query_result.skyline.size());
   }
 
-  // Both runs are done: drop the memo, release the pinned pre-churn
-  // epochs (retired stores drop now — pages included) and retire the
-  // ticks.
-  for (auto& sp : super_peers_) {
-    sp->ClearQueryMemo();
-  }
+  // Both runs are done: release the pinned pre-churn epochs (retired
+  // stores drop now — pages included; memo entries hold results, never
+  // store pages) and retire the ticks. The memo stays for the next
+  // query, whose `BeginQueryMemo` drops what it cannot use.
   pending_ticks_.clear();
   for (size_t sp = 0; sp < pinned_epochs.size(); ++sp) {
     super_peers_[sp]->UnpinStoreEpoch(pinned_epochs[sp]);

@@ -164,11 +164,12 @@ struct QueryResult {
 /// of times. Each query is simulated twice under the hood — once with
 /// configured links for total time/volume, once with infinite bandwidth
 /// for the computational-time critical path (the two measurements of §6).
-/// Both simulations share one per-query memo: the second recalls every
-/// local scan and merge whose inputs match the first's exactly, charging
-/// the recorded operation counts, and recomputes only the rest. Every
-/// counter the query reports (volume, messages, ops, scan counts) comes
-/// from the first run.
+/// Both simulations share one memo: the second recalls every local scan
+/// and merge whose inputs match the first's exactly, charging the
+/// recorded operation counts, and recomputes only the rest. Scan entries
+/// also serve the next query (merges do not), so a query repeating a
+/// scan of the query before recalls it too. Every counter the query
+/// reports (volume, messages, ops, scan counts) comes from the first run.
 class SkypeerNetwork {
  public:
   /// Checks a configuration without building anything.
@@ -343,9 +344,9 @@ class SkypeerNetwork {
   };
 
   /// The staging wave: pre-executes the local scans whose thresholds are
-  /// known before the protocol runs, concurrently on the pool, as each
-  /// node's memo scan entry. Runs once per query, before run 1; a no-op
-  /// on one thread.
+  /// known before the protocol runs, concurrently on the pool, as memo
+  /// scan entries (recalled instead when the memo already holds them).
+  /// Runs once per query, before run 1; a no-op on one thread.
   void StageLocalScans(Subspace subspace, int initiator_sp, Variant variant);
 
   RunOutcome RunOnce(Subspace subspace, int initiator_sp, Variant variant,

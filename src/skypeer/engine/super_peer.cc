@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -14,6 +13,28 @@
 #include "skypeer/common/mapping.h"
 
 namespace skypeer {
+namespace {
+
+/// True when two broadcast filters (null = none) hold the same points,
+/// ids and f values in the same order: a fingerprint match alone could
+/// be a collision.
+bool SameFilter(const ResultList* a, const ResultList* b) {
+  if (a == b) {
+    return true;
+  }
+  if (a == nullptr || b == nullptr || a->size() != b->size() ||
+      a->f != b->f || a->points.values() != b->points.values()) {
+    return false;
+  }
+  for (size_t i = 0; i < a->size(); ++i) {
+    if (a->points.id(i) != b->points.id(i)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 void SuperPeer::ChargeOps(sim::Simulator* simulator, const OpCounts& ops) {
   query_ops_ += ops;
@@ -233,36 +254,77 @@ ResultList SuperPeer::RemoveIncremental(const ResultList& departed,
   // preserves the survivors' relative ranks, so the old store minus the
   // departing points is already canonically ordered for the new peer
   // set — only the resurrection candidates need merging back in.
-  const ResultList old = MaterializeStore();
+  //
+  // The old store is read in place when resident; a paged one comes back
+  // into memory once, as in `JoinPeer`. The survivors are never copied
+  // out: a flag per store row marks the departing points, and the
+  // candidate window is seeded straight from the store.
+  ResultList materialized(dims_);
+  const ResultList* old = &store_;
+  if (paged_store_.valid()) {
+    materialized = paged_store_.Materialize();
+    old = &materialized;
+  }
   const Subspace full = Subspace::FullSpace(dims_);
 
+  // Each retained point's canonical (peer rank, list position), sorted
+  // by id for lookup.
+  struct Canonical {
+    PointId id;
+    uint32_t rank;
+    uint32_t pos;
+  };
+  size_t retained = 0;
+  for (const auto& [pid, list] : peer_lists_) {
+    retained += list.size();
+  }
+  std::vector<Canonical> canonical;
+  canonical.reserve(retained);
+  std::vector<std::vector<char>> in_store;
+  in_store.reserve(peer_lists_.size());
+  uint32_t rank = 0;
+  for (const auto& [pid, list] : peer_lists_) {
+    for (size_t i = 0; i < list.size(); ++i) {
+      canonical.push_back({list.points.id(i), rank, static_cast<uint32_t>(i)});
+    }
+    in_store.emplace_back(list.size(), 0);
+    ++rank;
+  }
+  std::sort(canonical.begin(), canonical.end(),
+            [](const Canonical& a, const Canonical& b) { return a.id < b.id; });
+  const auto order = [&](PointId id) {
+    const auto it = std::lower_bound(
+        canonical.begin(), canonical.end(), id,
+        [](const Canonical& c, PointId key) { return c.id < key; });
+    SKYPEER_DCHECK(it != canonical.end() && it->id == id);
+    return std::make_pair(it->rank, it->pos);
+  };
   std::unordered_set<PointId> departing;
   departing.reserve(departed.size());
   for (size_t i = 0; i < departed.size(); ++i) {
     departing.insert(departed.points.id(i));
-  }
-  std::unordered_set<PointId> in_store;
-  in_store.reserve(old.size());
-  for (size_t i = 0; i < old.size(); ++i) {
-    in_store.insert(old.points.id(i));
   }
 
   // Drop pass: the survivors. Every one of them stays in the final store
   // (a departure only shrinks the set of potential ext-dominators), and
   // the minimum of their dist values is the exact Observation-5 cutoff
   // for the candidate scan: a candidate with f above it sits strictly
-  // above some survivor on every dimension, hence is ext-dominated.
-  ResultList survivors(dims_);
+  // above some survivor on every dimension, hence is ext-dominated. Each
+  // survivor is also flagged in its peer's list, so the candidate walk
+  // below skips it.
+  std::vector<char> dropped(old->size(), 0);
   double seed_threshold = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < old.size(); ++i) {
-    if (departing.count(old.points.id(i)) > 0) {
+  for (size_t i = 0; i < old->size(); ++i) {
+    const PointId id = old->points.id(i);
+    if (departing.count(id) > 0) {
+      dropped[i] = 1;
       continue;
     }
-    survivors.points.Append(old.points[i], old.points.id(i));
-    survivors.f.push_back(old.f[i]);
-    seed_threshold = std::min(seed_threshold, DistU(old.points[i], full));
+    const auto [peer_rank, pos] = order(id);
+    in_store[peer_rank][pos] = 1;
+    seed_threshold = std::min(seed_threshold, DistU(old->points[i], full));
   }
-  ops->scan_steps += old.size();
+  ops->scan_steps += old->size();
 
   // Resurrection candidates: surviving peers' retained points that were
   // not in the pre-removal store — both the ext-dominated (shadowed by a
@@ -275,22 +337,27 @@ ResultList SuperPeer::RemoveIncremental(const ResultList& departed,
   options.ext = true;
   options.initial_threshold = seed_threshold;
   SkylineAccumulator acc(dims_, full, options);
-  acc.SeedWindow(survivors);
+  acc.SeedWindow(*old, &dropped);
 
   struct Cursor {
     const ResultList* list = nullptr;
+    const std::vector<char>* in_store = nullptr;
     size_t pos = 0;
-    int rank = 0;
+    uint32_t rank = 0;
+    // Moves past the list's store members to its next candidate.
+    void SkipStored() {
+      while (pos < list->size() && (*in_store)[pos]) {
+        ++pos;
+      }
+    }
   };
   std::vector<Cursor> cursors;
   cursors.reserve(peer_lists_.size());
-  int rank = 0;
+  rank = 0;
   for (const auto& [pid, list] : peer_lists_) {
-    Cursor cursor{&list, 0, rank++};
-    while (cursor.pos < list.size() &&
-           in_store.count(list.points.id(cursor.pos)) > 0) {
-      ++cursor.pos;
-    }
+    Cursor cursor{&list, &in_store[rank], 0, rank};
+    ++rank;
+    cursor.SkipStored();
     if (cursor.pos < list.size()) {
       cursors.push_back(cursor);
     }
@@ -304,7 +371,6 @@ ResultList SuperPeer::RemoveIncremental(const ResultList& departed,
     return a.rank > b.rank;
   };
   std::make_heap(cursors.begin(), cursors.end(), later);
-  ResultList resurrected(dims_);
   while (!cursors.empty()) {
     std::pop_heap(cursors.begin(), cursors.end(), later);
     Cursor cursor = cursors.back();
@@ -317,53 +383,53 @@ ResultList SuperPeer::RemoveIncremental(const ResultList& departed,
     acc.Offer((*cursor.list).points[cursor.pos],
               cursor.list->points.id(cursor.pos), f);
     ++cursor.pos;
-    while (cursor.pos < cursor.list->size() &&
-           in_store.count(cursor.list->points.id(cursor.pos)) > 0) {
-      ++cursor.pos;
-    }
+    cursor.SkipStored();
     if (cursor.pos < cursor.list->size()) {
       cursors.push_back(cursor);
       std::push_heap(cursors.begin(), cursors.end(), later);
     }
   }
-  ResultList result = acc.TakeResult();
+  const ResultList result = acc.TakeResult();
   *ops += acc.ops();
 
-  // Splice pass: two-way merge of the survivors (canonically ordered
-  // subsequence of the old store) and the resurrected points (offered in
-  // canonical order, so emitted in it) on (f, rank, position) — the
-  // exact order the full rebuild's heap would produce.
-  std::unordered_map<PointId, std::pair<int, size_t>> order;
-  rank = 0;
-  for (const auto& [pid, list] : peer_lists_) {
-    for (size_t i = 0; i < list.size(); ++i) {
-      order.emplace(list.points.id(i), std::make_pair(rank, i));
-    }
-    ++rank;
-  }
+  // Splice pass: two-way merge of the survivors (the undropped rows of
+  // the old store, a canonically ordered subsequence) and the resurrected
+  // points (offered in canonical order, so emitted in it) on (f, rank,
+  // position) — the exact order the full rebuild's heap would produce.
   ResultList merged(dims_);
+  const size_t survivors =
+      static_cast<size_t>(std::count(dropped.begin(), dropped.end(), 0));
+  merged.points.Reserve(survivors + result.size());
+  merged.f.reserve(survivors + result.size());
   size_t a = 0;
   size_t b = 0;
+  const auto next_survivor = [&]() {
+    while (a < old->size() && dropped[a]) {
+      ++a;
+    }
+  };
+  next_survivor();
   const auto take_survivor = [&]() {
     if (b >= result.size()) {
       return true;
     }
-    if (a >= survivors.size()) {
+    if (a >= old->size()) {
       return false;
     }
-    if (survivors.f[a] != result.f[b]) {
-      return survivors.f[a] < result.f[b];
+    if (old->f[a] != result.f[b]) {
+      return old->f[a] < result.f[b];
     }
-    return order.at(survivors.points.id(a)) < order.at(result.points.id(b));
+    return order(old->points.id(a)) < order(result.points.id(b));
   };
-  while (a < survivors.size() || b < result.size()) {
+  while (a < old->size() || b < result.size()) {
     ops->merge_pulls += 1;
     if (take_survivor()) {
-      merged.points.Append(survivors.points[a], survivors.points.id(a));
-      merged.f.push_back(survivors.f[a]);
+      merged.points.AppendFrom(old->points, a);
+      merged.f.push_back(old->f[a]);
       ++a;
+      next_survivor();
     } else {
-      merged.points.Append(result.points[b], result.points.id(b));
+      merged.points.AppendFrom(result.points, b);
       merged.f.push_back(result.f[b]);
       ++b;
     }
@@ -412,8 +478,21 @@ void SuperPeer::ResetProtocolState() {
 }
 
 void SuperPeer::ClearQueryMemo() {
-  scan_memo_.reset();
+  scan_memo_.clear();
   merge_memo_.clear();
+  staged_ = kNoScan;
+}
+
+void SuperPeer::BeginQueryMemo(Subspace subspace) {
+  std::erase_if(scan_memo_, [&](const ScanMemo& scan) {
+    return !scan.used || scan.key.epoch != scan_epoch_ ||
+           scan.key.mask != subspace.mask();
+  });
+  for (ScanMemo& scan : scan_memo_) {
+    scan.used = false;
+  }
+  merge_memo_.clear();
+  staged_ = kNoScan;
 }
 
 void SuperPeer::HandleMessage(sim::Simulator* simulator,
@@ -774,12 +853,11 @@ void SuperPeer::SendReplyReliable(sim::Simulator* simulator, int dst,
 
 // --- local computation ---------------------------------------------------
 
-void SuperPeer::RunLocalScan(const Subspace& subspace, const ResultList* filter,
-                             ScanMemo* scan) {
+void SuperPeer::RunLocalScan(const Subspace& subspace, ScanMemo* scan) {
   const double threshold_in = scan->key.threshold_in;
   scan->ops = OpCounts{};
   const StoreView view = View();
-  if (scan->key.variant == Variant::kNaive) {
+  if (scan->key.bnl) {
     // The baseline ignores the f-ordering and the threshold: a plain BNL
     // over the store, then sorted for shipping.
     PointSet skyline =
@@ -793,7 +871,7 @@ void SuperPeer::RunLocalScan(const Subspace& subspace, const ResultList* filter,
 
   ThresholdScanOptions options;
   options.initial_threshold = threshold_in;
-  options.filter = filter;
+  options.filter = scan->filter.get();
   ThresholdScanStats stats;
   scan->local = std::make_shared<const ResultList>(
       SortedSkyline(view, subspace, options, &stats));
@@ -803,27 +881,43 @@ void SuperPeer::RunLocalScan(const Subspace& subspace, const ResultList* filter,
   scan->ops = stats.ops;
 }
 
+size_t SuperPeer::RecallOrScan(const ScanKey& key, const Subspace& subspace,
+                               std::shared_ptr<const ResultList> filter) {
+  for (size_t i = 0; i < scan_memo_.size(); ++i) {
+    ScanMemo& scan = scan_memo_[i];
+    if (scan.key == key && SameFilter(scan.filter.get(), filter.get())) {
+      scan.used = true;
+      return i;
+    }
+  }
+  ScanMemo scan;
+  scan.key = key;
+  scan.filter = std::move(filter);
+  RunLocalScan(subspace, &scan);
+  scan_memo_.push_back(std::move(scan));
+  return scan_memo_.size() - 1;
+}
+
 void SuperPeer::StageLocalScan(const Subspace& subspace, Variant variant,
                                double threshold,
                                std::shared_ptr<const ResultList> filter) {
   if (filter != nullptr && filter->empty()) {
     filter = nullptr;
   }
-  ScanMemo memo;
-  memo.key = {scan_epoch_, subspace.mask(), variant,
-              filter != nullptr ? FilterFingerprint(*filter) : 0, threshold};
-  RunLocalScan(subspace, filter.get(), &memo);
-  scan_memo_ = std::move(memo);
+  const ScanKey key{scan_epoch_, subspace.mask(), variant == Variant::kNaive,
+                    filter != nullptr ? FilterFingerprint(*filter) : 0,
+                    threshold};
+  staged_ = RecallOrScan(key, subspace, std::move(filter));
 }
 
 double SuperPeer::StagedThreshold() const {
-  SKYPEER_CHECK(scan_memo_.has_value());
-  return scan_memo_->threshold_out;
+  SKYPEER_CHECK(staged_ != kNoScan);
+  return scan_memo_[staged_].threshold_out;
 }
 
 std::shared_ptr<const ResultList> SuperPeer::StagedLocal() const {
-  SKYPEER_CHECK(scan_memo_.has_value());
-  return scan_memo_->local;
+  SKYPEER_CHECK(staged_ != kNoScan);
+  return scan_memo_[staged_].local;
 }
 
 void SuperPeer::MaybeSelectFilter(sim::Simulator* simulator,
@@ -844,19 +938,16 @@ void SuperPeer::MaybeSelectFilter(sim::Simulator* simulator,
 }
 
 void SuperPeer::ComputeLocal(sim::Simulator* simulator, QueryState* state) {
-  const ScanKey key{scan_epoch_, state->subspace.mask(), state->variant,
-                    state->filter_fp, state->threshold};
-  if (!scan_memo_.has_value() || !(scan_memo_->key == key)) {
-    ScanMemo memo;
-    memo.key = key;
-    RunLocalScan(state->subspace, state->filter.get(), &memo);
-    scan_memo_ = std::move(memo);
-  }
+  const ScanKey key{scan_epoch_, state->subspace.mask(),
+                    state->variant == Variant::kNaive, state->filter_fp,
+                    state->threshold};
+  const ScanMemo& scan =
+      scan_memo_[RecallOrScan(key, state->subspace, state->filter)];
   // A memo hit is the identical scan, so its recorded ops are the charge.
-  ChargeOps(simulator, scan_memo_->ops);
-  state->local = scan_memo_->local;
-  state->threshold = scan_memo_->threshold_out;
-  state->scanned = scan_memo_->scanned;
+  ChargeOps(simulator, scan.ops);
+  state->local = scan.local;
+  state->threshold = scan.threshold_out;
+  state->scanned = scan.scanned;
 }
 
 std::shared_ptr<const ResultList> SuperPeer::Merge(

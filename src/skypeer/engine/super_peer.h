@@ -97,8 +97,13 @@ class SuperPeer : public sim::Node {
 
   /// Page geometry used for logical page charging while the store stays
   /// in memory; must match the `--page-size` a paged run would use so
-  /// the two modes bill identical `page_reads`/`page_bytes`.
-  void set_page_size(size_t page_size) { page_size_ = page_size; }
+  /// the two modes bill identical `page_reads`/`page_bytes`. Must be
+  /// called before the first store install: a scan's page charge then
+  /// depends on its store epoch alone, which the query memo relies on.
+  void set_page_size(size_t page_size) {
+    SKYPEER_CHECK(store_epoch_ == 0);
+    page_size_ = page_size;
+  }
 
   /// Number of rows in the store, valid in both store modes.
   size_t StoreSize() const {
@@ -224,19 +229,32 @@ class SuperPeer : public sim::Node {
   /// bookkeeping, duplicate-suppression sets and counters.
   /// `Simulator::Reset` discards pending events and timers; this is the
   /// matching node-side reset the simulator docs require — call both
-  /// before re-running a query on the same network. The query memo (see
+  /// before re-running a query on the same network. The memo (see
   /// `ClearQueryMemo`) survives it, so a re-run of the same query can
   /// recall run 1's computations.
   void ResetProtocolState();
 
-  /// Drops the per-query memo: the recorded local scan and every
-  /// recorded merge. A memo entry answers a later computation only on an
-  /// exact key match — the same inputs, so the same output and the same
+  /// Drops the whole memo: every recorded local scan and every recorded
+  /// merge. A memo entry answers a later computation only on an exact
+  /// key match — the same inputs, so the same output and the same
   /// operation counts — and is charged exactly those recorded ops; any
-  /// mismatch recomputes. The network clears the
-  /// memo when a query starts and after its second simulation run, so no
-  /// entry outlives its query.
+  /// mismatch recomputes. So clearing the memo never changes a result or
+  /// a metric, only the host work spent recomputing.
   void ClearQueryMemo();
+
+  /// Opens the memo for a new query on `subspace`. Merges live for one
+  /// query: all are dropped. Scan entries outlive their query under one
+  /// fixed rule: an entry survives only if it scanned `subspace`, read
+  /// the store epoch the new query scans (`View()`'s epoch, so call this
+  /// after any pin), and the previous query created or recalled it. Any
+  /// other entry could not answer this query, and the next one would
+  /// drop it as unused. The survivors count as unused until the new
+  /// query recalls them, so a node holds the scans of at most two
+  /// queries.
+  void BeginQueryMemo(Subspace subspace);
+
+  /// Scan entries the memo holds (testing aid, like `RetiredEpochCount`).
+  size_t ScanMemoCount() const { return scan_memo_.size(); }
 
   /// Counters of the reliable transport since the last
   /// `ResetProtocolState`.
@@ -257,30 +275,31 @@ class SuperPeer : public sim::Node {
 
   /// Pre-executes the local scan this node would run for a query on
   /// `subspace` under `variant` arriving with `threshold` on the
-  /// executing (worker) thread, counting its ops, and records it as the
-  /// query memo's scan entry. When the real query message arrives with
-  /// exactly these parameters, `ComputeLocal` answers from the memo and
-  /// charges the recorded ops to the virtual clock; on any parameter
-  /// mismatch the scan silently reruns inline, so staging can never
-  /// change results or metrics — it only moves host CPU work off the
-  /// simulator thread. Safe to call concurrently on *different* SuperPeer
-  /// instances (it touches only this node's store and memo). Cleared by
-  /// `ClearQueryMemo`. `filter` is the broadcast filter set the query
-  /// will carry (null for none); the memo entry only answers a query with
-  /// a matching filter fingerprint.
+  /// executing (worker) thread, counting its ops, and records it in the
+  /// memo — or, when the memo already holds that exact scan (an earlier
+  /// query's, say), only marks it used. When the real query message
+  /// arrives with exactly these parameters, `ComputeLocal` answers from
+  /// the memo and charges the recorded ops to the virtual clock; on any
+  /// parameter mismatch the scan silently reruns inline, so staging can
+  /// never change results or metrics — it only moves host CPU work off
+  /// the simulator thread. Safe to call concurrently on *different*
+  /// SuperPeer instances (it touches only this node's store and memo).
+  /// `filter` is the broadcast filter set the query will carry (null for
+  /// none); the entry only answers a query whose filter is identical.
   void StageLocalScan(const Subspace& subspace, Variant variant,
                       double threshold,
                       std::shared_ptr<const ResultList> filter = nullptr);
 
   /// Threshold the staged scan ended with — for FT*M the value the
-  /// initiator floods. Reads the memo's scan entry, so it requires a
-  /// preceding `StageLocalScan`.
+  /// initiator floods. Reads the memo entry the last `StageLocalScan`
+  /// found or made, so it requires one since `BeginQueryMemo`.
   double StagedThreshold() const;
 
-  /// Local result of the staged scan (the memo's scan entry). Requires a
-  /// preceding `StageLocalScan`. The network staging wave uses the
-  /// initiator's staged local to construct — content-identically to what
-  /// the protocol run will select — the filter set the other nodes stage
+  /// Local result of the staged scan (the entry the last
+  /// `StageLocalScan` found or made). Requires one since
+  /// `BeginQueryMemo`. The network staging wave uses the initiator's
+  /// staged local to construct — content-identically to what the
+  /// protocol run will select — the filter set the other nodes stage
   /// under.
   std::shared_ptr<const ResultList> StagedLocal() const;
 
@@ -387,27 +406,38 @@ class SuperPeer : public sim::Node {
     bool partial = false;
   };
 
-  /// Everything a local scan's outcome depends on within one query: the
-  /// store epoch it reads, the subspace, the variant (naive ignores the
-  /// threshold), the broadcast filter and the incoming threshold.
+  /// Everything a local scan's outcome depends on: the store epoch it
+  /// reads, the subspace, which scan runs (naive's BNL, which ignores the
+  /// threshold, or the threshold scan every other variant runs), the
+  /// broadcast filter and the incoming threshold. The remaining inputs
+  /// are fixed for an epoch: the store contents and, for the page charge,
+  /// the page geometry (`set_page_size` precedes the first install;
+  /// `ConfigurePaging` fixes a paged store's). `filter_fp` only narrows
+  /// the search: an entry answers a scan only if its filter is also
+  /// identical (`ScanMemo::filter`), since a fingerprint can collide.
   struct ScanKey {
     uint64_t epoch = 0;
     uint32_t mask = 0;
-    Variant variant = Variant::kFTPM;
+    bool bnl = false;
     /// `FilterFingerprint` of the broadcast filter (0 = none).
     uint64_t filter_fp = 0;
     double threshold_in = 0.0;
     bool operator==(const ScanKey&) const = default;
   };
 
-  /// The memo's scan entry: a local scan of the current query (staged or
-  /// run inline) and the operation counts it was charged.
+  /// A memo scan entry: a local scan (staged or run inline, by this query
+  /// or an earlier one) and the operation counts it was charged.
   struct ScanMemo {
     ScanKey key;
+    /// The broadcast filter the scan seeded its window with (null =
+    /// none); compared exactly on a fingerprint match.
+    std::shared_ptr<const ResultList> filter;
     std::shared_ptr<const ResultList> local;
     double threshold_out = 0.0;
     size_t scanned = 0;
     OpCounts ops;
+    /// Created or recalled since the last `BeginQueryMemo`.
+    bool used = true;
   };
 
   /// The four merges of the protocol: the threshold merge of sorted lists
@@ -505,9 +535,15 @@ class SuperPeer : public sim::Node {
   /// Computes the local subspace skyline under `state->threshold` and
   /// stores it in `state->local`, charging its ops. Updates
   /// `state->threshold` to the (possibly lower) final scan threshold.
-  /// Answers from the memo's scan entry instead of rescanning when the
-  /// key matches.
+  /// Answers from a memo scan entry instead of rescanning when one
+  /// matches.
   void ComputeLocal(sim::Simulator* simulator, QueryState* state);
+
+  /// The memo entry of the scan of `subspace` under `key` seeded with
+  /// `filter` (whose fingerprint `key.filter_fp` holds): found, or run
+  /// and recorded. Marks it used and returns its index in `scan_memo_`.
+  size_t RecallOrScan(const ScanKey& key, const Subspace& subspace,
+                      std::shared_ptr<const ResultList> filter);
 
   /// Merges `inputs` (in this order) into one list for the query subspace
   /// under `threshold_in`, charging the merge's ops, or recalls the
@@ -521,12 +557,10 @@ class SuperPeer : public sim::Node {
 
   /// The simulator-free scan core shared by `ComputeLocal` and
   /// `StageLocalScan`: evaluates `subspace` against the store under
-  /// `scan->key`'s threshold for its variant and writes the resulting
+  /// `scan->key`'s threshold with its scan and writes the resulting
   /// list, tightened threshold, scan count and operation counts into
-  /// `scan`. `filter` is the broadcast filter set the scan seeds its
-  /// window with (null = none).
-  void RunLocalScan(const Subspace& subspace, const ResultList* filter,
-                    ScanMemo* scan);
+  /// `scan`, seeding the window with `scan->filter` (null = none).
+  void RunLocalScan(const Subspace& subspace, ScanMemo* scan);
 
   /// Initiator only, after its local scan: selects the broadcast filter
   /// set from `state->local` when `filter_set_size_` > 0 and the variant
@@ -615,11 +649,16 @@ class SuperPeer : public sim::Node {
   bool preprocessed_ = false;
   std::vector<int> neighbors_;
   std::optional<QueryState> query_;
-  /// The per-query memo (see `ClearQueryMemo`): at most one local scan
-  /// and one merge per node per simulation run, so the second run of a
-  /// query finds run 1's entries in a short list.
-  std::optional<ScanMemo> scan_memo_;
+  /// The memo (see `ClearQueryMemo` and `BeginQueryMemo`): at most one
+  /// local scan per node per simulation run, kept for the next query
+  /// too, and one merge per node per simulation run, kept for one query
+  /// — so every lookup searches a short list.
+  std::vector<ScanMemo> scan_memo_;
   std::vector<MergeMemo> merge_memo_;
+  /// Index in `scan_memo_` of the entry the last `StageLocalScan` found
+  /// or made; `kNoScan` since `BeginQueryMemo`.
+  static constexpr size_t kNoScan = ~size_t{0};
+  size_t staged_ = kNoScan;
   // Reliable transport state (unused while `reliable_.enabled` is off).
   ReliableParams reliable_;
   int num_super_peers_ = 0;

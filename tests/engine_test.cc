@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <string>
 #include <tuple>
@@ -337,9 +338,10 @@ TEST(QueryMemo, ComputationalTimeEqualsATwinOnInfiniteLinks) {
   }
 }
 
-TEST(QueryMemo, NoEntryOutlivesItsQuery) {
+TEST(QueryMemo, AStoreInstallForcesARescan) {
   // The same (subspace, variant, initiator) query before and after a join
-  // that changes its answer: the second execution must recompute against
+  // that changes its answer: scan entries outlive their query, but only
+  // for the store epoch they read, so the second execution must rescan
   // the new store rather than recall the first query's scans or merges.
   const Subspace u = Subspace::FromDims({1, 3});
   for (Variant variant : kAllVariants) {
@@ -368,6 +370,127 @@ TEST(QueryMemo, NoEntryOutlivesItsQuery) {
     EXPECT_NE(SortedIds(after.skyline.points),
               SortedIds(before.skyline.points))
         << VariantName(variant);
+  }
+}
+
+void ExpectSameQueryMetrics(const QueryMetrics& a, const QueryMetrics& b,
+                            const std::string& context) {
+  EXPECT_EQ(a.computational_time_s, b.computational_time_s) << context;
+  EXPECT_EQ(a.total_time_s, b.total_time_s) << context;
+  EXPECT_EQ(a.bytes_transferred, b.bytes_transferred) << context;
+  EXPECT_EQ(a.messages, b.messages) << context;
+  EXPECT_EQ(a.result_size, b.result_size) << context;
+  EXPECT_EQ(a.store_points_scanned, b.store_points_scanned) << context;
+  EXPECT_EQ(a.local_result_points, b.local_result_points) << context;
+  EXPECT_EQ(a.super_peers_participated, b.super_peers_participated)
+      << context;
+  EXPECT_TRUE(a.ops == b.ops) << context << "\n  a: " << a.ops.ToString()
+                              << "\n  b: " << b.ops.ToString();
+  EXPECT_EQ(a.partial, b.partial) << context;
+  EXPECT_EQ(a.super_peers_reached, b.super_peers_reached) << context;
+  EXPECT_EQ(a.super_peers_total, b.super_peers_total) << context;
+  EXPECT_EQ(a.retransmits, b.retransmits) << context;
+  EXPECT_EQ(a.hops_gave_up, b.hops_gave_up) << context;
+  EXPECT_EQ(a.messages_dropped, b.messages_dropped) << context;
+  EXPECT_EQ(a.covered, b.covered) << context;
+}
+
+std::vector<Variant> SixVariants() {
+  std::vector<Variant> variants(std::begin(kAllVariants),
+                                std::end(kAllVariants));
+  variants.push_back(Variant::kPipeline);
+  return variants;
+}
+
+TEST(QueryMemo, RecallAcrossQueriesChangesNoMetric) {
+  // Scan entries outlive their query, so a block of all six variants on
+  // one subspace and initiator recalls the scans of the query before.
+  // A twin network that clears every memo before each query recomputes
+  // everything; every metric and the answer, in order, must match —
+  // staged or inline scans, resident or paged stores with a filter set
+  // and scheduled churn, and the reliable transport with drops.
+  struct Composition {
+    const char* name;
+    bool paged_filter_churn;
+    bool lossy;
+  };
+  const Composition compositions[] = {{"resident", false, false},
+                                      {"paged+filter+churn", true, false},
+                                      {"reliable+drops", false, true}};
+  const std::vector<Subspace> blocks = {
+      Subspace::FromDims({0, 2}), Subspace::FromDims({1, 3, 4}),
+      Subspace::FromDims({0, 2}), Subspace::FromDims({0, 1, 2, 3, 4}),
+      Subspace::FromDims({0, 2}), Subspace::FromDims({1, 3, 4})};
+  for (const Composition& composition : compositions) {
+    for (int threads : {1, 2}) {
+      NetworkConfig config = SmallConfig(31);
+      config.threads = threads;
+      if (composition.paged_filter_churn) {
+        config.buffer_pages = 8;
+        config.filter_set_size = 16;
+        config.dynamic_membership = true;
+        config.churn_events = 8;
+      }
+      if (composition.lossy) {
+        config.reliable = true;
+        config.drop_prob = 0.1;
+      }
+      SkypeerNetwork recalling(config);
+      recalling.Preprocess();
+      SkypeerNetwork cleared(config);
+      cleared.Preprocess();
+      for (size_t b = 0; b < blocks.size(); ++b) {
+        // Repeated subspaces come back with the same initiator, so even
+        // the first query of a block can recall an earlier block's scans.
+        const int initiator =
+            static_cast<int>(blocks[b].mask()) % recalling.num_super_peers();
+        for (Variant variant : SixVariants()) {
+          const QueryResult recalled =
+              recalling.ExecuteQuery(blocks[b], initiator, variant);
+          cleared.ResetProtocolState();
+          const QueryResult reference =
+              cleared.ExecuteQuery(blocks[b], initiator, variant);
+          const std::string context =
+              std::string(composition.name) + " " + VariantName(variant) +
+              " block=" + std::to_string(b) +
+              " threads=" + std::to_string(threads);
+          ExpectSameQueryMetrics(recalled.metrics, reference.metrics,
+                                 context);
+          EXPECT_EQ(recalled.skyline.points.Ids(),
+                    reference.skyline.points.Ids())
+              << context;
+        }
+      }
+    }
+  }
+}
+
+TEST(QueryMemo, ScanEntriesStayBounded) {
+  // A query records at most three scans per node (the staged one and one
+  // per simulation run), and the next query keeps only those on its own
+  // subspace. So however long the run, no node holds more than two
+  // queries' scans, and a query on a new subspace starts with none.
+  NetworkConfig config = SmallConfig(37);
+  config.threads = 2;
+  SkypeerNetwork network(config);
+  network.Preprocess();
+  const Subspace u = Subspace::FromDims({0, 3, 4});
+  const std::vector<Variant> variants = SixVariants();
+  size_t largest = 0;
+  for (int q = 0; q < 60; ++q) {
+    const int initiator = (q * 5) % network.num_super_peers();
+    network.ExecuteQuery(u, initiator, variants[q % variants.size()]);
+    for (int sp = 0; sp < network.num_super_peers(); ++sp) {
+      largest = std::max(largest, network.super_peer(sp).ScanMemoCount());
+    }
+  }
+  EXPECT_LE(largest, 6u);
+  EXPECT_GE(largest, 1u);
+
+  // FTPM's two simulation runs share each node's one scan.
+  network.ExecuteQuery(Subspace::FromDims({1, 2}), 0, Variant::kFTPM);
+  for (int sp = 0; sp < network.num_super_peers(); ++sp) {
+    EXPECT_EQ(network.super_peer(sp).ScanMemoCount(), 1u) << "sp=" << sp;
   }
 }
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "skypeer/algo/bnl.h"
@@ -127,12 +129,81 @@ TEST(SuperPeerUnit, RemoveRebuildsStore) {
             SortedIds(BnlSkyline(keep, Subspace::FullSpace(4), /*ext=*/true)));
 }
 
+TEST(SuperPeerUnit, IncrementalRemoveKeepsCanonicalOrderUnderTies) {
+  // Coordinates on a 3-value grid make f ties between the survivors and
+  // the resurrected points common, so the splice's tie-break on (peer
+  // rank, list position) decides the store order. The checked oracle
+  // CHECKs every incremental result bit-identical to a full rebuild.
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    SuperPeer sp(0, 3, WireModel{});
+    sp.set_retain_peer_lists(true);
+    sp.set_verify_maintenance(true);
+    Rng rng(seed);
+    std::vector<int> peers;
+    for (int peer = 0; peer < 6; ++peer) {
+      PointSet data(3);
+      for (int i = 0; i < 12; ++i) {
+        double row[3];
+        for (double& coord : row) {
+          coord = static_cast<double>(rng.UniformInt(0, 2));
+        }
+        data.Append(row, static_cast<PointId>(peer * 100 + i));
+      }
+      sp.AddPeerList(peer, ExtendedSkyline(data));
+      peers.push_back(peer);
+    }
+    sp.FinalizePreprocessing();
+    while (!peers.empty()) {
+      const size_t pick = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(peers.size()) - 1));
+      ASSERT_TRUE(sp.RemovePeer(peers[pick]).ok());
+      peers.erase(peers.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+    EXPECT_TRUE(sp.store().empty());
+  }
+}
+
 TEST(SuperPeerUnit, LastQueryStatsBeforeAnyQuery) {
   SuperPeer sp(0, 4, WireModel{});
   const SuperPeer::LastQueryStats stats = sp.last_query_stats();
   EXPECT_FALSE(stats.participated);
   EXPECT_EQ(stats.scanned, 0u);
   EXPECT_EQ(stats.local_result, 0u);
+}
+
+TEST(SuperPeerUnit, ScanRecallNeedsAnIdenticalFilter) {
+  // Memo scan entries outlive their query, so one can meet a later scan
+  // with the same subspace and threshold but another broadcast filter.
+  // That scan must run afresh; one whose filter is equal, even in another
+  // list, recalls the entry.
+  SuperPeer sp(0, 4, WireModel{});
+  sp.AddPeerList(0, MakeExt(4, 200, 3, 0));
+  sp.FinalizePreprocessing();
+  const Subspace u = Subspace::FromDims({0, 1});
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto filter_at = [](double coord) {
+    ResultList filter(4);
+    const std::vector<double> row(4, coord);
+    filter.points.Append(row.data(), 1'000'000);
+    filter.f.push_back(coord);
+    return std::make_shared<const ResultList>(std::move(filter));
+  };
+
+  sp.StageLocalScan(u, Variant::kFTPM, inf);
+  const std::shared_ptr<const ResultList> unfiltered = sp.StagedLocal();
+  ASSERT_FALSE(unfiltered->empty());
+  // The origin dominates every generated point; 2.0 dominates none.
+  sp.StageLocalScan(u, Variant::kFTPM, inf, filter_at(0.0));
+  EXPECT_TRUE(sp.StagedLocal()->empty());
+  sp.StageLocalScan(u, Variant::kFTPM, inf, filter_at(2.0));
+  const std::shared_ptr<const ResultList> inert = sp.StagedLocal();
+  EXPECT_EQ(inert->points.Ids(), unfiltered->points.Ids());
+  EXPECT_NE(inert, unfiltered);
+  EXPECT_EQ(sp.ScanMemoCount(), 3u);
+
+  sp.StageLocalScan(u, Variant::kFTPM, inf, filter_at(2.0));
+  EXPECT_EQ(sp.StagedLocal(), inert);
+  EXPECT_EQ(sp.ScanMemoCount(), 3u);
 }
 
 // --- protocol statistics through the network facade -----------------------
