@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -53,7 +52,11 @@ ResultList MergeSortedSkylines(int dims,
     }
   }
 
-  std::unordered_set<PointId> offered_ids;
+  // Ids offered at the current f value. Copies of one point carry the
+  // same f, so a copy can only meet its original within one run of equal
+  // f values; checking that run needs no hashing.
+  std::vector<PointId> ids_at_f;
+  double run_f = 0.0;
   size_t scanned = 0;
   uint64_t pulls = 0;
   while (!heap.empty()) {
@@ -68,9 +71,19 @@ ResultList MergeSortedSkylines(int dims,
     const ResultList& list = *lists[head.list];
     // Copies of one point (overlapping inputs) never dominate each other;
     // offering both would duplicate the skyline entry.
-    const bool duplicate_id =
-        options.dedup_ids &&
-        !offered_ids.insert(list.points.id(head.pos)).second;
+    bool duplicate_id = false;
+    if (options.dedup_ids) {
+      const PointId id = list.points.id(head.pos);
+      if (ids_at_f.empty() || head.f != run_f) {
+        ids_at_f.clear();
+        run_f = head.f;
+      }
+      duplicate_id =
+          std::find(ids_at_f.begin(), ids_at_f.end(), id) != ids_at_f.end();
+      if (!duplicate_id) {
+        ids_at_f.push_back(id);
+      }
+    }
     if (!duplicate_id) {
       accumulator.Offer(list.points[head.pos], list.points.id(head.pos),
                         head.f);

@@ -26,7 +26,7 @@ struct NnSkylineStats {
 /// |U| overlapping subregions (one per dimension, upper-bounded strictly
 /// by the new point's coordinate), which are processed until exhausted.
 /// Points tying an emitted point on every queried coordinate are also
-/// skyline members and are collected in a final equality pass, so the
+/// skyline members and are gathered in a final equality pass, so the
 /// result is exact even with duplicate attribute values.
 ///
 /// NN-skyline is progressive (first results arrive immediately) but its

@@ -30,9 +30,10 @@ struct ThresholdScanOptions {
   /// by an earlier list position. Copies of the same point never dominate
   /// each other, so merging inputs that overlap (e.g. a reply that
   /// travelled both the spanning tree and a reroute detour in the
-  /// reliable protocol) would otherwise duplicate skyline points. A no-op
-  /// on disjoint inputs — fault-free runs are bit-identical with or
-  /// without it.
+  /// reliable protocol) would otherwise duplicate skyline points. A copy
+  /// carries its point's `f`, so only ids offered at the same `f` are
+  /// compared. A no-op on disjoint inputs — fault-free runs are
+  /// bit-identical with or without it.
   bool dedup_ids = false;
 
   /// Threshold-scan algorithms only: broadcast filter set to seed the

@@ -47,7 +47,9 @@ bool PointSet::ContainsId(PointId id) const {
 std::string PointSet::ToString() const {
   std::string result;
   for (size_t i = 0; i < size(); ++i) {
-    result += "#" + std::to_string(ids_[i]) + " (";
+    result += '#';
+    result += std::to_string(ids_[i]);
+    result += " (";
     const double* row = (*this)[i];
     for (int d = 0; d < dims_; ++d) {
       if (d > 0) {

@@ -420,6 +420,7 @@ Status SkypeerNetwork::AdoptStores(std::vector<ResultList> stores) {
     return Status::InvalidArgument("store count does not match super-peers");
   }
   size_t total = 0;
+  std::vector<PointId> ids;
   for (const ResultList& store : stores) {
     if (store.points.dims() != config_.dims) {
       return Status::InvalidArgument("store dimensionality mismatch");
@@ -436,15 +437,29 @@ Status SkypeerNetwork::AdoptStores(std::vector<ResultList> stores) {
         return Status::InvalidArgument(
             "store f value differs from the point's minimum coordinate");
       }
+      ids.push_back(store.points.id(i));
     }
     total += store.size();
+  }
+  // Point ids are global: merges deduplicate by id, so a repeated one
+  // would silently drop a point.
+  std::sort(ids.begin(), ids.end());
+  if (std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
+    return Status::InvalidArgument("point id repeated across the stores");
   }
   for (int sp = 0; sp < num_super_peers(); ++sp) {
     super_peers_[sp]->set_filter_set_size(config_.filter_set_size);
     super_peers_[sp]->SetStore(std::move(stores[sp]));
   }
-  // Only the retained fraction is known after a restore.
+  // Only the retained fraction is known after a restore. Later joins draw
+  // ids past the build's peers and every adopted point.
   total_points_ = total;
+  next_peer_id_ = config_.num_peers;
+  next_point_id_ =
+      static_cast<PointId>(config_.num_peers) * config_.points_per_peer;
+  if (!ids.empty()) {
+    next_point_id_ = std::max(next_point_id_, ids.back() + 1);
+  }
   preprocessed_ = true;
   return Status::OK();
 }
@@ -700,9 +715,8 @@ QueryResult SkypeerNetwork::ExecuteQuery(Subspace subspace, int initiator_sp,
   // Run 2: infinite bandwidth — pure computational critical path. Every
   // scan or merge whose inputs match run 1's exactly (and every scan that
   // matches one of the previous query's) is recalled from the memo and
-  // charged its recorded ops; the rest (refined thresholds along a
-  // different flood tree, replies in a different order, other drops)
-  // are recomputed.
+  // charged its recorded ops; the rest (refined thresholds or children
+  // along a different flood tree, other drops) are recomputed.
   const sim::LinkParams compute_params{sim::kInfiniteBandwidth, 0.0};
   ResultList compute_result(config_.dims);
   const RunOutcome compute = RunOnce(subspace, initiator_sp, variant,

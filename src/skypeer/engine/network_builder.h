@@ -187,10 +187,12 @@ class SkypeerNetwork {
 
   /// Installs externally produced stores (snapshot restore; see
   /// engine/persistence.h), one f-sorted list per super-peer, and marks
-  /// the network query-ready. Ground truth and churn remain unavailable.
-  /// Returns `InvalidArgument` when a store has the wrong dimensionality,
-  /// is not f-sorted, holds a NaN coordinate, or carries an `f` that is
-  /// not its point's minimum coordinate.
+  /// the network query-ready. Ground truth and the removal of restored
+  /// peers remain unavailable; a `JoinPeer` draws peer and point ids past
+  /// the build's peers and every adopted point. Returns `InvalidArgument`
+  /// when a store has the wrong dimensionality, is not f-sorted, holds a
+  /// NaN coordinate, carries an `f` that is not its point's minimum
+  /// coordinate, or repeats a point id (within or across stores).
   Status AdoptStores(std::vector<ResultList> stores);
 
   bool preprocessed() const { return preprocessed_; }

@@ -31,7 +31,7 @@ struct ReliableParams {
   /// Euler tour.
   int max_retries = 8;
   /// Virtual-time budget of one query at the initiator; when it expires
-  /// the initiator completes with whatever it has collected and flags the
+  /// the initiator completes with whatever has arrived and flags the
   /// result partial. 0 disables the deadline.
   double query_deadline = 0.0;
   /// Expected link bandwidth (bytes/s) used to size retransmission

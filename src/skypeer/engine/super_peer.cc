@@ -535,13 +535,17 @@ void SuperPeer::HandleMessage(sim::Simulator* simulator,
   }
 }
 
-// --- reliable transport --------------------------------------------------
+// --- hop sends and the reliable transport --------------------------------
 
-void SuperPeer::SendEnvelope(sim::Simulator* simulator, int dst,
-                             size_t payload_bytes,
-                             std::shared_ptr<const sim::MessageBody> payload,
-                             Outbound hop) {
-  SKYPEER_CHECK(reliable_.enabled);
+void SuperPeer::SendHop(sim::Simulator* simulator, int dst,
+                        size_t payload_bytes,
+                        std::shared_ptr<const sim::MessageBody> payload,
+                        Outbound hop) {
+  if (!reliable_.enabled) {
+    ChargeSerialization(simulator, payload_bytes);
+    simulator->Send(id_, dst, payload_bytes, std::move(payload));
+    return;
+  }
   SKYPEER_CHECK(query_.has_value());
   auto envelope = std::make_shared<ReliableEnvelope>();
   envelope->query_id = query_->query_id;
@@ -702,8 +706,8 @@ void SuperPeer::RerouteReply(sim::Simulator* simulator, Outbound hop) {
       rerouted->reroute_origin = id_;
     }
     ++rstats_.rerouted;
-    SendReplyReliable(simulator, neighbor, std::move(rerouted),
-                      query_->subspace.Count(), std::move(hop.tried));
+    SendReply(simulator, neighbor, std::move(rerouted),
+              query_->subspace.Count(), std::move(hop.tried));
     return;
   }
   // Every backbone edge is exhausted: the data is stranded; the
@@ -731,7 +735,7 @@ void SuperPeer::SkipPipelineHop(sim::Simulator* simulator,
     Outbound skip;
     skip.kind = HopKind::kPipeline;
     skip.pipeline = next;
-    SendEnvelope(simulator, dst, bytes, next, std::move(skip));
+    SendHop(simulator, dst, bytes, next, std::move(skip));
   };
   // Resume the walk at the earliest later route position this node can
   // legally hand the message to: right after a later occurrence of itself
@@ -780,8 +784,8 @@ void SuperPeer::SkipPipelineHop(sim::Simulator* simulator,
   stranded->contributors = failed.contributors;
   stranded->reroute_origin = id_;
   ++rstats_.rerouted;
-  SendReplyReliable(simulator, state->parent, std::move(stranded),
-                    state->subspace.Count(), {});
+  SendReply(simulator, state->parent, std::move(stranded),
+            state->subspace.Count());
 }
 
 void SuperPeer::HandleReroutedReply(sim::Simulator* simulator,
@@ -808,9 +812,8 @@ void SuperPeer::HandleReroutedReply(sim::Simulator* simulator,
     // Our answer already left (or, on the pipeline, we never answer
     // upstream at all): relay the stray towards the initiator. Pipeline
     // parents are the tour predecessors, so the chain terminates there.
-    SendReplyReliable(simulator, state->parent,
-                      std::make_shared<ReplyMessage>(reply),
-                      state->subspace.Count(), {});
+    SendReply(simulator, state->parent, std::make_shared<ReplyMessage>(reply),
+              state->subspace.Count());
     return;
   }
   // Fold the detoured subtree in as extra data — unless everything it
@@ -838,9 +841,9 @@ void SuperPeer::HandleReroutedReply(sim::Simulator* simulator,
   }
 }
 
-void SuperPeer::SendReplyReliable(sim::Simulator* simulator, int dst,
-                                  std::shared_ptr<const ReplyMessage> reply,
-                                  int query_dims, std::vector<int> tried) {
+void SuperPeer::SendReply(sim::Simulator* simulator, int dst,
+                          std::shared_ptr<const ReplyMessage> reply,
+                          int query_dims, std::vector<int> tried) {
   const size_t bytes =
       wire_.ReplyBytes(query_dims, reply->lists.size(), reply->TotalPoints()) +
       wire_.ContributorBytes(reply->contributors.size());
@@ -848,7 +851,7 @@ void SuperPeer::SendReplyReliable(sim::Simulator* simulator, int dst,
   hop.kind = HopKind::kReply;
   hop.reply = reply;
   hop.tried = std::move(tried);
-  SendEnvelope(simulator, dst, bytes, std::move(reply), std::move(hop));
+  SendHop(simulator, dst, bytes, std::move(reply), std::move(hop));
 }
 
 // --- local computation ---------------------------------------------------
@@ -965,23 +968,27 @@ std::shared_ptr<const ResultList> SuperPeer::Merge(
     memo.mask = subspace.mask();
     memo.threshold_in = threshold_in;
     memo.threshold_out = threshold_in;
-    if (kind == MergeKind::kBnl || kind == MergeKind::kBnlDedup) {
+    if (kind == MergeKind::kBnl) {
       // Central dominance-based merge of everything, the §3.2 baseline.
-      // Overlapping inputs (reroute detours) are deduplicated by point id
-      // — copies of a point never dominate each other, so BNL alone would
-      // keep both.
+      // Overlapping inputs (reroute detours) keep only the first copy of
+      // each point id — copies of a point never dominate each other, so
+      // BNL alone would keep both. Sorted ids find repeats cheaply, and
+      // most merges have none.
       PointSet all(dims_);
-      std::unordered_set<PointId> seen_points;
       for (const auto& list : inputs) {
-        if (kind == MergeKind::kBnl) {
-          all.AppendAll(list->points);
-          continue;
-        }
-        for (size_t i = 0; i < list->size(); ++i) {
-          if (seen_points.insert(list->points.id(i)).second) {
-            all.AppendFrom(list->points, i);
+        all.AppendAll(list->points);
+      }
+      std::vector<PointId> ids = all.Ids();
+      std::sort(ids.begin(), ids.end());
+      if (std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
+        PointSet first_copies(dims_);
+        std::unordered_set<PointId> seen_points;
+        for (size_t i = 0; i < all.size(); ++i) {
+          if (seen_points.insert(all.id(i)).second) {
+            first_copies.AppendFrom(all, i);
           }
         }
+        all = std::move(first_copies);
       }
       PointSet skyline = BnlSkyline(all, subspace, /*ext=*/false, &memo.ops);
       memo.ops.sort_steps += SortCost(skyline.size());
@@ -994,7 +1001,7 @@ std::shared_ptr<const ResultList> SuperPeer::Merge(
       }
       ThresholdScanOptions options;
       options.initial_threshold = threshold_in;
-      options.dedup_ids = kind == MergeKind::kSortedDedup;
+      options.dedup_ids = true;
       ThresholdScanStats stats;
       memo.output = std::make_shared<const ResultList>(
           MergeSortedSkylines(dims_, lists, subspace, options, &stats));
@@ -1046,31 +1053,12 @@ void SuperPeer::ForwardQuery(sim::Simulator* simulator, QueryState* state) {
     if (neighbor == state->parent) {
       continue;
     }
-    if (reliable_.enabled) {
-      state->child_done[neighbor] = false;
-      Outbound hop;
-      hop.kind = HopKind::kQuery;
-      SendEnvelope(simulator, neighbor, query_bytes, query, std::move(hop));
-    } else {
-      ChargeSerialization(simulator, query_bytes);
-      simulator->Send(id_, neighbor, query_bytes, query);
-    }
+    state->child_done[neighbor] = false;
+    Outbound hop;
+    hop.kind = HopKind::kQuery;
+    SendHop(simulator, neighbor, query_bytes, query, std::move(hop));
     ++state->pending;
   }
-}
-
-void SuperPeer::SendReply(sim::Simulator* simulator, int dst,
-                          uint64_t query_id, bool duplicate,
-                          std::vector<std::shared_ptr<const ResultList>> lists,
-                          int query_dims) {
-  auto reply = std::make_shared<ReplyMessage>();
-  reply->query_id = query_id;
-  reply->duplicate = duplicate;
-  reply->lists = std::move(lists);
-  const size_t bytes = wire_.ReplyBytes(query_dims, reply->lists.size(),
-                                        reply->TotalPoints());
-  ChargeSerialization(simulator, bytes);
-  simulator->Send(id_, dst, bytes, std::move(reply));
 }
 
 void SuperPeer::HandleStart(sim::Simulator* simulator,
@@ -1155,16 +1143,11 @@ void SuperPeer::HandleQuery(sim::Simulator* simulator,
                             const QueryMessage& query) {
   if (query_.has_value() && query_->query_id == query.query_id) {
     // Flood duplicate: the sender still awaits one reply from us.
-    if (reliable_.enabled) {
-      auto reply = std::make_shared<ReplyMessage>();
-      reply->query_id = query.query_id;
-      reply->duplicate = true;
-      SendReplyReliable(simulator, message.src, std::move(reply),
-                        query.subspace.Count(), {});
-    } else {
-      SendReply(simulator, message.src, query.query_id, /*duplicate=*/true,
-                {}, query.subspace.Count());
-    }
+    auto reply = std::make_shared<ReplyMessage>();
+    reply->query_id = query.query_id;
+    reply->duplicate = true;
+    SendReply(simulator, message.src, std::move(reply),
+              query.subspace.Count());
     return;
   }
   if (reliable_.enabled) {
@@ -1209,43 +1192,28 @@ void SuperPeer::HandleQuery(sim::Simulator* simulator,
 
 void SuperPeer::HandleReply(sim::Simulator* simulator, int src,
                             const ReplyMessage& reply) {
-  if (!reliable_.enabled) {
-    SKYPEER_CHECK(query_.has_value());
-    QueryState* state = &*query_;
-    SKYPEER_CHECK(state->query_id == reply.query_id);
-    SKYPEER_CHECK(state->pending > 0);
-    --state->pending;
-    if (!reply.duplicate) {
-      state->collected.insert(state->collected.end(), reply.lists.begin(),
-                              reply.lists.end());
-    }
-    if (state->pending == 0) {
-      Complete(simulator, state);
-    }
-    return;
-  }
-
+  // Stale and late replies exist only on the reliable transport; the
+  // legacy one delivers exactly one reply per forwarded query.
   if (!query_.has_value() || reply.query_id != query_->query_id ||
       query_->finished) {
+    SKYPEER_CHECK(reliable_.enabled);
     ++rstats_.stale_ignored;
     return;
   }
   QueryState* state = &*query_;
   const auto it = state->child_done.find(src);
-  if (it == state->child_done.end()) {
-    ++rstats_.stale_ignored;  // Not one of our forwarded neighbors.
-    return;
-  }
-  if (it->second) {
-    // The hop to this child was given up (its acks were lost but the
-    // deliveries were not) and its real answer arrived late: recover the
-    // data through the reroute path instead of corrupting `pending`.
-    if (!reply.duplicate) {
+  if (it == state->child_done.end() || it->second) {
+    SKYPEER_CHECK(reliable_.enabled);
+    if (it != state->child_done.end() && !reply.duplicate) {
+      // The hop to this child was given up (its acks were lost but the
+      // deliveries were not) and its real answer arrived late: recover
+      // the data through the reroute path instead of corrupting
+      // `pending`.
       auto recovered = std::make_shared<ReplyMessage>(reply);
       recovered->reroute_origin = src;
       HandleReroutedReply(simulator, *recovered);
     } else {
-      ++rstats_.stale_ignored;
+      ++rstats_.stale_ignored;  // Not a forwarded neighbor, or a repeat.
     }
     return;
   }
@@ -1253,6 +1221,7 @@ void SuperPeer::HandleReply(sim::Simulator* simulator, int src,
   --state->pending;
   if (!reply.duplicate) {
     state->collected_by_child[src] = reply.lists;
+    // Empty on the legacy transport, whose replies carry no coverage.
     state->contributors.insert(reply.contributors.begin(),
                                reply.contributors.end());
   }
@@ -1284,15 +1253,10 @@ void SuperPeer::ForwardPipeline(sim::Simulator* simulator,
       wire_.ContributorBytes(next->contributors.size()) +
       wire_.FilterBytes(next->subspace.Count(),
                         next->filter != nullptr ? next->filter->size() : 0);
-  if (reliable_.enabled) {
-    Outbound hop;
-    hop.kind = HopKind::kPipeline;
-    hop.pipeline = next;
-    SendEnvelope(simulator, dst, bytes, next, std::move(hop));
-  } else {
-    ChargeSerialization(simulator, bytes);
-    simulator->Send(id_, dst, bytes, std::move(next));
-  }
+  Outbound hop;
+  hop.kind = HopKind::kPipeline;
+  hop.pipeline = next;
+  SendHop(simulator, dst, bytes, std::move(next), std::move(hop));
 }
 
 void SuperPeer::HandlePipeline(sim::Simulator* simulator, int src,
@@ -1373,9 +1337,7 @@ void SuperPeer::HandlePipeline(sim::Simulator* simulator, int src,
 
   double merge_threshold = message.threshold;
   std::shared_ptr<const ResultList> merged =
-      Merge(simulator,
-            reliable_.enabled ? MergeKind::kSortedDedup : MergeKind::kSorted,
-            state->subspace, message.threshold,
+      Merge(simulator, MergeKind::kSorted, state->subspace, message.threshold,
             {message.accumulated, state->local}, &merge_threshold);
   const double threshold = std::min(state->threshold, merge_threshold);
   std::vector<int> contributors = message.contributors;
@@ -1388,11 +1350,11 @@ void SuperPeer::HandlePipeline(sim::Simulator* simulator, int src,
 
 // --- completion ----------------------------------------------------------
 
-std::vector<std::shared_ptr<const ResultList>> SuperPeer::ReliableMergeInputs(
+std::vector<std::shared_ptr<const ResultList>> SuperPeer::MergeInputs(
     const QueryState& state) {
   // Canonical input order — children by id, then detoured extras by origin
-  // id, own list last — so lossy runs merge exactly like fault-free ones
-  // regardless of reply arrival order.
+  // id, own list last — so every run merges the same lists in the same
+  // order regardless of reply arrival order.
   std::vector<std::shared_ptr<const ResultList>> inputs;
   for (const auto& [child, lists] : state.collected_by_child) {
     inputs.insert(inputs.end(), lists.begin(), lists.end());
@@ -1406,79 +1368,50 @@ std::vector<std::shared_ptr<const ResultList>> SuperPeer::ReliableMergeInputs(
 
 void SuperPeer::FinishInitiator(sim::Simulator* simulator,
                                 QueryState* state) {
-  SKYPEER_CHECK(reliable_.enabled);
   SKYPEER_CHECK(state->is_initiator);
   SKYPEER_CHECK(state->local != nullptr);
-  state->final = *Merge(simulator,
-                        state->variant == Variant::kNaive
-                            ? MergeKind::kBnlDedup
-                            : MergeKind::kSortedDedup,
-                        state->subspace, state->threshold,
-                        ReliableMergeInputs(*state));
-  state->partial =
-      static_cast<int>(state->contributors.size()) < num_super_peers_ ||
-      state->deadline_fired;
+  state->final = *Merge(
+      simulator,
+      state->variant == Variant::kNaive ? MergeKind::kBnl : MergeKind::kSorted,
+      state->subspace, state->threshold, MergeInputs(*state));
   state->finished = true;
   state->finish_time = simulator->CurrentNodeClock();
-  if (deadline_timer_id_ != 0) {
-    simulator->CancelTimer(deadline_timer_id_);
-    deadline_timer_id_ = 0;
+  if (reliable_.enabled) {
+    state->partial =
+        static_cast<int>(state->contributors.size()) < num_super_peers_ ||
+        state->deadline_fired;
+    if (deadline_timer_id_ != 0) {
+      simulator->CancelTimer(deadline_timer_id_);
+      deadline_timer_id_ = 0;
+    }
   }
 }
 
 void SuperPeer::Complete(sim::Simulator* simulator, QueryState* state) {
   SKYPEER_CHECK(state->local != nullptr);
-
-  if (reliable_.enabled) {
-    if (state->finished) {
-      return;  // The deadline already resolved this query.
-    }
-    if (!state->is_initiator) {
-      auto reply = std::make_shared<ReplyMessage>();
-      reply->query_id = state->query_id;
-      reply->duplicate = false;
-      if (UsesProgressiveMerging(state->variant)) {
-        reply->lists.push_back(Merge(simulator, MergeKind::kSortedDedup,
-                                     state->subspace, state->threshold,
-                                     ReliableMergeInputs(*state)));
-      } else {
-        reply->lists = ReliableMergeInputs(*state);
-      }
-      reply->contributors.assign(state->contributors.begin(),
-                                 state->contributors.end());
-      state->replied = true;
-      SendReplyReliable(simulator, state->parent, std::move(reply),
-                        state->subspace.Count(), {});
-      return;
-    }
+  if (state->finished) {
+    return;  // The reliable transport's deadline already resolved it.
+  }
+  if (state->is_initiator) {
     FinishInitiator(simulator, state);
     return;
   }
-
-  std::vector<std::shared_ptr<const ResultList>> lists =
-      std::move(state->collected);
-  lists.push_back(state->local);
-  if (!state->is_initiator) {
-    if (UsesProgressiveMerging(state->variant)) {
-      // *TPM: merge everything received with the local result before
-      // relaying (Algorithm 3 lines 15-16).
-      lists = {Merge(simulator, MergeKind::kSorted, state->subspace,
-                     state->threshold, std::move(lists))};
-    }
-    // Otherwise (*TFM / naive) the children's bundles travel unmerged,
-    // with our own list appended.
-    SendReply(simulator, state->parent, state->query_id, /*duplicate=*/false,
-              std::move(lists), state->subspace.Count());
-    return;
+  auto reply = std::make_shared<ReplyMessage>();
+  reply->query_id = state->query_id;
+  reply->duplicate = false;
+  reply->lists = MergeInputs(*state);
+  if (UsesProgressiveMerging(state->variant)) {
+    // *TPM: merge everything received with the local result before
+    // relaying (Algorithm 3 lines 15-16). *TFM and naive relay the
+    // children's bundles unmerged, with the local list appended.
+    reply->lists = {Merge(simulator, MergeKind::kSorted, state->subspace,
+                          state->threshold, std::move(reply->lists))};
   }
-
-  // Initiator: final merge.
-  state->final = *Merge(simulator,
-                        state->variant == Variant::kNaive ? MergeKind::kBnl
-                                                          : MergeKind::kSorted,
-                        state->subspace, state->threshold, std::move(lists));
-  state->finished = true;
-  state->finish_time = simulator->CurrentNodeClock();
+  reply->contributors.assign(state->contributors.begin(),
+                             state->contributors.end());
+  state->replied = true;
+  SendReply(simulator, state->parent, std::move(reply),
+            state->subspace.Count());
 }
 
 }  // namespace skypeer

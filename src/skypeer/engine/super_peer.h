@@ -361,10 +361,16 @@ class SuperPeer : public sim::Node {
     bool is_initiator = false;
     /// Replies still outstanding from forwarded neighbors.
     int pending = 0;
-    /// Result lists received from children (unmerged). Legacy (non-
-    /// reliable) transport only; the reliable path tracks children in
-    /// `child_done` / `collected_by_child` instead.
-    std::vector<std::shared_ptr<const ResultList>> collected;
+    /// Per forwarded neighbor: false while its reply is outstanding, true
+    /// once it replied or (reliable transport) its hop was given up. Makes
+    /// late replies after a spurious give-up detectable instead of
+    /// corrupting `pending`.
+    std::map<int, bool> child_done;
+    /// Non-duplicate child replies keyed by child id — a canonical merge
+    /// input order independent of arrival order, so every run merges the
+    /// same lists in the same order whatever the links or faults.
+    std::map<int, std::vector<std::shared_ptr<const ResultList>>>
+        collected_by_child;
     /// This node's local subspace skyline.
     std::shared_ptr<const ResultList> local;
     /// Broadcast filter set travelling with the query (null = none):
@@ -381,15 +387,6 @@ class SuperPeer : public sim::Node {
     size_t scanned = 0;
 
     // --- reliable transport ---------------------------------------------
-    /// Per forwarded neighbor: false while its reply is outstanding, true
-    /// once it replied or its hop was given up. Makes late replies after
-    /// a spurious give-up detectable instead of corrupting `pending`.
-    std::map<int, bool> child_done;
-    /// Non-duplicate child replies keyed by child id — a canonical merge
-    /// input order independent of arrival order, so lossy runs merge the
-    /// same lists in the same order as fault-free ones.
-    std::map<int, std::vector<std::shared_ptr<const ResultList>>>
-        collected_by_child;
     /// Rerouted replies folded in as extra data, keyed by origin id.
     std::map<int, std::vector<std::shared_ptr<const ResultList>>> extras;
     /// Super-peers whose local results this node's upward reply covers.
@@ -440,11 +437,11 @@ class SuperPeer : public sim::Node {
     bool used = true;
   };
 
-  /// The four merges of the protocol: the threshold merge of sorted lists
-  /// (Algorithm 2) and the naive initiator's BNL, each with or without
-  /// point-id deduplication (the reliable transport's detours can deliver
-  /// the same point twice).
-  enum class MergeKind { kSorted, kSortedDedup, kBnl, kBnlDedup };
+  /// The two merges of the protocol: the threshold merge of sorted lists
+  /// (Algorithm 2) and the naive initiator's BNL. Both deduplicate by
+  /// point id, uncharged: the reliable transport's detours can deliver the
+  /// same point twice, and otherwise no id repeats.
+  enum class MergeKind { kSorted, kBnl };
 
   /// A merge of the current query and its outcome. The key holds its
   /// ordered inputs by `shared_ptr`, which keeps them alive: an input of
@@ -485,13 +482,21 @@ class SuperPeer : public sim::Node {
   void HandlePipeline(sim::Simulator* simulator, int src,
                       const PipelineMessage& message);
 
+  /// Sends one protocol hop to `dst`, charging its serialization. The
+  /// reliable transport wraps `payload` in an envelope and arms the
+  /// retransmission timer (`hop` describes the hop for retries); the
+  /// legacy transport sends `payload` bare and ignores `hop`.
+  /// `payload_bytes` excludes the envelope framing.
+  void SendHop(sim::Simulator* simulator, int dst, size_t payload_bytes,
+               std::shared_ptr<const sim::MessageBody> payload, Outbound hop);
+  /// Sends a reply (bytes: the lists plus any contributor ids). `tried`
+  /// lists the neighbors a rerouted reply already gave up on.
+  void SendReply(sim::Simulator* simulator, int dst,
+                 std::shared_ptr<const ReplyMessage> reply, int query_dims,
+                 std::vector<int> tried = {});
+
   // --- reliable transport ----------------------------------------------
 
-  /// Wraps `payload` in an envelope, sends it to `dst`, and arms the
-  /// retransmission timer. `payload_bytes` excludes the envelope framing.
-  void SendEnvelope(sim::Simulator* simulator, int dst, size_t payload_bytes,
-                    std::shared_ptr<const sim::MessageBody> payload,
-                    Outbound hop);
   void HandleEnvelope(sim::Simulator* simulator, const sim::Message& message,
                       const ReliableEnvelope& envelope);
   void HandleAck(sim::Simulator* simulator, const AckMessage& ack);
@@ -512,18 +517,14 @@ class SuperPeer : public sim::Node {
   /// fold it in as extra data or relay it onward.
   void HandleReroutedReply(sim::Simulator* simulator,
                            const ReplyMessage& reply);
-  /// Reliable sends of the two protocol reply flavors.
-  void SendReplyReliable(sim::Simulator* simulator, int dst,
-                         std::shared_ptr<const ReplyMessage> reply,
-                         int query_dims, std::vector<int> tried);
-  /// Reliable transport: the lists a node merges (or relays unmerged) in
-  /// canonical order — children by id, detoured extras by origin id, its
-  /// own local result last.
-  static std::vector<std::shared_ptr<const ResultList>> ReliableMergeInputs(
+  /// The lists a node merges (or relays unmerged) in canonical order —
+  /// children by id, detoured extras by origin id, its own local result
+  /// last — so no merge depends on the order replies arrive in.
+  static std::vector<std::shared_ptr<const ResultList>> MergeInputs(
       const QueryState& state);
   /// Initiator resolution shared by the normal completion path and the
-  /// deadline: merges whatever is collected, sets coverage and the
-  /// partial flag.
+  /// deadline: merges whatever arrived and, on the reliable
+  /// transport, sets the partial flag.
   void FinishInitiator(sim::Simulator* simulator, QueryState* state);
   /// `contributors` is the covered-super-peer list the forwarded message
   /// carries (reliable mode; empty and unused otherwise).
@@ -578,17 +579,12 @@ class SuperPeer : public sim::Node {
   void ChargeSerialization(sim::Simulator* simulator, size_t bytes);
 
   /// Floods the query to every neighbor except `state->parent`; sets
-  /// `pending`.
+  /// `pending` and `child_done`.
   void ForwardQuery(sim::Simulator* simulator, QueryState* state);
 
   /// All children replied: route upstream (non-initiator) or produce the
   /// final answer (initiator).
   void Complete(sim::Simulator* simulator, QueryState* state);
-
-  void SendReply(sim::Simulator* simulator, int dst, uint64_t query_id,
-                 bool duplicate,
-                 std::vector<std::shared_ptr<const ResultList>> lists,
-                 int query_dims);
 
   /// Rebuilds `store_` from `peer_lists_` (retained mode). Merge
   /// statistics are added to `stats` when non-null.

@@ -226,8 +226,94 @@ TEST(Persistence, AdoptStoresValidatesInput) {
   EXPECT_EQ(network.AdoptStores(std::move(wrong_f)).code(),
             StatusCode::kInvalidArgument);
 
+  // Merges deduplicate by point id, so an id may appear once overall.
+  std::vector<ResultList> repeated_within;
+  for (int i = 0; i < 10; ++i) {
+    repeated_within.emplace_back(5);
+  }
+  const double row_a[5] = {0.1, 0.2, 0.3, 0.4, 0.5};
+  const double row_b[5] = {0.3, 0.4, 0.5, 0.6, 0.7};
+  repeated_within[2].points.Append(row_a, 7);
+  repeated_within[2].points.Append(row_b, 7);
+  repeated_within[2].f = {0.1, 0.3};
+  EXPECT_EQ(network.AdoptStores(std::move(repeated_within)).code(),
+            StatusCode::kInvalidArgument);
+
+  std::vector<ResultList> repeated_across;
+  for (int i = 0; i < 10; ++i) {
+    repeated_across.emplace_back(5);
+  }
+  repeated_across[1].points.Append(row_a, 7);
+  repeated_across[1].f = {0.1};
+  repeated_across[8].points.Append(row_b, 7);
+  repeated_across[8].f = {0.3};
+  EXPECT_EQ(network.AdoptStores(std::move(repeated_across)).code(),
+            StatusCode::kInvalidArgument);
+
   // A rejected adoption leaves the network unpreprocessed.
   EXPECT_FALSE(network.preprocessed());
+}
+
+TEST(Persistence, JoinAfterRestoreDrawsFreshIds) {
+  // A restored network knows only the adopted stores, yet a peer joining
+  // it must get the peer and point ids the never-saved network would
+  // give it. Reused point ids would collide with restored skyline points
+  // and be deduplicated away by the merges.
+  for (bool reliable : {false, true}) {
+    SCOPED_TRACE(reliable ? "reliable" : "legacy");
+    const std::string path = TempPath("stores_join_after_restore.bin");
+    NetworkConfig config;
+    config.num_peers = 40;
+    config.num_super_peers = 4;
+    config.points_per_peer = 25;
+    config.dims = 4;
+    config.seed = 5;
+    config.dynamic_membership = true;
+    config.reliable = reliable;
+
+    SkypeerNetwork original(config);
+    original.Preprocess();
+    ASSERT_TRUE(SaveStores(original, path).ok());
+    SkypeerNetwork restored(config);
+    ASSERT_TRUE(LoadStores(&restored, path).ok());
+    std::remove(path.c_str());
+    const Subspace u = Subspace::FromDims({0, 1});
+    const size_t base =
+        original.ExecuteQuery(u, 0, Variant::kFTPM).skyline.size();
+
+    // Mutually incomparable on {0, 1}, and below every stored point on
+    // dimension 0 but above all of them on the others (the data lies in
+    // the unit cube): each joined point is in the skyline, and none
+    // dominates a stored point.
+    double min_x0 = 1.0;
+    for (int sp = 0; sp < original.num_super_peers(); ++sp) {
+      const ResultList& store = original.super_peer(sp).store();
+      for (size_t i = 0; i < store.size(); ++i) {
+        min_x0 = std::min(min_x0, store.points[i][0]);
+      }
+    }
+    ASSERT_GT(min_x0, 0.0);
+    PointSet joined(4);
+    joined.Reserve(1000);
+    for (int i = 0; i < 1000; ++i) {
+      const double row[4] = {min_x0 * i / 1000, 3.0 - 1e-3 * i, 2.0, 2.0};
+      joined.Append(row, static_cast<PointId>(i));
+    }
+    const int peer0_sp = original.overlay().peer_super_peer[0];
+    int original_peer = -1;
+    int restored_peer = -1;
+    ASSERT_TRUE(original.JoinPeer(1, joined, &original_peer).ok());
+    ASSERT_TRUE(restored.JoinPeer(1, joined, &restored_peer).ok());
+    EXPECT_EQ(original_peer, config.num_peers);
+    EXPECT_EQ(restored_peer, config.num_peers);
+    EXPECT_EQ(restored.overlay().peer_super_peer[0], peer0_sp);
+
+    const QueryResult a = original.ExecuteQuery(u, 0, Variant::kFTPM);
+    const QueryResult b = restored.ExecuteQuery(u, 0, Variant::kFTPM);
+    EXPECT_EQ(a.skyline.size(), base + 1000);
+    EXPECT_EQ(b.skyline.size(), base + 1000);
+    EXPECT_EQ(SortedIds(b.skyline.points), SortedIds(a.skyline.points));
+  }
 }
 
 }  // namespace

@@ -279,8 +279,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PropertyTest,
                          ::testing::Combine(::testing::Values(2, 3, 5, 8),
                                             ::testing::Bool()),
                          [](const auto& info) {
-                           return "d" +
-                                  std::to_string(std::get<0>(info.param)) +
+                           return std::string("d").append(
+                                      std::to_string(std::get<0>(info.param))) +
                                   (std::get<1>(info.param) ? "_grid"
                                                            : "_cont");
                          });

@@ -331,7 +331,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(5, 400, 16, false),
                       std::make_tuple(8, 120, 6, false)),
     [](const auto& info) {
-      return "d" + std::to_string(std::get<0>(info.param)) + "_n" +
+      return std::string("d").append(std::to_string(std::get<0>(info.param))) +
+             "_n" +
              std::to_string(std::get<1>(info.param)) + "_m" +
              std::to_string(std::get<2>(info.param)) +
              (std::get<3>(info.param) ? "_grid" : "_cont");
@@ -416,7 +417,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RTreeBulkLoadTest,
                                             ::testing::Values(1, 15, 64,
                                                               1000, 5000)),
                          [](const auto& info) {
-                           return "d" + std::to_string(std::get<0>(info.param)) +
+                           return std::string("d").append(
+                                      std::to_string(std::get<0>(info.param))) +
                                   "_n" + std::to_string(std::get<1>(info.param));
                          });
 

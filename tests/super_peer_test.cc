@@ -115,11 +115,12 @@ TEST(SuperPeerUnit, RemoveRebuildsStore) {
   PointSet keep = GenerateUniform(4, 60, &rng, 0);
   sp.AddPeerList(0, ExtendedSkyline(keep));
   // A dominating peer whose departure must resurrect `keep`'s points.
-  PointSet dominator(4, {{0, 0, 0, 0}});
   {
-    PointSet with_id(4);
-    with_id.Append(dominator[0], 9999);
-    sp.AddPeerList(1, ExtendedSkyline(with_id));
+    const double origin[4] = {0, 0, 0, 0};
+    PointSet dominator(4);
+    dominator.Reserve(1);
+    dominator.Append(origin, 9999);
+    sp.AddPeerList(1, ExtendedSkyline(dominator));
   }
   sp.FinalizePreprocessing();
   ASSERT_EQ(sp.store().size(), 1u);  // The origin ext-dominates everything.
@@ -204,6 +205,120 @@ TEST(SuperPeerUnit, ScanRecallNeedsAnIdenticalFilter) {
   sp.StageLocalScan(u, Variant::kFTPM, inf, filter_at(2.0));
   EXPECT_EQ(sp.StagedLocal(), inert);
   EXPECT_EQ(sp.ScanMemoCount(), 3u);
+}
+
+// --- reply arrival order ----------------------------------------------------
+
+/// Forwards every delivery to the wrapped node and records the sender of
+/// each reply, in arrival order.
+class ReplySpy : public sim::Node {
+ public:
+  explicit ReplySpy(SuperPeer* node) : node_(node) {}
+
+  void HandleMessage(sim::Simulator* simulator,
+                     const sim::Message& message) override {
+    if (dynamic_cast<const ReplyMessage*>(message.body.get()) != nullptr) {
+      reply_sources_.push_back(message.src);
+    }
+    node_->HandleMessage(simulator, message);
+  }
+
+  const std::vector<int>& reply_sources() const { return reply_sources_; }
+
+ private:
+  SuperPeer* node_;
+  std::vector<int> reply_sources_;
+};
+
+/// An f-sorted store of `rows` (full 4-dimensional points), ids from
+/// `first_id` on.
+ResultList StoreOf(const std::vector<std::vector<double>>& rows,
+                   PointId first_id) {
+  PointSet points(4);
+  points.Reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    points.Append(rows[i].data(), first_id + i);
+  }
+  return BuildSortedByF(points);
+}
+
+struct StarRun {
+  ResultList answer{4};
+  OpCounts ops;
+  std::vector<int> reply_sources;
+};
+
+/// One legacy-transport query from the hub of a three-node star whose
+/// two leaves reply in an order the link bandwidth decides. Leaf 1 scans
+/// 3,000 points but ships one; leaf 2 scans 40 points and ships all of
+/// them. Its point (0.1, 0.9, ...) ties leaf 1's point on f = 0.1.
+StarRun RunStar(Variant variant, double bandwidth) {
+  std::vector<std::vector<double>> hub_rows;
+  for (int i = 0; i < 5; ++i) {
+    hub_rows.push_back({0.7 + 0.01 * i, 0.75 - 0.01 * i, 0.8, 0.8});
+  }
+  std::vector<std::vector<double>> big_rows;
+  for (int i = 0; i < 3000; ++i) {
+    // (0.5, 0.5) dominates every other row on {0, 1}, and no row
+    // ext-dominates another.
+    big_rows.push_back({0.5 + 1e-5 * i, 0.5 + 1e-5 * i, 0.1 + 1e-4 * i,
+                        0.95 - 1e-4 * i});
+  }
+  std::vector<std::vector<double>> diagonal_rows;
+  for (int i = 0; i < 40; ++i) {
+    const double t = 0.1 + 0.01 * i;  // Skips t = 0.5.
+    diagonal_rows.push_back({t, 1.0 - t, 0.9, 0.9});
+  }
+  const WireModel wire;
+  SuperPeer hub(0, 4, wire);
+  SuperPeer big(1, 4, wire);
+  SuperPeer diagonal(2, 4, wire);
+  hub.SetStore(StoreOf(hub_rows, 0));
+  big.SetStore(StoreOf(big_rows, 100));
+  diagonal.SetStore(StoreOf(diagonal_rows, 10'000));
+  hub.SetNeighbors({1, 2});
+  big.SetNeighbors({0});
+  diagonal.SetNeighbors({0});
+
+  ReplySpy spy(&hub);
+  sim::Simulator simulator;
+  simulator.AddNode(&spy);
+  simulator.AddNode(&big);
+  simulator.AddNode(&diagonal);
+  simulator.Connect(0, 1, sim::LinkParams{bandwidth, 0.0});
+  simulator.Connect(0, 2, sim::LinkParams{bandwidth, 0.0});
+  auto start = std::make_shared<StartQueryMessage>();
+  start->query_id = 1;
+  start->subspace = Subspace::FromDims({0, 1});
+  start->variant = variant;
+  simulator.Post(0, start);
+  simulator.Run();
+
+  StarRun run;
+  EXPECT_TRUE(hub.finished());
+  run.answer = hub.final_result();
+  for (const SuperPeer* node : {&hub, &big, &diagonal}) {
+    run.ops += node->last_query_stats().ops;
+  }
+  run.reply_sources = spy.reply_sources();
+  return run;
+}
+
+TEST(ReplyOrder, AnswerAndOpsIgnoreArrivalOrder) {
+  // At 4 KB/s the small reply arrives first; on infinitely fast links the
+  // cheap scan's reply does. The merges take their inputs by child id, so
+  // both runs merge the same lists in the same order.
+  for (Variant variant : {Variant::kNaive, Variant::kFTFM}) {
+    SCOPED_TRACE(VariantName(variant));
+    const StarRun slow = RunStar(variant, 4096.0);
+    const StarRun fast = RunStar(variant, sim::kInfiniteBandwidth);
+    ASSERT_EQ(slow.reply_sources, (std::vector<int>{1, 2}));
+    ASSERT_EQ(fast.reply_sources, (std::vector<int>{2, 1}));
+    ASSERT_EQ(slow.answer.size(), 41u);
+    EXPECT_EQ(slow.answer.points.Ids(), fast.answer.points.Ids());
+    EXPECT_EQ(slow.answer.f, fast.answer.f);
+    EXPECT_EQ(slow.ops, fast.ops);
+  }
 }
 
 // --- protocol statistics through the network facade -----------------------
