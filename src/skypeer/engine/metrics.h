@@ -17,8 +17,10 @@ namespace skypeer {
 /// paper's evaluation plots (§6): computational time (network delays
 /// ignored), total response time (4 KB/s links) and transferred volume.
 struct QueryMetrics {
-  /// Completion time of a run with infinite bandwidth and zero latency —
-  /// the critical path of CPU work only.
+  /// The initiator's zero-delay clock when it finished (see
+  /// `sim::Simulator`): the critical path of the query's CPU work with
+  /// network delays (transfer, latency, timer waits) left out, read off
+  /// the same run as every other field. Never exceeds `total_time_s`.
   double computational_time_s = 0.0;
   /// Completion time under the configured link parameters.
   double total_time_s = 0.0;
@@ -57,12 +59,11 @@ struct QueryMetrics {
   /// Backbone size the coverage is measured against; 0 when the reliable
   /// protocol is disabled.
   int super_peers_total = 0;
-  /// Envelope retransmissions across all super-peers (run 1, configured
-  /// links).
+  /// Envelope retransmissions across all super-peers.
   uint64_t retransmits = 0;
   /// Hops abandoned after `max_retries` retransmissions.
   uint64_t hops_gave_up = 0;
-  /// Messages the fault plan lost in flight (run 1).
+  /// Messages the fault plan lost in flight.
   uint64_t messages_dropped = 0;
   /// The coverage report: sorted ids of the super-peers whose local
   /// results the answer covers (empty when the reliable protocol is

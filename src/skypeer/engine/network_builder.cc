@@ -549,8 +549,8 @@ void SkypeerNetwork::StageLocalScans(Subspace subspace, int initiator_sp,
   // scan thresholds are known up front: infinity everywhere for naive;
   // for FT*M the initiator computes first (threshold infinity) and every
   // other node then scans under the initiator's flooded value. Each staged
-  // scan is a memo entry of its node, which both simulation runs consume,
-  // so results and simulated metrics match the sequential run exactly. A
+  // scan is a memo entry of its node, which the simulation consumes, so
+  // results and simulated metrics match the sequential run exactly. A
   // scan the memo already holds from the previous query is not rerun.
   ThreadPool* staging_pool = pool();
   const int num_sp = num_super_peers();
@@ -579,25 +579,54 @@ void SkypeerNetwork::StageLocalScans(Subspace subspace, int initiator_sp,
   });
 }
 
-SkypeerNetwork::RunOutcome SkypeerNetwork::RunOnce(
-    Subspace subspace, int initiator_sp, Variant variant,
-    const sim::LinkParams& params, ResultList* result) {
+QueryResult SkypeerNetwork::ExecuteQuery(Subspace subspace, int initiator_sp,
+                                         Variant variant) {
+  SKYPEER_CHECK(preprocessed_);
+  SKYPEER_CHECK(!subspace.empty());
+  SKYPEER_CHECK(Subspace::FullSpace(config_.dims).IsSupersetOf(subspace));
+  SKYPEER_CHECK(initiator_sp >= 0 && initiator_sp < num_super_peers());
+
   simulator_.Reset();
-  simulator_.SetAllLinkParams(params);
   for (auto& sp : super_peers_) {
     sp->ResetProtocolState();
   }
 
-  // Scheduled-churn maintenance ticks riding on this query (see
-  // ExecuteQuery): identical timers in both simulation runs, so the
-  // charged maintenance cost shapes both measured times the same way.
-  // A tick whose node is crashed at fire time is suppressed by the
-  // simulator like any other timer — churn composes with crash windows.
-  for (const ChurnTick& tick : pending_ticks_) {
-    auto body = std::make_shared<ChurnTickMessage>();
-    body->ops = tick.ops;
-    simulator_.ScheduleTimer(tick.node, tick.time, std::move(body));
+  // Scheduled churn riding on this query slot: pin every super-peer's
+  // pre-churn store epoch, then apply the slot's membership changes
+  // durably. The pinned epochs keep the query serving the stores it
+  // started on — an in-flight query is never torn by an install — while
+  // the maintenance cost lands on the affected node's clocks at the
+  // event's seeded in-query time, through a timer of that node. A tick
+  // whose node is crashed at fire time is suppressed like any other
+  // timer — churn composes with crash windows. The *next* query sees the
+  // post-churn stores.
+  std::vector<uint64_t> pinned_epochs;
+  if (!churn_plan_.empty()) {
+    const int slot = churn_slot_++;
+    const auto [begin, end] = churn_plan_.SlotRange(slot);
+    if (begin != end) {
+      pinned_epochs.reserve(super_peers_.size());
+      for (auto& sp : super_peers_) {
+        pinned_epochs.push_back(sp->PinStoreEpoch());
+      }
+      for (size_t i = begin; i < end; ++i) {
+        const sim::ChurnEvent& event = churn_plan_.events[i];
+        auto tick = std::make_shared<ChurnTickMessage>();
+        SKYPEER_CHECK(ApplyChurnEvent(event, &tick->ops).ok());
+        simulator_.ScheduleTimer(event.node, event.time, std::move(tick));
+      }
+    }
   }
+
+  // Open the scan memo for this query (after the pins, so each node keeps
+  // the scans of the epoch this query reads): every scan entry of another
+  // subspace or epoch, or that the previous query did not use, goes. The
+  // staging wave (if any) then finds or makes each node's scan entry, and
+  // the simulation records every scan it computes inline.
+  for (auto& sp : super_peers_) {
+    sp->BeginQueryMemo(subspace);
+  }
+  StageLocalScans(subspace, initiator_sp, variant);
 
   auto start = std::make_shared<StartQueryMessage>();
   start->query_id = next_query_id_++;
@@ -617,145 +646,60 @@ SkypeerNetwork::RunOutcome SkypeerNetwork::RunOnce(
   const sim::RunStatus status = simulator_.Run(budget);
   SKYPEER_CHECK(status == sim::RunStatus::kCompleted);
 
-  SuperPeer* initiator = super_peers_[initiator_sp].get();
-  RunOutcome outcome;
-  outcome.finished = initiator->finished();
-  if (!config_.reliable) {
-    SKYPEER_CHECK(outcome.finished);
-  }
-  if (outcome.finished) {
-    *result = initiator->final_result();
-    outcome.completion_s = initiator->finish_time();
-    if (config_.reliable) {
-      outcome.partial = initiator->partial();
-      outcome.coverage = initiator->coverage();
-    }
-  } else {
-    // The initiator itself was crashed (or the walk stranded with no
-    // deadline set): a graceful empty partial answer instead of a CHECK.
-    *result = ResultList(config_.dims);
-    outcome.completion_s = simulator_.now();
-    outcome.partial = true;
-  }
-  outcome.bytes = simulator_.total_bytes();
-  outcome.messages = simulator_.num_messages();
-  for (const auto& sp : super_peers_) {
-    const SuperPeer::LastQueryStats stats = sp->last_query_stats();
-    outcome.ops += stats.ops;
-    if (stats.participated) {
-      ++outcome.participated;
-      outcome.scanned += stats.scanned;
-      outcome.local_points += stats.local_result;
-    }
-  }
-  if (config_.reliable) {
-    outcome.dropped = simulator_.dropped_messages();
-    for (const auto& sp : super_peers_) {
-      const SuperPeer::ReliabilityStats& rstats = sp->reliability_stats();
-      outcome.retransmits += rstats.retransmits;
-      outcome.gave_up += rstats.gave_up;
-    }
-  }
-  return outcome;
-}
-
-QueryResult SkypeerNetwork::ExecuteQuery(Subspace subspace, int initiator_sp,
-                                         Variant variant) {
-  SKYPEER_CHECK(preprocessed_);
-  SKYPEER_CHECK(!subspace.empty());
-  SKYPEER_CHECK(Subspace::FullSpace(config_.dims).IsSupersetOf(subspace));
-  SKYPEER_CHECK(initiator_sp >= 0 && initiator_sp < num_super_peers());
-
-  // Scheduled churn riding on this query slot: pin every super-peer's
-  // pre-churn store epoch, then apply the slot's membership changes
-  // durably. The pinned epochs keep both simulation runs serving the
-  // stores the query started on — an in-flight query is never torn by an
-  // install — while the maintenance cost lands on the affected node's
-  // virtual clock at the event's seeded in-query time (the ticks below,
-  // scheduled by RunOnce in both runs). The *next* query sees the
-  // post-churn stores.
-  std::vector<uint64_t> pinned_epochs;
-  if (!churn_plan_.empty()) {
-    const int slot = churn_slot_++;
-    const auto [begin, end] = churn_plan_.SlotRange(slot);
-    if (begin != end) {
-      pinned_epochs.reserve(super_peers_.size());
-      for (auto& sp : super_peers_) {
-        pinned_epochs.push_back(sp->PinStoreEpoch());
-      }
-      for (size_t i = begin; i < end; ++i) {
-        const sim::ChurnEvent& event = churn_plan_.events[i];
-        ChurnTick tick;
-        tick.node = event.node;
-        tick.time = event.time;
-        SKYPEER_CHECK(ApplyChurnEvent(event, &tick.ops).ok());
-        pending_ticks_.push_back(std::move(tick));
-      }
-    }
-  }
-
-  QueryResult query_result;
-
-  // Open the memo for this query (after the pins, so each node keeps the
-  // scans of the epoch this query reads): the previous query's merges go,
-  // and so does every scan entry of another subspace or epoch or that the
-  // previous query did not use. The staging wave (if any) then finds or
-  // makes each node's scan entry before run 1, and run 1 records every
-  // scan and merge it computes.
-  for (auto& sp : super_peers_) {
-    sp->BeginQueryMemo(subspace);
-  }
-  StageLocalScans(subspace, initiator_sp, variant);
-
-  // Run 1: configured links — total response time and traffic volume.
-  const sim::LinkParams network_params{config_.bandwidth, config_.latency};
-  const RunOutcome total = RunOnce(subspace, initiator_sp, variant,
-                                   network_params, &query_result.skyline);
-
-  // Run 2: infinite bandwidth — pure computational critical path. Every
-  // scan or merge whose inputs match run 1's exactly (and every scan that
-  // matches one of the previous query's) is recalled from the memo and
-  // charged its recorded ops; the rest (refined thresholds or children
-  // along a different flood tree, other drops) are recomputed.
-  const sim::LinkParams compute_params{sim::kInfiniteBandwidth, 0.0};
-  ResultList compute_result(config_.dims);
-  const RunOutcome compute = RunOnce(subspace, initiator_sp, variant,
-                                     compute_params, &compute_result);
-  if (!config_.reliable) {
-    SKYPEER_DCHECK(compute_result.size() == query_result.skyline.size());
-  }
-
-  // Both runs are done: release the pinned pre-churn epochs (retired
+  // The query is done: release the pinned pre-churn epochs (retired
   // stores drop now — pages included; memo entries hold results, never
-  // store pages) and retire the ticks. The memo stays for the next
-  // query, whose `BeginQueryMemo` drops what it cannot use.
-  pending_ticks_.clear();
+  // store pages). The scan memo stays for the next query, whose
+  // `BeginQueryMemo` drops what it cannot use.
   for (size_t sp = 0; sp < pinned_epochs.size(); ++sp) {
     super_peers_[sp]->UnpinStoreEpoch(pinned_epochs[sp]);
   }
 
-  query_result.metrics.total_time_s = total.completion_s;
-  query_result.metrics.computational_time_s = compute.completion_s;
-  query_result.metrics.bytes_transferred = total.bytes;
-  query_result.metrics.messages = total.messages;
-  query_result.metrics.result_size = query_result.skyline.size();
-  // Every counter reports run 1 (configured links), the run the answer
-  // came from: the compute run can refine RT*M thresholds along a
-  // different flood tree and, under faults, realize a different fault
-  // pattern.
-  query_result.metrics.ops = total.ops;
-  query_result.metrics.super_peers_participated = total.participated;
-  query_result.metrics.store_points_scanned = total.scanned;
-  query_result.metrics.local_result_points = total.local_points;
+  QueryResult query_result;
+  QueryMetrics& metrics = query_result.metrics;
+  const SuperPeer& initiator = *super_peers_[initiator_sp];
+  if (!config_.reliable) {
+    SKYPEER_CHECK(initiator.finished());
+  }
+  if (initiator.finished()) {
+    query_result.skyline = initiator.final_result();
+    // Computational time is the zero-delay clock of the same run: the
+    // critical path of its CPU work with network delays left out (§6).
+    metrics.total_time_s = initiator.finish_time();
+    metrics.computational_time_s = initiator.finish_cp();
+    if (config_.reliable) {
+      metrics.partial = initiator.partial();
+      metrics.covered = initiator.coverage();
+    }
+  } else {
+    // The initiator itself was crashed (or the walk stranded with no
+    // deadline set): a graceful empty partial answer instead of a CHECK.
+    query_result.skyline = ResultList(config_.dims);
+    metrics.total_time_s = simulator_.now();
+    metrics.computational_time_s =
+        std::min(simulator_.NodeCp(initiator_sp), metrics.total_time_s);
+    metrics.partial = true;
+  }
+  metrics.bytes_transferred = simulator_.total_bytes();
+  metrics.messages = simulator_.num_messages();
+  metrics.result_size = query_result.skyline.size();
+  for (const auto& sp : super_peers_) {
+    const SuperPeer::LastQueryStats stats = sp->last_query_stats();
+    metrics.ops += stats.ops;
+    if (stats.participated) {
+      ++metrics.super_peers_participated;
+      metrics.store_points_scanned += stats.scanned;
+      metrics.local_result_points += stats.local_result;
+    }
+  }
   if (config_.reliable) {
-    query_result.metrics.partial = total.partial;
-    query_result.metrics.super_peers_reached =
-        static_cast<int>(total.coverage.size());
-    query_result.metrics.covered = total.coverage;
-    query_result.metrics.super_peers_total = num_super_peers();
-    query_result.metrics.retransmits = total.retransmits;
-    query_result.metrics.hops_gave_up = total.gave_up;
-    query_result.metrics.messages_dropped = total.dropped;
+    metrics.super_peers_reached = static_cast<int>(metrics.covered.size());
+    metrics.super_peers_total = num_super_peers();
+    metrics.messages_dropped = simulator_.dropped_messages();
+    for (const auto& sp : super_peers_) {
+      const SuperPeer::ReliabilityStats& rstats = sp->reliability_stats();
+      metrics.retransmits += rstats.retransmits;
+      metrics.hops_gave_up += rstats.gave_up;
+    }
   }
   return query_result;
 }

@@ -70,10 +70,9 @@ struct NetworkConfig {
   /// cycling — spread over the first `churn_events` query slots (see
   /// `sim::ChurnPlan::Seeded`). Each event's membership change applies
   /// atomically between queries while its maintenance cost is charged on
-  /// the affected super-peer's virtual clock at a seeded instant *inside*
-  /// the slot's query, identically in both simulation runs — so churn
-  /// shapes simulated times deterministically and composes with any
-  /// fault plan. 0 disables scheduled churn (direct JoinPeer/RemovePeer
+  /// the affected super-peer's clocks at a seeded instant *inside* the
+  /// slot's query — so churn shapes simulated times deterministically and
+  /// composes with any fault plan. 0 disables scheduled churn (direct JoinPeer/RemovePeer
   /// calls remain available).
   int churn_events = 0;
   /// Mean (seconds) of the exponential in-query instant at which a
@@ -161,15 +160,14 @@ struct QueryResult {
 ///
 /// Lifecycle: construct, `Preprocess()` once (peers compute and upload
 /// extended skylines; super-peers merge), then `ExecuteQuery` any number
-/// of times. Each query is simulated twice under the hood — once with
-/// configured links for total time/volume, once with infinite bandwidth
-/// for the computational-time critical path (the two measurements of §6).
-/// Both simulations share one memo: the second recalls every local scan
-/// and merge whose inputs match the first's exactly, charging the
-/// recorded operation counts, and recomputes only the rest. Scan entries
-/// also serve the next query (merges do not), so a query repeating a
-/// scan of the query before recalls it too. Every counter the query
-/// reports (volume, messages, ops, scan counts) comes from the first run.
+/// of times. Each query is simulated once, on the configured links, and
+/// every measurement of §6 comes from that one run: total time from the
+/// initiator's virtual clock, computational time from its zero-delay
+/// clock (the critical path of CPU work with network delays left out;
+/// see `sim::Simulator`), and volume, messages and op counts from the
+/// same events. Each super-peer keeps a memo of its local scans that
+/// also serves the next query: a query repeating a scan of the query
+/// before recalls it, charging the recorded operation counts.
 class SkypeerNetwork {
  public:
   /// Checks a configuration without building anything.
@@ -243,8 +241,9 @@ class SkypeerNetwork {
 
   /// Clears all per-query protocol state — simulator events, timers and
   /// statistics plus every super-peer's query, reliable-transport and
-  /// memo state. Query execution does this implicitly before each run; call it
-  /// when driving the simulator directly between executions.
+  /// memo state. Query execution resets everything but the memo itself
+  /// before each run; call this when driving the simulator directly
+  /// between executions.
   void ResetProtocolState();
 
   // --- churn (requires `dynamic_membership`) ----------------------------
@@ -326,41 +325,11 @@ class SkypeerNetwork {
   const BufferManager* buffer_manager() const { return buffer_.get(); }
 
  private:
-  struct RunOutcome {
-    double completion_s = 0.0;
-    uint64_t bytes = 0;
-    uint64_t messages = 0;
-    /// Reliable mode only (legacy runs always finish completely).
-    bool finished = false;
-    bool partial = false;
-    std::vector<int> coverage;
-    uint64_t retransmits = 0;
-    uint64_t gave_up = 0;
-    uint64_t dropped = 0;
-    /// Per-node counters of *this* run.
-    int participated = 0;
-    size_t scanned = 0;
-    size_t local_points = 0;
-    /// Operation counts summed over all super-peers in node-id order.
-    OpCounts ops;
-  };
-
   /// The staging wave: pre-executes the local scans whose thresholds are
   /// known before the protocol runs, concurrently on the pool, as memo
   /// scan entries (recalled instead when the memo already holds them).
-  /// Runs once per query, before run 1; a no-op on one thread.
+  /// Runs once per query, before the simulation; a no-op on one thread.
   void StageLocalScans(Subspace subspace, int initiator_sp, Variant variant);
-
-  RunOutcome RunOnce(Subspace subspace, int initiator_sp, Variant variant,
-                     const sim::LinkParams& params, ResultList* result);
-
-  /// One maintenance-cost timer riding on the current query (see
-  /// `ExecuteQuery`): scheduled identically in both simulation runs.
-  struct ChurnTick {
-    int node = 0;
-    double time = 0.0;
-    OpCounts ops;
-  };
 
   NetworkConfig config_;
   Overlay overlay_;
@@ -384,10 +353,9 @@ class SkypeerNetwork {
   /// peer id -> [first, last) range of its point ids.
   std::map<int, std::pair<PointId, PointId>> peer_point_ranges_;
   /// Scheduled churn (empty = none): the plan, the slot the next query
-  /// occupies, the ticks of the in-flight query, and running totals.
+  /// occupies, and running totals.
   sim::ChurnPlan churn_plan_;
   int churn_slot_ = 0;
-  std::vector<ChurnTick> pending_ticks_;
   ChurnStats churn_stats_;
 };
 

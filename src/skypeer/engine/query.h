@@ -161,11 +161,11 @@ struct QueryMessage : sim::MessageBody {
 /// node timer at the churn event's simulated in-query time, at the
 /// affected super-peer, carrying the logical operation counts of the
 /// membership maintenance that event performed. The handler charges them
-/// to the node's virtual clock and per-query ops — identically in both
-/// simulation runs of a query, so churn costs shape simulated times
-/// deterministically. Deliveries to a crashed node are suppressed by the
-/// simulator like any other timer, which is how churn composes with
-/// crash windows.
+/// to the node's clocks and per-query ops, so churn costs shape simulated
+/// times deterministically. The tick's delay itself is a wait, not CPU
+/// work: it does not advance the zero-delay clock. Deliveries to a
+/// crashed node are suppressed by the simulator like any other timer,
+/// which is how churn composes with crash windows.
 struct ChurnTickMessage : sim::MessageBody {
   OpCounts ops;
 };

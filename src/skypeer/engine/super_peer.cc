@@ -456,6 +456,11 @@ double SuperPeer::finish_time() const {
   return query_->finish_time;
 }
 
+double SuperPeer::finish_cp() const {
+  SKYPEER_CHECK(finished());
+  return query_->finish_cp;
+}
+
 bool SuperPeer::partial() const {
   SKYPEER_CHECK(finished());
   return query_->partial;
@@ -479,7 +484,6 @@ void SuperPeer::ResetProtocolState() {
 
 void SuperPeer::ClearQueryMemo() {
   scan_memo_.clear();
-  merge_memo_.clear();
   staged_ = kNoScan;
 }
 
@@ -491,7 +495,6 @@ void SuperPeer::BeginQueryMemo(Subspace subspace) {
   for (ScanMemo& scan : scan_memo_) {
     scan.used = false;
   }
-  merge_memo_.clear();
   staged_ = kNoScan;
 }
 
@@ -523,10 +526,10 @@ void SuperPeer::HandleMessage(sim::Simulator* simulator,
     HandlePipeline(simulator, message.src, *pipeline);
   } else if (const auto* churn =
                  dynamic_cast<const ChurnTickMessage*>(message.body.get())) {
-    // Scheduled churn maintenance lands on this node's virtual clock at
-    // the event's simulated time. The ops are logical (the membership
-    // change itself already ran outside the simulation), so the charge is
-    // identical in both simulation runs and across store modes.
+    // Scheduled churn maintenance lands on this node's clocks at the
+    // event's simulated time. The ops are logical (the membership change
+    // itself already ran outside the simulation), so the charge is
+    // identical across store modes.
     ChargeOps(simulator, churn->ops);
   } else if (reliable_.enabled) {
     ++rstats_.stale_ignored;  // Unknown payloads are tolerated, not fatal.
@@ -957,67 +960,54 @@ std::shared_ptr<const ResultList> SuperPeer::Merge(
     sim::Simulator* simulator, MergeKind kind, const Subspace& subspace,
     double threshold_in, std::vector<std::shared_ptr<const ResultList>> inputs,
     double* threshold_out) {
-  auto entry = std::find_if(
-      merge_memo_.begin(), merge_memo_.end(), [&](const MergeMemo& memo) {
-        return memo.kind == kind && memo.mask == subspace.mask() &&
-               memo.threshold_in == threshold_in && memo.inputs == inputs;
-      });
-  if (entry == merge_memo_.end()) {
-    MergeMemo memo;
-    memo.kind = kind;
-    memo.mask = subspace.mask();
-    memo.threshold_in = threshold_in;
-    memo.threshold_out = threshold_in;
-    if (kind == MergeKind::kBnl) {
-      // Central dominance-based merge of everything, the §3.2 baseline.
-      // Overlapping inputs (reroute detours) keep only the first copy of
-      // each point id — copies of a point never dominate each other, so
-      // BNL alone would keep both. Sorted ids find repeats cheaply, and
-      // most merges have none.
-      PointSet all(dims_);
-      for (const auto& list : inputs) {
-        all.AppendAll(list->points);
-      }
-      std::vector<PointId> ids = all.Ids();
-      std::sort(ids.begin(), ids.end());
-      if (std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
-        PointSet first_copies(dims_);
-        std::unordered_set<PointId> seen_points;
-        for (size_t i = 0; i < all.size(); ++i) {
-          if (seen_points.insert(all.id(i)).second) {
-            first_copies.AppendFrom(all, i);
-          }
-        }
-        all = std::move(first_copies);
-      }
-      PointSet skyline = BnlSkyline(all, subspace, /*ext=*/false, &memo.ops);
-      memo.ops.sort_steps += SortCost(skyline.size());
-      memo.output = std::make_shared<const ResultList>(BuildSortedByF(skyline));
-    } else {
-      std::vector<const ResultList*> lists;
-      lists.reserve(inputs.size());
-      for (const auto& list : inputs) {
-        lists.push_back(list.get());
-      }
-      ThresholdScanOptions options;
-      options.initial_threshold = threshold_in;
-      options.dedup_ids = true;
-      ThresholdScanStats stats;
-      memo.output = std::make_shared<const ResultList>(
-          MergeSortedSkylines(dims_, lists, subspace, options, &stats));
-      memo.threshold_out = stats.final_threshold;
-      memo.ops = stats.ops;
+  OpCounts ops;
+  std::shared_ptr<const ResultList> output;
+  double threshold = threshold_in;
+  if (kind == MergeKind::kBnl) {
+    // Central dominance-based merge of everything, the §3.2 baseline.
+    // Overlapping inputs (reroute detours) keep only the first copy of
+    // each point id — copies of a point never dominate each other, so
+    // BNL alone would keep both. Sorted ids find repeats cheaply, and
+    // most merges have none.
+    PointSet all(dims_);
+    for (const auto& list : inputs) {
+      all.AppendAll(list->points);
     }
-    memo.inputs = std::move(inputs);
-    merge_memo_.push_back(std::move(memo));
-    entry = std::prev(merge_memo_.end());
+    std::vector<PointId> ids = all.Ids();
+    std::sort(ids.begin(), ids.end());
+    if (std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
+      PointSet first_copies(dims_);
+      std::unordered_set<PointId> seen_points;
+      for (size_t i = 0; i < all.size(); ++i) {
+        if (seen_points.insert(all.id(i)).second) {
+          first_copies.AppendFrom(all, i);
+        }
+      }
+      all = std::move(first_copies);
+    }
+    PointSet skyline = BnlSkyline(all, subspace, /*ext=*/false, &ops);
+    ops.sort_steps += SortCost(skyline.size());
+    output = std::make_shared<const ResultList>(BuildSortedByF(skyline));
+  } else {
+    std::vector<const ResultList*> lists;
+    lists.reserve(inputs.size());
+    for (const auto& list : inputs) {
+      lists.push_back(list.get());
+    }
+    ThresholdScanOptions options;
+    options.initial_threshold = threshold_in;
+    options.dedup_ids = true;
+    ThresholdScanStats stats;
+    output = std::make_shared<const ResultList>(
+        MergeSortedSkylines(dims_, lists, subspace, options, &stats));
+    threshold = stats.final_threshold;
+    ops = stats.ops;
   }
-  // A memo hit is the identical merge, so its recorded ops are the charge.
-  ChargeOps(simulator, entry->ops);
+  ChargeOps(simulator, ops);
   if (threshold_out != nullptr) {
-    *threshold_out = entry->threshold_out;
+    *threshold_out = threshold;
   }
-  return entry->output;
+  return output;
 }
 
 SuperPeer::LastQueryStats SuperPeer::last_query_stats() const {
@@ -1090,6 +1080,7 @@ void SuperPeer::HandleStart(sim::Simulator* simulator,
       state->final = *state->local;
       state->finished = true;
       state->finish_time = simulator->CurrentNodeClock();
+      state->finish_cp = simulator->CurrentNodeCp();
       if (reliable_.enabled) {
         state->partial =
             static_cast<int>(state->contributors.size()) < num_super_peers_;
@@ -1299,6 +1290,7 @@ void SuperPeer::HandlePipeline(sim::Simulator* simulator, int src,
     }
     state->finished = true;
     state->finish_time = simulator->CurrentNodeClock();
+    state->finish_cp = simulator->CurrentNodeCp();
     return;
   }
 
@@ -1376,6 +1368,7 @@ void SuperPeer::FinishInitiator(sim::Simulator* simulator,
       state->subspace, state->threshold, MergeInputs(*state));
   state->finished = true;
   state->finish_time = simulator->CurrentNodeClock();
+  state->finish_cp = simulator->CurrentNodeCp();
   if (reliable_.enabled) {
     state->partial =
         static_cast<int>(state->contributors.size()) < num_super_peers_ ||

@@ -229,28 +229,25 @@ class SuperPeer : public sim::Node {
   /// bookkeeping, duplicate-suppression sets and counters.
   /// `Simulator::Reset` discards pending events and timers; this is the
   /// matching node-side reset the simulator docs require — call both
-  /// before re-running a query on the same network. The memo (see
-  /// `ClearQueryMemo`) survives it, so a re-run of the same query can
-  /// recall run 1's computations.
+  /// before running a query on the network. The scan memo (see
+  /// `ClearQueryMemo`) survives it.
   void ResetProtocolState();
 
-  /// Drops the whole memo: every recorded local scan and every recorded
-  /// merge. A memo entry answers a later computation only on an exact
-  /// key match — the same inputs, so the same output and the same
-  /// operation counts — and is charged exactly those recorded ops; any
-  /// mismatch recomputes. So clearing the memo never changes a result or
-  /// a metric, only the host work spent recomputing.
+  /// Drops the whole scan memo. A memo entry answers a later scan only
+  /// on an exact key match — the same inputs, so the same output and the
+  /// same operation counts — and is charged exactly those recorded ops;
+  /// any mismatch rescans. So clearing the memo never changes a result
+  /// or a metric, only the host work spent rescanning.
   void ClearQueryMemo();
 
-  /// Opens the memo for a new query on `subspace`. Merges live for one
-  /// query: all are dropped. Scan entries outlive their query under one
-  /// fixed rule: an entry survives only if it scanned `subspace`, read
-  /// the store epoch the new query scans (`View()`'s epoch, so call this
-  /// after any pin), and the previous query created or recalled it. Any
-  /// other entry could not answer this query, and the next one would
-  /// drop it as unused. The survivors count as unused until the new
-  /// query recalls them, so a node holds the scans of at most two
-  /// queries.
+  /// Opens the scan memo for a new query on `subspace`. Scan entries
+  /// outlive their query under one fixed rule: an entry survives only if
+  /// it scanned `subspace`, read the store epoch the new query scans
+  /// (`View()`'s epoch, so call this after any pin), and the previous
+  /// query created or recalled it. Any other entry could not answer this
+  /// query, and the next one would drop it as unused. The survivors count
+  /// as unused until the new query recalls them, so a node holds the
+  /// scans of at most two queries.
   void BeginQueryMemo(Subspace subspace);
 
   /// Scan entries the memo holds (testing aid, like `RetiredEpochCount`).
@@ -314,6 +311,11 @@ class SuperPeer : public sim::Node {
 
   /// Virtual time at which the final answer was complete.
   double finish_time() const;
+
+  /// The node's zero-delay clock `cp` (see `sim::Simulator`) when the
+  /// final answer was complete: the critical path of the query's CPU
+  /// work with network delays left out.
+  double finish_cp() const;
 
   /// Reliable mode, initiator, after finished: true when the answer does
   /// not cover every super-peer (crashes / give-ups / deadline) — the
@@ -383,6 +385,7 @@ class SuperPeer : public sim::Node {
     bool finished = false;
     ResultList final{1};
     double finish_time = 0.0;
+    double finish_cp = 0.0;
     /// Store points consumed by the local scan.
     size_t scanned = 0;
 
@@ -442,20 +445,6 @@ class SuperPeer : public sim::Node {
   /// point id, uncharged: the reliable transport's detours can deliver the
   /// same point twice, and otherwise no id repeats.
   enum class MergeKind { kSorted, kBnl };
-
-  /// A merge of the current query and its outcome. The key holds its
-  /// ordered inputs by `shared_ptr`, which keeps them alive: an input of
-  /// run 1 can never share an address with a list allocated later, so
-  /// pointer equality means content equality.
-  struct MergeMemo {
-    MergeKind kind = MergeKind::kSorted;
-    uint32_t mask = 0;
-    double threshold_in = 0.0;
-    std::vector<std::shared_ptr<const ResultList>> inputs;
-    std::shared_ptr<const ResultList> output;
-    double threshold_out = 0.0;
-    OpCounts ops;
-  };
 
   /// One reliably sent envelope awaiting its acknowledgement.
   enum class HopKind { kQuery, kReply, kPipeline };
@@ -547,9 +536,8 @@ class SuperPeer : public sim::Node {
                       std::shared_ptr<const ResultList> filter);
 
   /// Merges `inputs` (in this order) into one list for the query subspace
-  /// under `threshold_in`, charging the merge's ops, or recalls the
-  /// memo's identical merge and charges its recorded ops. When
-  /// `threshold_out` is non-null it receives the merge's final threshold.
+  /// under `threshold_in`, charging the merge's ops. When `threshold_out`
+  /// is non-null it receives the merge's final threshold.
   std::shared_ptr<const ResultList> Merge(
       sim::Simulator* simulator, MergeKind kind, const Subspace& subspace,
       double threshold_in,
@@ -645,12 +633,10 @@ class SuperPeer : public sim::Node {
   bool preprocessed_ = false;
   std::vector<int> neighbors_;
   std::optional<QueryState> query_;
-  /// The memo (see `ClearQueryMemo` and `BeginQueryMemo`): at most one
-  /// local scan per node per simulation run, kept for the next query
-  /// too, and one merge per node per simulation run, kept for one query
-  /// — so every lookup searches a short list.
+  /// The scan memo (see `ClearQueryMemo` and `BeginQueryMemo`): at most
+  /// a staged and an inline local scan per query, kept for the next
+  /// query too — so every lookup searches a short list.
   std::vector<ScanMemo> scan_memo_;
-  std::vector<MergeMemo> merge_memo_;
   /// Index in `scan_memo_` of the entry the last `StageLocalScan` found
   /// or made; `kNoScan` since `BeginQueryMemo`.
   static constexpr size_t kNoScan = ~size_t{0};
@@ -667,9 +653,9 @@ class SuperPeer : public sim::Node {
   /// Converts local work into virtual CPU seconds (see SetCostModel).
   CostModel cost_;
   /// Operation counts accumulated since the last `ResetProtocolState`,
-  /// i.e. over one simulation run. A memo hit charges the recorded ops of
-  /// the identical computation, so a run that recomputes and a run that
-  /// recalls count the same.
+  /// i.e. over one query's simulation. A scan memo hit charges the
+  /// recorded ops of the identical scan, so a query that rescans and a
+  /// query that recalls count the same.
   OpCounts query_ops_;
   /// Broadcast filter-set size bound this node uses as initiator
   /// (see set_filter_set_size); 0 disables the filter axis.

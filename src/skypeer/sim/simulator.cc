@@ -9,6 +9,7 @@ int Simulator::AddNode(Node* node) {
   SKYPEER_CHECK(node != nullptr);
   nodes_.push_back(node);
   clock_.push_back(0.0);
+  cp_.push_back(0.0);
   return static_cast<int>(nodes_.size()) - 1;
 }
 
@@ -22,12 +23,6 @@ void Simulator::Connect(int a, int b, const LinkParams& params) {
 
 bool Simulator::AreConnected(int a, int b) const {
   return links_.find({a, b}) != links_.end();
-}
-
-void Simulator::SetAllLinkParams(const LinkParams& params) {
-  for (auto& [key, link] : links_) {
-    link.params = params;
-  }
 }
 
 void Simulator::SetFaultPlan(FaultPlan plan) {
@@ -81,13 +76,13 @@ void Simulator::Send(int src, int dst, size_t bytes,
     }
   }
 
-  events_.push(Event{arrival, next_seq_++, /*timer_id=*/0,
+  events_.push(Event{arrival, next_seq_++, cp_[src], /*timer_id=*/0,
                      Message{src, dst, bytes, std::move(body)}});
 }
 
 void Simulator::Post(int dst, std::shared_ptr<const MessageBody> body) {
   SKYPEER_CHECK(dst >= 0 && dst < num_nodes());
-  events_.push(Event{now_, next_seq_++, /*timer_id=*/0,
+  events_.push(Event{now_, next_seq_++, /*cp=*/now_, /*timer_id=*/0,
                      Message{-1, dst, 0, std::move(body)}});
 }
 
@@ -97,7 +92,8 @@ uint64_t Simulator::ScheduleTimer(int node, double delay,
   SKYPEER_CHECK(delay >= 0.0);
   const double fire = std::max(now_, clock_[node]) + delay;
   const uint64_t timer_id = next_timer_id_++;
-  events_.push(Event{fire, next_seq_++, timer_id,
+  // The delay is a wait, not CPU work: the timer carries the node's cp.
+  events_.push(Event{fire, next_seq_++, cp_[node], timer_id,
                      Message{node, node, 0, std::move(body)}});
   return timer_id;
 }
@@ -112,14 +108,12 @@ void Simulator::ChargeCpu(double seconds) {
   SKYPEER_CHECK(handling_node_ >= 0);
   SKYPEER_CHECK(seconds >= 0.0);
   clock_[handling_node_] += seconds;
+  cp_[handling_node_] += seconds;
 }
 
 RunStatus Simulator::Run(const RunBudget& budget) {
   uint64_t processed = 0;
   while (!events_.empty()) {
-    if (events_.top().time > budget.max_virtual_time) {
-      return RunStatus::kTimeBudgetExceeded;
-    }
     if (budget.max_events > 0 && processed >= budget.max_events) {
       return RunStatus::kEventBudgetExceeded;
     }
@@ -139,6 +133,7 @@ RunStatus Simulator::Run(const RunBudget& budget) {
     }
     // Processing starts once the node has finished earlier work.
     clock_[dst] = std::max(clock_[dst], event.time);
+    cp_[dst] = std::max(cp_[dst], event.cp);
     handling_node_ = dst;
     nodes_[dst]->HandleMessage(this, event.message);
     handling_node_ = -1;
@@ -146,19 +141,12 @@ RunStatus Simulator::Run(const RunBudget& budget) {
   return RunStatus::kCompleted;
 }
 
-double Simulator::MaxClock() const {
-  double max_clock = 0.0;
-  for (double c : clock_) {
-    max_clock = std::max(max_clock, c);
-  }
-  return max_clock;
-}
-
 void Simulator::Reset() {
   while (!events_.empty()) {
     events_.pop();
   }
   std::fill(clock_.begin(), clock_.end(), 0.0);
+  std::fill(cp_.begin(), cp_.end(), 0.0);
   for (auto& [key, link] : links_) {
     link.busy_until = 0.0;
   }
@@ -173,7 +161,7 @@ void Simulator::Reset() {
   cancelled_timers_.clear();
   if (fault_plan_.has_value()) {
     // Reseed the dedicated stream: every run of the same event sequence
-    // (e.g. the engine's two measurement passes) sees identical faults.
+    // sees identical faults.
     fault_rng_.emplace(fault_plan_->seed);
   }
 }

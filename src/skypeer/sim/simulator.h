@@ -47,15 +47,13 @@ inline constexpr double kInfiniteBandwidth =
 enum class RunStatus {
   kCompleted,            ///< The event queue drained.
   kEventBudgetExceeded,  ///< `max_events` deliveries were processed.
-  kTimeBudgetExceeded,   ///< The next event lies past `max_virtual_time`.
 };
 
 /// Safety valve for `Run`: protocols with retransmission can in principle
-/// storm; a budget turns a livelock into a reported status. Zero /
-/// infinity (the defaults) mean unlimited.
+/// storm; a budget turns a livelock into a reported status. Zero (the
+/// default) means unlimited.
 struct RunBudget {
   uint64_t max_events = 0;
-  double max_virtual_time = std::numeric_limits<double>::infinity();
 };
 
 /// \brief Deterministic discrete-event simulator of a message-passing
@@ -65,6 +63,14 @@ struct RunBudget {
 ///  * Each node has a virtual clock (`busy_until`). A delivered message
 ///    begins processing at `max(arrival, busy_until)`; `ChargeCpu` inside
 ///    the handler advances the clock, serializing all work on the node.
+///  * Each node also keeps a zero-delay clock `cp`: the critical path of
+///    CPU work with network delays left out. Every event carries a `cp`
+///    — a sent message its sender's `cp` at send time, a timer the `cp`
+///    its node had when scheduling it (a timer delay is a wait, not CPU
+///    work), a posted message the current time. A handler starts its
+///    node's `cp` at `max(node cp, event cp)`, and `ChargeCpu` advances
+///    both clocks. So `cp <= clock` always, and on infinite zero-latency
+///    links without timer delays the two are equal bit for bit.
 ///  * Each link direction is FIFO with finite bandwidth: a message sent at
 ///    (virtual) time t starts transmitting at `max(t, link_busy)`,
 ///    occupies the link for `bytes / bandwidth`, and arrives after an
@@ -78,10 +84,6 @@ struct RunBudget {
 ///  * Nodes may schedule timers; timer events travel through the same
 ///    ordered queue as messages (and are suppressed while the target node
 ///    is crashed), so timer-driven protocols stay deterministic.
-///
-/// The same network can be re-run under different link parameters (e.g.
-/// infinite bandwidth to isolate the computational critical path) via
-/// `Reset` + `SetAllLinkParams`.
 class Simulator {
  public:
   Simulator() = default;
@@ -99,9 +101,6 @@ class Simulator {
   void Connect(int a, int b, const LinkParams& params = {});
 
   bool AreConnected(int a, int b) const;
-
-  /// Overrides the parameters of every existing link.
-  void SetAllLinkParams(const LinkParams& params);
 
   /// Installs a fault schedule; takes effect for subsequent sends and
   /// deliveries. The dedicated fault RNG is seeded from `plan.seed` now
@@ -138,8 +137,9 @@ class Simulator {
   /// Cancelling an already-fired or unknown timer is a no-op.
   void CancelTimer(uint64_t timer_id);
 
-  /// Advances the virtual clock of the currently handling node by
-  /// `seconds` of CPU work. Must only be called from inside a handler.
+  /// Advances the virtual clock and the zero-delay clock `cp` of the
+  /// currently handling node by `seconds` of CPU work. Must only be
+  /// called from inside a handler.
   void ChargeCpu(double seconds);
 
   /// Processes events until the queue drains.
@@ -167,6 +167,20 @@ class Simulator {
     return clock_[handling_node_];
   }
 
+  /// Zero-delay clock `cp` of a node (see the class comment).
+  double NodeCp(int node) const {
+    SKYPEER_CHECK(node >= 0 && node < num_nodes());
+    return cp_[node];
+  }
+
+  /// `cp` of the node whose handler is currently running, including CPU
+  /// charged so far in this handler. Must only be called from inside a
+  /// handler.
+  double CurrentNodeCp() const {
+    SKYPEER_CHECK(handling_node_ >= 0);
+    return cp_[handling_node_];
+  }
+
   /// Sum of wire bytes over all `Send` calls since the last `Reset`.
   uint64_t total_bytes() const { return total_bytes_; }
 
@@ -182,12 +196,10 @@ class Simulator {
   /// node was crashed at arrival time, since the last `Reset`.
   uint64_t suppressed_deliveries() const { return suppressed_deliveries_; }
 
-  /// Largest node clock — the makespan of the completed run.
-  double MaxClock() const;
-
-  /// Clears pending events, statistics, node clocks and link backlogs;
-  /// topology, link parameters and the fault plan survive (the fault RNG
-  /// is reseeded so re-runs see identical fault streams). Nodes must
+  /// Clears pending events, statistics, node clocks (`cp` included) and
+  /// link backlogs; topology, link parameters and the fault plan survive
+  /// (the fault RNG is reseeded, so a re-run of the same event sequence
+  /// sees the same faults). Nodes must
   /// reset their own protocol state separately (see
   /// `SuperPeer::ResetProtocolState`).
   void Reset();
@@ -201,6 +213,8 @@ class Simulator {
   struct Event {
     double time;
     uint64_t seq;
+    /// `cp` the event carries (see the class comment).
+    double cp;
     /// Non-zero for timer events (see `ScheduleTimer`).
     uint64_t timer_id;
     Message message;
@@ -218,6 +232,7 @@ class Simulator {
 
   std::vector<Node*> nodes_;
   std::vector<double> clock_;
+  std::vector<double> cp_;
   // Directed link states keyed by (src, dst).
   std::map<std::pair<int, int>, LinkState> links_;
   std::priority_queue<Event, std::vector<Event>, EventLater> events_;

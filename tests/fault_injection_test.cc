@@ -15,6 +15,7 @@
 
 #include "skypeer/algo/bnl.h"
 #include "skypeer/common/subspace.h"
+#include "skypeer/engine/experiment.h"
 #include "skypeer/engine/network_builder.h"
 #include "skypeer/sim/fault_plan.h"
 
@@ -84,6 +85,7 @@ TEST(FaultInjection, LossAndJitterWithRetriesMatchFaultFreeBitForBit) {
     EXPECT_EQ(got.metrics.super_peers_reached, got.metrics.super_peers_total);
     EXPECT_GT(got.metrics.retransmits, 0u);
     EXPECT_GT(got.metrics.messages_dropped, 0u);
+    EXPECT_LE(got.metrics.computational_time_s, got.metrics.total_time_s);
     // The answer also matches the centralized oracle.
     EXPECT_EQ(SortedIds(got.skyline.points),
               SortedIds(faulted.GroundTruthSkyline(u)));
@@ -122,6 +124,41 @@ TEST(FaultInjection, CrashedSuperPeerYieldsExactReachableSkyline) {
                         result.metrics.covered.end(), crashed),
               result.metrics.covered.end());
     EXPECT_GT(result.metrics.hops_gave_up, 0u);
+    EXPECT_LE(result.metrics.computational_time_s,
+              result.metrics.total_time_s);
+  }
+}
+
+// --- computational time -------------------------------------------------
+
+TEST(FaultInjection, ComputationalTimeNeverExceedsTotalTime) {
+  // Computational time is the critical path of the answering run's CPU
+  // work with network delays left out, so it can never exceed that run's
+  // total time — whatever drops, jitter, retransmit timeouts and a
+  // crashed super-peer do to the run. Swept over a workload of mixed
+  // subspaces, initiators and all six variants.
+  NetworkConfig config = BaseConfig();
+  config.num_peers = 200;
+  config.num_super_peers = 20;
+  config.drop_prob = 0.2;
+  config.delay_jitter = 0.05;
+  config.fault_seed = 5;
+  config.crashed_sps = {7};
+  config.max_retries = 3;
+  SkypeerNetwork network(config);
+  network.Preprocess();
+  const std::vector<QueryTask> tasks =
+      GenerateWorkload(config.dims, /*k=*/3, /*num_queries=*/20,
+                       network.num_super_peers(), /*seed=*/8);
+  for (const QueryTask& task : tasks) {
+    for (Variant variant : kVariantsWithPipeline) {
+      const QueryResult result =
+          network.ExecuteQuery(task.subspace, task.initiator_sp, variant);
+      EXPECT_LE(result.metrics.computational_time_s,
+                result.metrics.total_time_s)
+          << VariantName(variant) << " u=" << task.subspace.ToString()
+          << " initiator=" << task.initiator_sp;
+    }
   }
 }
 

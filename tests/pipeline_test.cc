@@ -139,8 +139,7 @@ TEST(Pipeline, MessageCountEqualsWalkLength) {
   const std::vector<int> walk = network.overlay().backbone.EulerTourWalk(4);
   QueryResult result = network.ExecuteQuery(Subspace::FromDims({0, 1}), 4,
                                             Variant::kPipeline);
-  // One message per walk edge, times two runs is folded into the metrics
-  // of the first run only.
+  // One message per walk edge.
   EXPECT_EQ(result.metrics.messages, walk.size() - 1);
   EXPECT_EQ(result.metrics.super_peers_participated,
             network.num_super_peers());
