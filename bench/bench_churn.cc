@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
   base.dims = 6;
   base.seed = options.seed;
   base.dynamic_membership = true;
-  base.filter_set_size = options.filter_set;
   base.page_size = options.page_size;
   base.buffer_pages = options.buffer_pages;
   base.cost_model = options.cost_model;

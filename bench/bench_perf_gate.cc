@@ -41,31 +41,5 @@ int main(int argc, char** argv) {
                   std::to_string(agg.total_ops.merge_pulls)});
   }
   table.Print();
-
-  // Filter axis: the same matrix with a 16-point broadcast filter set, so
-  // drift in the sampled-filter path (selection, seeding, volume
-  // accounting) trips the gate too. Skylines are identical to the run
-  // above; volume and op counts legitimately differ.
-  std::printf("\n== CI perf gate: filtered (--filter-set 16) ==\n");
-  BenchOptions filtered = options;
-  if (filtered.filter_set == 0) {
-    filtered.filter_set = 16;
-  }
-  SkypeerNetwork filtered_network = BuildNetwork(config, filtered);
-  RecordPreprocess("filtered", filtered_network.Preprocess());
-  Table filtered_table({"variant", "comp_ms", "total_ms", "kb", "msgs",
-                        "dominance", "scan_steps", "merge_pulls"});
-  for (Variant variant : kGateVariants) {
-    const AggregateMetrics agg = RunVariant(&filtered_network, /*k=*/3,
-                                            queries, options.seed + 17,
-                                            variant);
-    filtered_table.AddRow({VariantName(variant), FmtMs(agg.avg_comp_s()),
-                           FmtMs(agg.avg_total_s()), Fmt(agg.avg_kb()),
-                           Fmt(agg.avg_messages(), 1),
-                           std::to_string(agg.total_ops.dominance_tests),
-                           std::to_string(agg.total_ops.scan_steps),
-                           std::to_string(agg.total_ops.merge_pulls)});
-  }
-  filtered_table.Print();
   return 0;
 }

@@ -23,9 +23,6 @@ namespace skypeer::bench {
 ///   --seed S       master seed (default 1)
 ///   --threads N    worker threads (default hardware_concurrency;
 ///                  1 = sequential); simulated metrics are unaffected
-///   --filter-set N broadcast at most N sampled filter points from the
-///                  initiator's local skyline with every query (default 0
-///                  = no filter); skylines are identical either way
 ///   --page-size B  store page size in bytes (power of two in
 ///                  [4096, 1048576], default 4096); fixes the logical
 ///                  page-charging geometry in both store modes
@@ -52,7 +49,6 @@ struct BenchOptions {
   int queries = -1;  // -1: use the bench's default.
   uint64_t seed = 1;
   int threads = 0;  // 0: hardware_concurrency.
-  size_t filter_set = 0;  // 0: no broadcast filter set.
   size_t page_size = kDefaultPageSize;
   size_t buffer_pages = 0;  // 0: in-memory stores.
   int churn_events = 0;     // 0: no scheduled churn.
@@ -197,9 +193,6 @@ inline BenchOptions ParseArgs(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       options.threads =
           static_cast<int>(ParseIntFlag("--threads", argv[++i], 0, 4096));
-    } else if (std::strcmp(argv[i], "--filter-set") == 0 && i + 1 < argc) {
-      options.filter_set =
-          static_cast<size_t>(ParseU64Flag("--filter-set", argv[++i]));
     } else if (std::strcmp(argv[i], "--page-size") == 0 && i + 1 < argc) {
       options.page_size =
           static_cast<size_t>(ParseU64Flag("--page-size", argv[++i]));
@@ -251,8 +244,7 @@ inline BenchOptions ParseArgs(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf(
           "usage: %s [--queries N] [--seed S] [--threads N] "
-          "[--filter-set N] [--page-size B] "
-          "[--buffer-pages N] [--churn-events N] "
+          "[--page-size B] [--buffer-pages N] [--churn-events N] "
           "[--churn-rate R] [--churn-seed S] [--rebuild-maintenance] "
           "[--cost-model calibrated|unit] [--json PATH] [--full]\n",
           argv[0]);
@@ -272,14 +264,12 @@ inline BenchOptions ParseArgs(int argc, char** argv) {
   std::snprintf(
       buffer, sizeof(buffer),
       "{\"queries\": %d, \"seed\": %llu, \"threads\": %d, "
-      "\"filter_set\": %llu, \"page_size\": %llu, "
-      "\"buffer_pages\": %llu, \"churn_events\": %d, "
+      "\"page_size\": %llu, \"buffer_pages\": %llu, \"churn_events\": %d, "
       "\"churn_rate\": %s, \"churn_seed\": %llu, "
       "\"rebuild_maintenance\": %s, "
       "\"full\": %s, \"cost_model\": \"%s\"}",
       options.queries, static_cast<unsigned long long>(options.seed),
-      options.threads, static_cast<unsigned long long>(options.filter_set),
-      static_cast<unsigned long long>(options.page_size),
+      options.threads, static_cast<unsigned long long>(options.page_size),
       static_cast<unsigned long long>(options.buffer_pages),
       options.churn_events, JsonNumber(options.churn_rate).c_str(),
       static_cast<unsigned long long>(options.churn_seed),
@@ -378,11 +368,10 @@ inline std::string Fmt(double value, int precision = 3) {
 inline std::string FmtMs(double seconds) { return Fmt(seconds * 1e3, 3); }
 
 /// Builds + preprocesses a network, echoing the configuration. Applies
-/// the harness options that map onto the network config (`--filter-set`,
+/// the harness options that map onto the network config (`--page-size`,
 /// `--cost-model`, ...).
 inline SkypeerNetwork BuildNetwork(NetworkConfig config,
                                    const BenchOptions& options) {
-  config.filter_set_size = options.filter_set;
   config.page_size = options.page_size;
   config.buffer_pages = options.buffer_pages;
   config.cost_model = options.cost_model;
@@ -395,16 +384,14 @@ inline SkypeerNetwork BuildNetwork(NetworkConfig config,
   }
   std::printf(
       "# N_p=%d N_sp=%d points/peer=%d d=%d DEG_sp=%.0f dist=%s seed=%llu "
-      "filter_set=%zu page_size=%zu "
-      "buffer_pages=%zu cost_model=%s\n",
+      "page_size=%zu buffer_pages=%zu cost_model=%s\n",
       config.num_peers,
       config.num_super_peers > 0 ? config.num_super_peers
                                  : DefaultNumSuperPeers(config.num_peers),
       config.points_per_peer, config.dims, config.degree_sp,
       DistributionName(config.distribution),
-      static_cast<unsigned long long>(config.seed), config.filter_set_size,
-      config.page_size, config.buffer_pages,
-      CostModelModeName(config.cost_model.mode));
+      static_cast<unsigned long long>(config.seed), config.page_size,
+      config.buffer_pages, CostModelModeName(config.cost_model.mode));
   return SkypeerNetwork(config);
 }
 

@@ -305,9 +305,6 @@ ResultList SortedSkyline(const StoreView& input, Subspace u,
                          ThresholdScanStats* stats) {
   SKYPEER_DCHECK(input.list() == nullptr || input.list()->IsSorted());
   SkylineAccumulator accumulator(input.dims(), u, options);
-  if (options.filter != nullptr && !options.filter->empty()) {
-    accumulator.SeedWindow(*options.filter);
-  }
   const size_t end = input.size();
   StoreCursor cursor(input);
   size_t scanned = 0;

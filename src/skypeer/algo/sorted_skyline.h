@@ -35,17 +35,6 @@ struct ThresholdScanOptions {
   /// compared. A no-op on disjoint inputs — fault-free runs are
   /// bit-identical with or without it.
   bool dedup_ids = false;
-
-  /// Threshold-scan algorithms only: broadcast filter set to seed the
-  /// window with before scanning (`SkylineAccumulator::SeedWindow`).
-  /// Filter points prune offers — and may themselves be evicted by
-  /// dominating offers — but are never emitted in the result. Must
-  /// outlive the scan. Null or empty means no filter. The filter does not
-  /// tighten the threshold: a filter point is not necessarily a skyline
-  /// point of the scanned input's home store, but every point it prunes
-  /// is dominated by a point the query initiator already holds, so the
-  /// final merged answer is unchanged (see filter_set.h).
-  const ResultList* filter = nullptr;
 };
 
 /// Counters reported by the scan algorithms.
@@ -82,7 +71,10 @@ struct ThresholdScanStats {
 /// in `f` order ext-dominates an earlier one and the pass would evict
 /// nothing. The pass is still charged its `|W|` dominance tests, so
 /// results, thresholds and `ops()` are those of the evicting path; debug
-/// builds run it anyway and check that it finds no live entry.
+/// builds run it anyway and check that it finds no live entry. Store
+/// maintenance's seeded window (`SeedWindow`) keeps the pass: its seeds,
+/// the store's survivors, are not f-ordered against the resurrection
+/// candidates offered after them.
 class SkylineAccumulator {
  public:
   /// `u` is the query subspace over points of dimensionality `dims`.
@@ -120,10 +112,11 @@ class SkylineAccumulator {
 
   /// Pre-populates the window with already-known points that reject (and
   /// may be evicted by) later offers but never appear in `TakeResult()`.
-  /// Seeds need not be mutually non-dominated and need not precede future
-  /// offers in `f` order — a dominated seed is an inert extra pruner, and
-  /// no decision depends on a seed's `f` value (broadcast filter sets are
-  /// not f-ordered against the scanned store).
+  /// The caller is `SuperPeer::RemovePeer`'s incremental maintenance: it
+  /// seeds the store's survivors and offers the resurrection candidates
+  /// after them, so the seeds need not precede the offers in `f` order.
+  /// Seeds need not be mutually non-dominated either — a dominated seed
+  /// is an inert extra pruner — and no decision depends on a seed's `f`.
   /// Only valid on an empty accumulator; does not tighten `threshold()`
   /// (fold the seed's threshold into `options.initial_threshold` instead).
   /// A seeded accumulator always runs the eviction pass: seeds are not

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "skypeer/algo/extended_skyline.h"
-#include "skypeer/algo/filter_set.h"
 #include "skypeer/algo/sfs.h"
 #include "skypeer/common/macros.h"
 #include "skypeer/common/mapping.h"
@@ -323,7 +322,6 @@ PreprocessStats SkypeerNetwork::Preprocess() {
   jobs.reserve(overlay_.num_peers());
   for (int sp = 0; sp < overlay_.num_super_peers(); ++sp) {
     super_peers_[sp]->set_retain_peer_lists(config_.dynamic_membership);
-    super_peers_[sp]->set_filter_set_size(config_.filter_set_size);
     // The clustered workload has each super-peer pick a centroid; its
     // associated peers draw Gaussian points around it (§6).
     std::vector<double> centroid;
@@ -448,7 +446,6 @@ Status SkypeerNetwork::AdoptStores(std::vector<ResultList> stores) {
     return Status::InvalidArgument("point id repeated across the stores");
   }
   for (int sp = 0; sp < num_super_peers(); ++sp) {
-    super_peers_[sp]->set_filter_set_size(config_.filter_set_size);
     super_peers_[sp]->SetStore(std::move(stores[sp]));
   }
   // Only the retained fraction is known after a restore. Later joins draw
@@ -559,23 +556,15 @@ void SkypeerNetwork::StageLocalScans(Subspace subspace, int initiator_sp,
     return;
   }
   double threshold = std::numeric_limits<double>::infinity();
-  std::shared_ptr<const ResultList> filter;
   if (variant != Variant::kNaive) {
     super_peers_[initiator_sp]->StageLocalScan(subspace, variant, threshold);
     threshold = super_peers_[initiator_sp]->StagedThreshold();
-    if (config_.filter_set_size > 0) {
-      // The filter the protocol will broadcast: sampled from the
-      // initiator's staged local result. Selection ops are charged by the
-      // protocol run itself (`MaybeSelectFilter`), not here.
-      filter = BuildQueryFilter(*super_peers_[initiator_sp]->StagedLocal(),
-                                subspace, config_.filter_set_size, nullptr);
-    }
   }
   staging_pool->ParallelFor(num_sp, [&](size_t sp) {
     if (variant != Variant::kNaive && static_cast<int>(sp) == initiator_sp) {
       return;  // Already staged above (under threshold infinity).
     }
-    super_peers_[sp]->StageLocalScan(subspace, variant, threshold, filter);
+    super_peers_[sp]->StageLocalScan(subspace, variant, threshold);
   });
 }
 

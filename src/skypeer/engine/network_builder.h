@@ -94,18 +94,6 @@ struct NetworkConfig {
   /// counts included) are bit-identical to the in-memory default (0);
   /// only physical pool statistics (hits/misses/evictions) differ.
   size_t buffer_pages = 0;
-  /// Sampled filter-point broadcast (communication-optimal axis): the
-  /// initiator attaches at most this many points of its local subspace
-  /// skyline — the per-dimension minima plus an even f-rank sample (see
-  /// algo/filter_set.h) — to the flooded query, and every receiving
-  /// super-peer seeds its scan window with them before scanning. Filter
-  /// points prune local results that the final merge would discard
-  /// anyway, so the answer stays bit-identical to the unfiltered run for
-  /// every variant, while ext-SKY shipping volume drops. Filter bytes are
-  /// charged to query volume (`WireModel::FilterBytes`). 0 (default)
-  /// disables the filter; naive ignores it (it floods before the
-  /// initiator computes anything to sample from).
-  size_t filter_set_size = 0;
   /// Worker threads scoped to this network: staging waves and
   /// preprocessing of this instance run on a private pool of this size
   /// instead of the process-wide `ThreadPool::Global()`. 0 (default)

@@ -66,11 +66,6 @@ struct WireModel {
   size_t query_bytes = 64;        ///< Query message (mask, threshold, ids).
   size_t reply_header_bytes = 32; ///< Fixed reply overhead.
   size_t list_header_bytes = 16;  ///< Per-list framing inside a reply.
-  /// One quantized filter-point coordinate (see algo/filter_set.h:
-  /// coordinates round up onto a coarse power-of-two grid, so a byte
-  /// suffices). Filter points are never emitted, so they ship without id
-  /// or f value.
-  size_t filter_coord_bytes = 1;
   /// Reliable-transport framing (query id, sequence number) wrapped
   /// around every payload when the reliable protocol is enabled.
   size_t envelope_bytes = 16;
@@ -93,22 +88,6 @@ struct WireModel {
   /// replies for the coverage report.
   size_t ContributorBytes(size_t contributors) const {
     return contributors * id_bytes;
-  }
-
-  /// Wire size of a broadcast filter set of `points` points attached to a
-  /// flooded query (or pipeline hop) for query dimensionality `k`. Filter
-  /// points ship as `k` grid-quantized coordinates each (no id, no f —
-  /// they are pruners, never result candidates) inside one framed list;
-  /// zero points means no filter rides the message and costs nothing. The
-  /// compact encoding is what makes the broadcast pay for itself: the
-  /// flood re-sends the filter on every backbone edge, so at full result
-  /// width (`PointBytes`) the filter would cost more than the reply
-  /// points it prunes.
-  size_t FilterBytes(int k, size_t points) const {
-    return points == 0
-               ? 0
-               : list_header_bytes +
-                     points * static_cast<size_t>(k) * filter_coord_bytes;
   }
 };
 
@@ -136,10 +115,6 @@ struct PipelineMessage : sim::MessageBody {
   /// Reliable mode: super-peers whose local results `accumulated`
   /// includes (coverage report; hops skipped around crashes are absent).
   std::vector<int> contributors;
-  /// Broadcast filter set selected by the initiator (null = none); every
-  /// super-peer on the tour seeds its local scan window with it. Shared
-  /// immutably, so retransmitted envelopes carry the identical object.
-  std::shared_ptr<const ResultList> filter;
 };
 
 /// The flooded query `q(U, t)` of Algorithm 3.
@@ -149,12 +124,6 @@ struct QueryMessage : sim::MessageBody {
   Variant variant = Variant::kFTPM;
   /// Pruning threshold attached to the query; infinity for naive.
   double threshold = 0.0;
-  /// Broadcast filter set selected by the initiator (null = none): a
-  /// size-bounded sample of its local subspace skyline that receivers
-  /// seed their scan windows with before scanning (see filter_set.h).
-  /// Charged to query volume via `WireModel::FilterBytes`. Shared
-  /// immutably across all flood hops and retransmissions.
-  std::shared_ptr<const ResultList> filter;
 };
 
 /// Scheduled-churn maintenance tick (see `sim::ChurnPlan`): fires as a

@@ -6,35 +6,12 @@
 #include <utility>
 
 #include "skypeer/algo/bnl.h"
-#include "skypeer/algo/filter_set.h"
 #include "skypeer/algo/merge.h"
 #include "skypeer/algo/sorted_skyline.h"
 #include "skypeer/common/macros.h"
 #include "skypeer/common/mapping.h"
 
 namespace skypeer {
-namespace {
-
-/// True when two broadcast filters (null = none) hold the same points,
-/// ids and f values in the same order: a fingerprint match alone could
-/// be a collision.
-bool SameFilter(const ResultList* a, const ResultList* b) {
-  if (a == b) {
-    return true;
-  }
-  if (a == nullptr || b == nullptr || a->size() != b->size() ||
-      a->f != b->f || a->points.values() != b->points.values()) {
-    return false;
-  }
-  for (size_t i = 0; i < a->size(); ++i) {
-    if (a->points.id(i) != b->points.id(i)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 void SuperPeer::ChargeOps(sim::Simulator* simulator, const OpCounts& ops) {
   query_ops_ += ops;
@@ -732,9 +709,7 @@ void SuperPeer::SkipPipelineHop(sim::Simulator* simulator,
         wire_.query_bytes +
         wire_.ReplyBytes(next->subspace.Count(), 1,
                          next->accumulated->size()) +
-        wire_.ContributorBytes(next->contributors.size()) +
-        wire_.FilterBytes(next->subspace.Count(),
-                          next->filter != nullptr ? next->filter->size() : 0);
+        wire_.ContributorBytes(next->contributors.size());
     Outbound skip;
     skip.kind = HopKind::kPipeline;
     skip.pipeline = next;
@@ -877,7 +852,6 @@ void SuperPeer::RunLocalScan(const Subspace& subspace, ScanMemo* scan) {
 
   ThresholdScanOptions options;
   options.initial_threshold = threshold_in;
-  options.filter = scan->filter.get();
   ThresholdScanStats stats;
   scan->local = std::make_shared<const ResultList>(
       SortedSkyline(view, subspace, options, &stats));
@@ -887,33 +861,26 @@ void SuperPeer::RunLocalScan(const Subspace& subspace, ScanMemo* scan) {
   scan->ops = stats.ops;
 }
 
-size_t SuperPeer::RecallOrScan(const ScanKey& key, const Subspace& subspace,
-                               std::shared_ptr<const ResultList> filter) {
+size_t SuperPeer::RecallOrScan(const ScanKey& key, const Subspace& subspace) {
   for (size_t i = 0; i < scan_memo_.size(); ++i) {
     ScanMemo& scan = scan_memo_[i];
-    if (scan.key == key && SameFilter(scan.filter.get(), filter.get())) {
+    if (scan.key == key) {
       scan.used = true;
       return i;
     }
   }
   ScanMemo scan;
   scan.key = key;
-  scan.filter = std::move(filter);
   RunLocalScan(subspace, &scan);
   scan_memo_.push_back(std::move(scan));
   return scan_memo_.size() - 1;
 }
 
 void SuperPeer::StageLocalScan(const Subspace& subspace, Variant variant,
-                               double threshold,
-                               std::shared_ptr<const ResultList> filter) {
-  if (filter != nullptr && filter->empty()) {
-    filter = nullptr;
-  }
+                               double threshold) {
   const ScanKey key{scan_epoch_, subspace.mask(), variant == Variant::kNaive,
-                    filter != nullptr ? FilterFingerprint(*filter) : 0,
                     threshold};
-  staged_ = RecallOrScan(key, subspace, std::move(filter));
+  staged_ = RecallOrScan(key, subspace);
 }
 
 double SuperPeer::StagedThreshold() const {
@@ -926,29 +893,10 @@ std::shared_ptr<const ResultList> SuperPeer::StagedLocal() const {
   return scan_memo_[staged_].local;
 }
 
-void SuperPeer::MaybeSelectFilter(sim::Simulator* simulator,
-                                  QueryState* state) {
-  if (filter_set_size_ == 0 || state->variant == Variant::kNaive) {
-    return;
-  }
-  SKYPEER_CHECK(state->local != nullptr);
-  // Selected from this node's (unfiltered) local result, so every filter
-  // point is a member of one of the final merge's inputs: whatever the
-  // filter prunes remotely, the merge would have removed anyway.
-  OpCounts ops;
-  state->filter = BuildQueryFilter(*state->local, state->subspace,
-                                   filter_set_size_, &ops);
-  state->filter_fp =
-      state->filter != nullptr ? FilterFingerprint(*state->filter) : 0;
-  ChargeOps(simulator, ops);
-}
-
 void SuperPeer::ComputeLocal(sim::Simulator* simulator, QueryState* state) {
   const ScanKey key{scan_epoch_, state->subspace.mask(),
-                    state->variant == Variant::kNaive, state->filter_fp,
-                    state->threshold};
-  const ScanMemo& scan =
-      scan_memo_[RecallOrScan(key, state->subspace, state->filter)];
+                    state->variant == Variant::kNaive, state->threshold};
+  const ScanMemo& scan = scan_memo_[RecallOrScan(key, state->subspace)];
   // A memo hit is the identical scan, so its recorded ops are the charge.
   ChargeOps(simulator, scan.ops);
   state->local = scan.local;
@@ -1031,13 +979,6 @@ void SuperPeer::ForwardQuery(sim::Simulator* simulator, QueryState* state) {
   query->subspace = state->subspace;
   query->variant = state->variant;
   query->threshold = state->threshold;
-  query->filter = state->filter;
-  // The broadcast filter rides every flood hop and is charged to query
-  // volume — the volume/pruning trade-off bench_filter_volume measures.
-  const size_t query_bytes =
-      wire_.query_bytes +
-      wire_.FilterBytes(state->subspace.Count(),
-                        state->filter != nullptr ? state->filter->size() : 0);
   state->pending = 0;
   for (int neighbor : neighbors_) {
     if (neighbor == state->parent) {
@@ -1046,7 +987,7 @@ void SuperPeer::ForwardQuery(sim::Simulator* simulator, QueryState* state) {
     state->child_done[neighbor] = false;
     Outbound hop;
     hop.kind = HopKind::kQuery;
-    SendHop(simulator, neighbor, query_bytes, query, std::move(hop));
+    SendHop(simulator, neighbor, wire_.query_bytes, query, std::move(hop));
     ++state->pending;
   }
 }
@@ -1091,15 +1032,11 @@ void SuperPeer::HandleStart(sim::Simulator* simulator,
       }
       return;
     }
-    // The filter travels the whole tour so every node on the walk can
-    // seed its scan; selected after the local scan (its source list).
-    MaybeSelectFilter(simulator, state);
     PipelineMessage seed;
     seed.query_id = state->query_id;
     seed.subspace = state->subspace;
     seed.route = std::make_shared<const std::vector<int>>(start.route);
     seed.position = 0;
-    seed.filter = state->filter;
     std::vector<int> contributors;
     if (reliable_.enabled) {
       contributors.push_back(id_);
@@ -1116,12 +1053,8 @@ void SuperPeer::HandleStart(sim::Simulator* simulator,
     ComputeLocal(simulator, state);
   } else {
     // §5.2.3: the initiator first runs the local computation to obtain
-    // the initial threshold t, then forwards q(U, t) — with the filter
-    // set sampled from the local result attached. (Naive floods before
-    // computing, so it has no list to sample from and never carries a
-    // filter.)
+    // the initial threshold t, then forwards q(U, t).
     ComputeLocal(simulator, state);
-    MaybeSelectFilter(simulator, state);
     ForwardQuery(simulator, state);
   }
   if (state->pending == 0) {
@@ -1157,9 +1090,6 @@ void SuperPeer::HandleQuery(sim::Simulator* simulator,
   state->subspace = query.subspace;
   state->variant = query.variant;
   state->threshold = query.threshold;
-  state->filter = query.filter;
-  state->filter_fp =
-      query.filter != nullptr ? FilterFingerprint(*query.filter) : 0;
   state->parent = message.src;
   state->is_initiator = false;
   if (reliable_.enabled) {
@@ -1236,14 +1166,11 @@ void SuperPeer::ForwardPipeline(sim::Simulator* simulator,
   next->position = previous.position + 1;
   next->accumulated = std::move(accumulated);
   next->contributors = std::move(contributors);
-  next->filter = previous.filter;
   const int dst = (*next->route)[next->position];
   const size_t bytes =
       wire_.query_bytes +
       wire_.ReplyBytes(next->subspace.Count(), 1, next->accumulated->size()) +
-      wire_.ContributorBytes(next->contributors.size()) +
-      wire_.FilterBytes(next->subspace.Count(),
-                        next->filter != nullptr ? next->filter->size() : 0);
+      wire_.ContributorBytes(next->contributors.size());
   Outbound hop;
   hop.kind = HopKind::kPipeline;
   hop.pipeline = next;
@@ -1317,9 +1244,6 @@ void SuperPeer::HandlePipeline(sim::Simulator* simulator, int src,
   state->subspace = message.subspace;
   state->variant = Variant::kPipeline;
   state->threshold = message.threshold;
-  state->filter = message.filter;
-  state->filter_fp =
-      message.filter != nullptr ? FilterFingerprint(*message.filter) : 0;
   // Reliable mode remembers the tour predecessor: the chain of first-visit
   // senders always leads back to the initiator over hops that worked at
   // least once, which is the escape route when the walk strands.

@@ -203,15 +203,6 @@ class SuperPeer : public sim::Node {
   /// only).
   std::vector<int> RetainedPeerIds() const;
 
-  /// Maximum size of the broadcast filter set this node selects when it
-  /// initiates a non-naive query (see `SelectFilterSet`): sampled from
-  /// its local subspace skyline and attached to the flooded query so
-  /// every receiver can seed its scan window. 0 (the default) disables
-  /// the filter axis. The merged answer is bit-identical either way —
-  /// filter points prune remote candidates the final merge would have
-  /// removed anyway.
-  void set_filter_set_size(size_t size) { filter_set_size_ = size; }
-
   // --- query protocol ---------------------------------------------------
 
   /// Enables the reliable per-hop transport (envelopes, ACKs,
@@ -281,11 +272,8 @@ class SuperPeer : public sim::Node {
   /// never change results or metrics — it only moves host CPU work off
   /// the simulator thread. Safe to call concurrently on *different*
   /// SuperPeer instances (it touches only this node's store and memo).
-  /// `filter` is the broadcast filter set the query will carry (null for
-  /// none); the entry only answers a query whose filter is identical.
   void StageLocalScan(const Subspace& subspace, Variant variant,
-                      double threshold,
-                      std::shared_ptr<const ResultList> filter = nullptr);
+                      double threshold);
 
   /// Threshold the staged scan ended with — for FT*M the value the
   /// initiator floods. Reads the memo entry the last `StageLocalScan`
@@ -294,10 +282,8 @@ class SuperPeer : public sim::Node {
 
   /// Local result of the staged scan (the entry the last
   /// `StageLocalScan` found or made). Requires one since
-  /// `BeginQueryMemo`. The network staging wave uses the initiator's
-  /// staged local to construct — content-identically to what the
-  /// protocol run will select — the filter set the other nodes stage
-  /// under.
+  /// `BeginQueryMemo`. Stagings that find the same entry return the same
+  /// pointer.
   std::shared_ptr<const ResultList> StagedLocal() const;
 
   void HandleMessage(sim::Simulator* simulator,
@@ -375,13 +361,6 @@ class SuperPeer : public sim::Node {
         collected_by_child;
     /// This node's local subspace skyline.
     std::shared_ptr<const ResultList> local;
-    /// Broadcast filter set travelling with the query (null = none):
-    /// selected by the initiator after its own — unfiltered — local scan,
-    /// adopted by every receiver before computing.
-    std::shared_ptr<const ResultList> filter;
-    /// `FilterFingerprint(*filter)`, 0 when `filter` is null. Part of the
-    /// memo's scan key.
-    uint64_t filter_fp = 0;
     bool finished = false;
     ResultList final{1};
     double finish_time = 0.0;
@@ -408,19 +387,15 @@ class SuperPeer : public sim::Node {
 
   /// Everything a local scan's outcome depends on: the store epoch it
   /// reads, the subspace, which scan runs (naive's BNL, which ignores the
-  /// threshold, or the threshold scan every other variant runs), the
-  /// broadcast filter and the incoming threshold. The remaining inputs
-  /// are fixed for an epoch: the store contents and, for the page charge,
-  /// the page geometry (`set_page_size` precedes the first install;
-  /// `ConfigurePaging` fixes a paged store's). `filter_fp` only narrows
-  /// the search: an entry answers a scan only if its filter is also
-  /// identical (`ScanMemo::filter`), since a fingerprint can collide.
+  /// threshold, or the threshold scan every other variant runs) and the
+  /// incoming threshold. The remaining inputs are fixed for an epoch: the
+  /// store contents and, for the page charge, the page geometry
+  /// (`set_page_size` precedes the first install; `ConfigurePaging` fixes
+  /// a paged store's).
   struct ScanKey {
     uint64_t epoch = 0;
     uint32_t mask = 0;
     bool bnl = false;
-    /// `FilterFingerprint` of the broadcast filter (0 = none).
-    uint64_t filter_fp = 0;
     double threshold_in = 0.0;
     bool operator==(const ScanKey&) const = default;
   };
@@ -429,9 +404,6 @@ class SuperPeer : public sim::Node {
   /// or an earlier one) and the operation counts it was charged.
   struct ScanMemo {
     ScanKey key;
-    /// The broadcast filter the scan seeded its window with (null =
-    /// none); compared exactly on a fingerprint match.
-    std::shared_ptr<const ResultList> filter;
     std::shared_ptr<const ResultList> local;
     double threshold_out = 0.0;
     size_t scanned = 0;
@@ -529,11 +501,9 @@ class SuperPeer : public sim::Node {
   /// matches.
   void ComputeLocal(sim::Simulator* simulator, QueryState* state);
 
-  /// The memo entry of the scan of `subspace` under `key` seeded with
-  /// `filter` (whose fingerprint `key.filter_fp` holds): found, or run
+  /// The memo entry of the scan of `subspace` under `key`: found, or run
   /// and recorded. Marks it used and returns its index in `scan_memo_`.
-  size_t RecallOrScan(const ScanKey& key, const Subspace& subspace,
-                      std::shared_ptr<const ResultList> filter);
+  size_t RecallOrScan(const ScanKey& key, const Subspace& subspace);
 
   /// Merges `inputs` (in this order) into one list for the query subspace
   /// under `threshold_in`, charging the merge's ops. When `threshold_out`
@@ -546,15 +516,9 @@ class SuperPeer : public sim::Node {
 
   /// The simulator-free scan core shared by `ComputeLocal` and
   /// `StageLocalScan`: evaluates `subspace` against the store under
-  /// `scan->key`'s threshold with its scan and writes the resulting
-  /// list, tightened threshold, scan count and operation counts into
-  /// `scan`, seeding the window with `scan->filter` (null = none).
+  /// `scan->key`'s threshold with its scan and writes the resulting list,
+  /// tightened threshold, scan count and operation counts into `scan`.
   void RunLocalScan(const Subspace& subspace, ScanMemo* scan);
-
-  /// Initiator only, after its local scan: selects the broadcast filter
-  /// set from `state->local` when `filter_set_size_` > 0 and the variant
-  /// is not naive, charging the selection pass to the query's ops.
-  void MaybeSelectFilter(sim::Simulator* simulator, QueryState* state);
 
   /// Accumulates `ops` into the per-query counters and charges
   /// `cost_.Seconds(ops)` to the virtual clock. Must run inside a
@@ -657,9 +621,6 @@ class SuperPeer : public sim::Node {
   /// recorded ops of the identical scan, so a query that rescans and a
   /// query that recalls count the same.
   OpCounts query_ops_;
-  /// Broadcast filter-set size bound this node uses as initiator
-  /// (see set_filter_set_size); 0 disables the filter axis.
-  size_t filter_set_size_ = 0;
 };
 
 }  // namespace skypeer

@@ -342,8 +342,7 @@ std::vector<Variant> SixVariants() {
 // for store, to (a) a network that interleaves the same events directly
 // between queries and (b) the same replay with incremental maintenance
 // replaced by full store rebuilds — across all six variants, 1/2/8
-// threads, resident and paged stores, with and without the broadcast
-// filter set.
+// threads, resident and paged stores.
 //
 // The alignment works because a scheduled slot-q event batch is applied
 // *after* the q-th query pins its epochs: query q observes membership
@@ -360,103 +359,95 @@ TEST(ScheduledChurn, MatchesDirectReplayAndRebuildOracle) {
   for (int threads : {1, 2, 8}) {
     ThreadPool::SetGlobalConcurrency(threads);
     for (bool paged : {false, true}) {
-      for (bool composed : {false, true}) {
-        NetworkConfig base = DynamicConfig(21);
-        if (paged) {
-          base.buffer_pages = 4;
-          base.page_size = 4096;
-        }
-        if (composed) {
-          base.filter_set_size = 6;
-        }
-        NetworkConfig rebuild_config = base;
-        rebuild_config.incremental_maintenance = false;
-
-        SkypeerNetwork scheduled(base);
-        scheduled.Preprocess();
-        scheduled.SetChurnPlan(plan);
-        SkypeerNetwork replay(base);
-        replay.Preprocess();
-        SkypeerNetwork rebuild(rebuild_config);
-        rebuild.Preprocess();
-
-        for (size_t q = 0; q < tasks.size(); ++q) {
-          const QueryTask& task = tasks[q];
-          const Variant variant = variants[q % variants.size()];
-          const std::string context =
-              "threads=" + std::to_string(threads) +
-              " paged=" + std::to_string(paged) +
-              " composed=" + std::to_string(composed) +
-              " q=" + std::to_string(q) + " " + VariantName(variant);
-
-          const QueryResult a =
-              scheduled.ExecuteQuery(task.subspace, task.initiator_sp,
-                                     variant);
-          const QueryResult b =
-              replay.ExecuteQuery(task.subspace, task.initiator_sp, variant);
-          const QueryResult c =
-              rebuild.ExecuteQuery(task.subspace, task.initiator_sp,
-                                   variant);
-
-          EXPECT_EQ(StoreSignature(a.skyline), StoreSignature(b.skyline))
-              << context;
-          EXPECT_EQ(StoreSignature(b.skyline), StoreSignature(c.skyline))
-              << context;
-          // The scheduled run's in-flight queries additionally count the
-          // slot's maintenance ops (charged via node timers), which also
-          // lengthen the charged node's zero-delay clock even when the
-          // tick lands in an idle gap that total time does not feel. So
-          // op counters and computational time are only comparable once
-          // the plan is exhausted.
-          const bool past_plan = static_cast<int>(q) > plan.MaxSlot();
-          ExpectSameMetrics(a.metrics, b.metrics, context + " a/b",
-                            /*include_cpu=*/past_plan);
-          ExpectSameMetrics(b.metrics, c.metrics, context + " b/c",
-                            /*include_cpu=*/true);
-
-          // Mirror the slot on the replay networks after their queries.
-          const auto [begin, end] = plan.SlotRange(static_cast<int>(q));
-          for (size_t i = begin; i < end; ++i) {
-            ASSERT_TRUE(replay.ApplyChurnEvent(plan.events[i]).ok())
-                << context;
-            ASSERT_TRUE(rebuild.ApplyChurnEvent(plan.events[i]).ok())
-                << context;
-          }
-
-          // Stores bit-identical across all three networks after every
-          // step — incremental maintenance vs full rebuild included.
-          for (int sp = 0; sp < 8; ++sp) {
-            const auto sig =
-                StoreSignature(scheduled.super_peer(sp).MaterializeStore());
-            EXPECT_EQ(sig,
-                      StoreSignature(replay.super_peer(sp).MaterializeStore()))
-                << context << " sp=" << sp;
-            EXPECT_EQ(
-                sig,
-                StoreSignature(rebuild.super_peer(sp).MaterializeStore()))
-                << context << " sp=" << sp;
-          }
-        }
-
-        // All three applied the same events.
-        EXPECT_EQ(scheduled.churn_stats().joins, replay.churn_stats().joins);
-        EXPECT_EQ(scheduled.churn_stats().removals,
-                  replay.churn_stats().removals);
-        EXPECT_EQ(scheduled.churn_stats().replacements,
-                  replay.churn_stats().replacements);
-        EXPECT_EQ(scheduled.churn_stats().skipped,
-                  replay.churn_stats().skipped);
-        EXPECT_EQ(scheduled.churn_stats().joins +
-                      scheduled.churn_stats().removals +
-                      scheduled.churn_stats().replacements +
-                      scheduled.churn_stats().skipped,
-                  plan.size());
-
-        // The churned network still answers exactly against ground truth
-        // at its final membership.
-        ExpectAllVariantsExact(&scheduled, Subspace::FromDims({0, 2, 3}));
-        ExpectAllVariantsExact(&scheduled, Subspace::FullSpace(4));
+      NetworkConfig base = DynamicConfig(21);
+      if (paged) {
+        base.buffer_pages = 4;
+        base.page_size = 4096;
       }
+      NetworkConfig rebuild_config = base;
+      rebuild_config.incremental_maintenance = false;
+
+      SkypeerNetwork scheduled(base);
+      scheduled.Preprocess();
+      scheduled.SetChurnPlan(plan);
+      SkypeerNetwork replay(base);
+      replay.Preprocess();
+      SkypeerNetwork rebuild(rebuild_config);
+      rebuild.Preprocess();
+
+      for (size_t q = 0; q < tasks.size(); ++q) {
+        const QueryTask& task = tasks[q];
+        const Variant variant = variants[q % variants.size()];
+        const std::string context =
+            "threads=" + std::to_string(threads) +
+            " paged=" + std::to_string(paged) +
+            " q=" + std::to_string(q) + " " + VariantName(variant);
+
+        const QueryResult a =
+            scheduled.ExecuteQuery(task.subspace, task.initiator_sp, variant);
+        const QueryResult b =
+            replay.ExecuteQuery(task.subspace, task.initiator_sp, variant);
+        const QueryResult c =
+            rebuild.ExecuteQuery(task.subspace, task.initiator_sp, variant);
+
+        EXPECT_EQ(StoreSignature(a.skyline), StoreSignature(b.skyline))
+            << context;
+        EXPECT_EQ(StoreSignature(b.skyline), StoreSignature(c.skyline))
+            << context;
+        // The scheduled run's in-flight queries additionally count the
+        // slot's maintenance ops (charged via node timers), which also
+        // lengthen the charged node's zero-delay clock even when the
+        // tick lands in an idle gap that total time does not feel. So
+        // op counters and computational time are only comparable once
+        // the plan is exhausted.
+        const bool past_plan = static_cast<int>(q) > plan.MaxSlot();
+        ExpectSameMetrics(a.metrics, b.metrics, context + " a/b",
+                          /*include_cpu=*/past_plan);
+        ExpectSameMetrics(b.metrics, c.metrics, context + " b/c",
+                          /*include_cpu=*/true);
+
+        // Mirror the slot on the replay networks after their queries.
+        const auto [begin, end] = plan.SlotRange(static_cast<int>(q));
+        for (size_t i = begin; i < end; ++i) {
+          ASSERT_TRUE(replay.ApplyChurnEvent(plan.events[i]).ok())
+              << context;
+          ASSERT_TRUE(rebuild.ApplyChurnEvent(plan.events[i]).ok())
+              << context;
+        }
+
+        // Stores bit-identical across all three networks after every
+        // step — incremental maintenance vs full rebuild included.
+        for (int sp = 0; sp < 8; ++sp) {
+          const auto sig =
+              StoreSignature(scheduled.super_peer(sp).MaterializeStore());
+          EXPECT_EQ(sig,
+                    StoreSignature(replay.super_peer(sp).MaterializeStore()))
+              << context << " sp=" << sp;
+          EXPECT_EQ(
+              sig,
+              StoreSignature(rebuild.super_peer(sp).MaterializeStore()))
+              << context << " sp=" << sp;
+        }
+      }
+
+      // All three applied the same events.
+      EXPECT_EQ(scheduled.churn_stats().joins, replay.churn_stats().joins);
+      EXPECT_EQ(scheduled.churn_stats().removals,
+                replay.churn_stats().removals);
+      EXPECT_EQ(scheduled.churn_stats().replacements,
+                replay.churn_stats().replacements);
+      EXPECT_EQ(scheduled.churn_stats().skipped,
+                replay.churn_stats().skipped);
+      EXPECT_EQ(scheduled.churn_stats().joins +
+                    scheduled.churn_stats().removals +
+                    scheduled.churn_stats().replacements +
+                    scheduled.churn_stats().skipped,
+                plan.size());
+
+      // The churned network still answers exactly against ground truth
+      // at its final membership.
+      ExpectAllVariantsExact(&scheduled, Subspace::FromDims({0, 2, 3}));
+      ExpectAllVariantsExact(&scheduled, Subspace::FullSpace(4));
     }
   }
   ThreadPool::SetGlobalConcurrency(1);

@@ -452,7 +452,7 @@ using AccumulatorFrontTest = KernelEquivalenceTest;
 // The front block changes no decision and no charge: on f-sorted streams
 // whose subspace leaves out dimensions that set f (so later points evict
 // earlier ones, front entries included, and the front refills), with and
-// without ext-dominance and a seeded filter that is not itself a skyline,
+// without ext-dominance and a seed set that is not itself a skyline,
 // every offer's verdict, the result ids, f values and order, the
 // threshold and `ops()` equal the window-only loop's. The infinite
 // streams hold rows with both -inf and +inf, whose front keys must not be
@@ -483,7 +483,7 @@ TEST_P(AccumulatorFrontTest, MatchesWindowOnlyOfferLoop) {
                              stream == 2 ? Coords::kGridded
                                          : Coords::kInfinite);
       const ResultList sorted = BuildSortedByF(data);
-      const ResultList filter =
+      const ResultList seeds =
           BuildSortedByF(RandomPoints(dims, 40, seed ^ 0xf1, Coords::kGridded));
       for (bool ext : {false, true}) {
         for (bool seeded : {false, true}) {
@@ -495,8 +495,8 @@ TEST_P(AccumulatorFrontTest, MatchesWindowOnlyOfferLoop) {
           SkylineAccumulator accumulator(dims, shape.u, options);
           WindowOnlyAccumulator oracle(shape.u, ext);
           if (seeded) {
-            accumulator.SeedWindow(filter);
-            oracle.Seed(filter);
+            accumulator.SeedWindow(seeds);
+            oracle.Seed(seeds);
           }
           for (size_t i = 0; i < sorted.size(); ++i) {
             const double* p = sorted.points[i];

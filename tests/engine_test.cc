@@ -229,31 +229,6 @@ TEST(Exactness, EmptyPeersYieldEmptySkyline) {
   }
 }
 
-TEST(Exactness, FilterBroadcastStaysExact) {
-  // The sampled filter-point broadcast is a pure communication
-  // optimization: with --filter-set on, every variant still answers with
-  // the exact centralized skyline (filter points prune only what the
-  // initiator's own merge input would have removed).
-  NetworkConfig config = SmallConfig(21);
-  config.filter_set_size = 8;
-  SkypeerNetwork network(config);
-  network.Preprocess();
-  const auto tasks = GenerateWorkload(config.dims, 3, /*num_queries=*/6,
-                                      network.num_super_peers(), /*seed=*/33);
-  for (const QueryTask& task : tasks) {
-    const auto truth = SortedIds(network.GroundTruthSkyline(task.subspace));
-    for (Variant variant : kAllVariants) {
-      QueryResult result =
-          network.ExecuteQuery(task.subspace, task.initiator_sp, variant);
-      EXPECT_EQ(SortedIds(result.skyline.points), truth)
-          << VariantName(variant) << " u=" << task.subspace.ToString();
-    }
-    QueryResult pipe = network.ExecuteQuery(task.subspace, task.initiator_sp,
-                                            Variant::kPipeline);
-    EXPECT_EQ(SortedIds(pipe.skyline.points), truth);
-  }
-}
-
 TEST(Exactness, RepeatedQueriesAreStable) {
   NetworkConfig config = SmallConfig(12);
   SkypeerNetwork network(config);
@@ -294,8 +269,7 @@ TEST(ComputationalTime, EqualsTotalTimeOnInfiniteLinks) {
   // the one simulation that produced the answer. On a fault-free network
   // whose links are infinite there are no network delays to leave out,
   // so it must equal total time to the bit — under every variant, staged
-  // or inline scans, the broadcast filter, paged stores, scheduled churn
-  // and both transports. (A churn tick's in-query delay is a wait too;
+  // or inline scans, paged stores, scheduled churn and both transports. (A churn tick's in-query delay is a wait too;
   // here every tick fires milliseconds after its sub-millisecond query
   // finished.)
   const std::vector<Subspace> subspaces = {
@@ -310,7 +284,6 @@ TEST(ComputationalTime, EqualsTotalTimeOnInfiniteLinks) {
       config.bandwidth = sim::kInfiniteBandwidth;
       config.latency = 0.0;
       config.threads = threads;
-      config.filter_set_size = 16;
       config.buffer_pages = 8;
       config.dynamic_membership = true;
       config.churn_events = 6;
@@ -406,15 +379,15 @@ TEST(QueryMemo, RecallAcrossQueriesChangesNoMetric) {
   // one subspace and initiator recalls the scans of the query before.
   // A twin network that clears every memo before each query recomputes
   // everything; every metric and the answer, in order, must match —
-  // staged or inline scans, resident or paged stores with a filter set
-  // and scheduled churn, and the reliable transport with drops.
+  // staged or inline scans, resident or paged stores with scheduled
+  // churn, and the reliable transport with drops.
   struct Composition {
     const char* name;
-    bool paged_filter_churn;
+    bool paged_churn;
     bool lossy;
   };
   const Composition compositions[] = {{"resident", false, false},
-                                      {"paged+filter+churn", true, false},
+                                      {"paged+churn", true, false},
                                       {"reliable+drops", false, true}};
   const std::vector<Subspace> blocks = {
       Subspace::FromDims({0, 2}), Subspace::FromDims({1, 3, 4}),
@@ -424,9 +397,8 @@ TEST(QueryMemo, RecallAcrossQueriesChangesNoMetric) {
     for (int threads : {1, 2}) {
       NetworkConfig config = SmallConfig(31);
       config.threads = threads;
-      if (composition.paged_filter_churn) {
+      if (composition.paged_churn) {
         config.buffer_pages = 8;
-        config.filter_set_size = 16;
         config.dynamic_membership = true;
         config.churn_events = 8;
       }

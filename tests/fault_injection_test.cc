@@ -309,71 +309,6 @@ TEST(FaultInjection, CrashThenCleanQueryRecoversFullCoverage) {
             SortedIds(network.GroundTruthSkyline(u)));
 }
 
-// --- sampled filter-point broadcast under faults ------------------------
-
-TEST(FaultInjection, FilteredLossAndJitterMatchTheUnfilteredFaultFreeOracle) {
-  // The broadcast filter rides the reliable envelopes: with losses and
-  // jitter the filtered answer still equals the *unfiltered* fault-free
-  // oracle bit for bit, with full coverage — retransmitted queries carry
-  // the identical filter object, and filter points only prune what the
-  // initiator's own merge input would have removed.
-  const Subspace u = Subspace::FromDims({0, 2, 4});
-
-  SkypeerNetwork reference(BaseConfig());
-  reference.Preprocess();
-
-  NetworkConfig lossy = BaseConfig();
-  lossy.filter_set_size = 8;
-  lossy.drop_prob = 0.2;
-  lossy.delay_jitter = 0.05;
-  lossy.fault_seed = 99;
-  SkypeerNetwork faulted(lossy);
-  faulted.Preprocess();
-
-  for (Variant variant : kVariantsWithPipeline) {
-    QueryResult want = reference.ExecuteQuery(u, /*initiator_sp=*/0, variant);
-    QueryResult got = faulted.ExecuteQuery(u, /*initiator_sp=*/0, variant);
-    EXPECT_EQ(SortedIds(got.skyline.points), SortedIds(want.skyline.points))
-        << "variant " << static_cast<int>(variant);
-    EXPECT_FALSE(got.metrics.partial);
-    EXPECT_EQ(got.metrics.super_peers_reached, got.metrics.super_peers_total);
-    EXPECT_GT(got.metrics.messages_dropped, 0u);
-  }
-}
-
-TEST(FaultInjection, FilteredCrashYieldsExactReachableSkyline) {
-  // A crash degrades a filtered query exactly like an unfiltered one:
-  // the answer is the precise skyline of the reachable stores and the
-  // coverage report is unchanged.
-  const Subspace u = Subspace::FromDims({1, 2, 3});
-  const int crashed = 2;
-
-  NetworkConfig config = BaseConfig();
-  config.filter_set_size = 8;
-  config.crashed_sps = {crashed};
-  config.max_retries = 2;
-  SkypeerNetwork network(config);
-  network.Preprocess();
-
-  std::vector<int> reachable;
-  for (int sp = 0; sp < network.num_super_peers(); ++sp) {
-    if (sp != crashed) {
-      reachable.push_back(sp);
-    }
-  }
-  const std::vector<PointId> expected =
-      ReachableSkylineIds(network, reachable, u);
-
-  for (Variant variant : kVariantsWithPipeline) {
-    QueryResult result = network.ExecuteQuery(u, /*initiator_sp=*/0, variant);
-    EXPECT_EQ(SortedIds(result.skyline.points), expected)
-        << "variant " << static_cast<int>(variant);
-    EXPECT_TRUE(result.metrics.partial);
-    EXPECT_EQ(result.metrics.super_peers_reached,
-              network.num_super_peers() - 1);
-  }
-}
-
 // --- configuration validation -------------------------------------------
 
 TEST(FaultInjection, ValidationRejectsFaultsWithoutReliableTransport) {

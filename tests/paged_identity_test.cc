@@ -6,8 +6,8 @@
 // modes — and simulated times are bit-identical between the in-memory
 // and the paged store, for all five variants plus the pipeline, at 1, 2
 // and 8 threads, with forced-scalar and dispatched SIMD kernels,
-// composed with --filter-set and fault injection. Only the out-of-band
-// physical pool counters may differ.
+// composed with fault injection. Only the out-of-band physical pool
+// counters may differ.
 
 #include <gtest/gtest.h>
 
@@ -91,14 +91,7 @@ TEST(PagedIdentity, MatchesInMemoryForAllVariantsThreadsKernelsCompositions) {
   std::vector<std::pair<std::string, NetworkConfig>> compositions;
   compositions.emplace_back("plain", BaseConfig());
   {
-    NetworkConfig filtered = BaseConfig();
-    filtered.filter_set_size = 8;
-    compositions.emplace_back("filtered", filtered);
-  }
-  {
-    // Everything at once, under injected faults.
     NetworkConfig faulted = BaseConfig();
-    faulted.filter_set_size = 6;
     faulted.reliable = true;
     faulted.drop_prob = 0.2;
     faulted.delay_jitter = 0.05;

@@ -355,68 +355,61 @@ TEST(ParallelDeterminism, FaultedRunsAreThreadCountInvariant) {
   // Fault injection composes with every parallel-execution feature: the
   // fault pattern is a pure function of the (virtual-time) event
   // sequence and the fault seed, so results, coverage and transport
-  // statistics are bit-identical at any thread count — also when the
-  // filter set is on.
+  // statistics are bit-identical at any thread count.
   constexpr Variant kFaultedVariants[] = {Variant::kNaive, Variant::kFTPM,
                                           Variant::kRTFM, Variant::kRTPM,
                                           Variant::kPipeline};
   const Subspace u = Subspace::FromDims({0, 1, 3});
 
-  for (const bool features : {false, true}) {
-    NetworkConfig config = SmallConfig();
-    config.reliable = true;
-    config.drop_prob = 0.2;
-    config.delay_jitter = 0.05;
-    config.fault_seed = 21;
-    config.crashed_sps = {5};
-    config.max_retries = 2;
-    if (features) {
-      config.filter_set_size = 6;
-    }
+  NetworkConfig config = SmallConfig();
+  config.reliable = true;
+  config.drop_prob = 0.2;
+  config.delay_jitter = 0.05;
+  config.fault_seed = 21;
+  config.crashed_sps = {5};
+  config.max_retries = 2;
 
-    struct Reference {
-      std::vector<std::vector<double>> skyline;
-      QueryMetrics metrics;
-    };
-    std::vector<Reference> references;
+  struct Reference {
+    std::vector<std::vector<double>> skyline;
+    QueryMetrics metrics;
+  };
+  std::vector<Reference> references;
 
-    ThreadPool::SetGlobalConcurrency(1);
-    {
-      SkypeerNetwork sequential(config);
-      sequential.Preprocess();
-      for (Variant variant : kFaultedVariants) {
-        const QueryResult result = sequential.ExecuteQuery(u, 0, variant);
-        references.push_back({Signature(result.skyline), result.metrics});
-      }
+  ThreadPool::SetGlobalConcurrency(1);
+  {
+    SkypeerNetwork sequential(config);
+    sequential.Preprocess();
+    for (Variant variant : kFaultedVariants) {
+      const QueryResult result = sequential.ExecuteQuery(u, 0, variant);
+      references.push_back({Signature(result.skyline), result.metrics});
     }
-
-    for (const int threads : {2, 8}) {
-      ThreadPool::SetGlobalConcurrency(threads);
-      SkypeerNetwork parallel(config);
-      parallel.Preprocess();
-      for (size_t v = 0; v < std::size(kFaultedVariants); ++v) {
-        const std::string context =
-            "features=" + std::to_string(features) + " threads=" +
-            std::to_string(threads) + " variant=" + std::to_string(v);
-        const QueryResult result =
-            parallel.ExecuteQuery(u, 0, kFaultedVariants[v]);
-        EXPECT_EQ(Signature(result.skyline), references[v].skyline)
-            << context;
-        const QueryMetrics& want = references[v].metrics;
-        EXPECT_EQ(result.metrics.total_time_s, want.total_time_s) << context;
-        EXPECT_EQ(result.metrics.bytes_transferred, want.bytes_transferred)
-            << context;
-        EXPECT_EQ(result.metrics.messages, want.messages) << context;
-        EXPECT_EQ(result.metrics.partial, want.partial) << context;
-        EXPECT_EQ(result.metrics.covered, want.covered) << context;
-        EXPECT_EQ(result.metrics.retransmits, want.retransmits) << context;
-        EXPECT_EQ(result.metrics.hops_gave_up, want.hops_gave_up) << context;
-        EXPECT_EQ(result.metrics.messages_dropped, want.messages_dropped)
-            << context;
-      }
-    }
-    ThreadPool::SetGlobalConcurrency(1);
   }
+
+  for (const int threads : {2, 8}) {
+    ThreadPool::SetGlobalConcurrency(threads);
+    SkypeerNetwork parallel(config);
+    parallel.Preprocess();
+    for (size_t v = 0; v < std::size(kFaultedVariants); ++v) {
+      const std::string context = "threads=" + std::to_string(threads) +
+                                  " variant=" + std::to_string(v);
+      const QueryResult result =
+          parallel.ExecuteQuery(u, 0, kFaultedVariants[v]);
+      EXPECT_EQ(Signature(result.skyline), references[v].skyline)
+          << context;
+      const QueryMetrics& want = references[v].metrics;
+      EXPECT_EQ(result.metrics.total_time_s, want.total_time_s) << context;
+      EXPECT_EQ(result.metrics.bytes_transferred, want.bytes_transferred)
+          << context;
+      EXPECT_EQ(result.metrics.messages, want.messages) << context;
+      EXPECT_EQ(result.metrics.partial, want.partial) << context;
+      EXPECT_EQ(result.metrics.covered, want.covered) << context;
+      EXPECT_EQ(result.metrics.retransmits, want.retransmits) << context;
+      EXPECT_EQ(result.metrics.hops_gave_up, want.hops_gave_up) << context;
+      EXPECT_EQ(result.metrics.messages_dropped, want.messages_dropped)
+          << context;
+    }
+  }
+  ThreadPool::SetGlobalConcurrency(1);
 }
 
 TEST(ParallelDeterminism, CloneForQueriesAnswersLikeTheOriginal) {
@@ -431,109 +424,6 @@ TEST(ParallelDeterminism, CloneForQueriesAnswersLikeTheOriginal) {
   const QueryResult replica = clone->ExecuteQuery(u, 2, Variant::kRTPM);
   EXPECT_EQ(Signature(original.skyline), Signature(replica.skyline));
   ExpectMetricsEqual(original.metrics, replica.metrics, "clone RTPM");
-}
-
-// --- sampled filter-point broadcast ------------------------------------------
-
-TEST(FilterBroadcastDeterminism, MatchesUnfilteredOracleAcrossCompositions) {
-  // The filter-broadcast guarantee: the sampled filter set attached to
-  // the flooded query changes what is *shipped*, never what is
-  // *answered*. For all five variants plus the pipeline the filtered
-  // skyline is bit-identical to the unfiltered oracle's at 1, 2 and 8
-  // threads, and the filtered run's own simulated metrics are
-  // thread-count invariant.
-  const NetworkConfig config = SmallConfig();
-  const std::vector<QueryTask> tasks =
-      GenerateWorkload(4, 2, 4, config.num_super_peers, 91);
-  std::vector<Variant> variants(kAllVariants, kAllVariants + 5);
-  variants.push_back(Variant::kPipeline);
-
-  using SkylineSig = std::vector<std::vector<double>>;
-  // Unfiltered sequential oracle.
-  ThreadPool::SetGlobalConcurrency(1);
-  std::vector<std::vector<SkylineSig>> oracle;
-  {
-    SkypeerNetwork network(config);
-    network.Preprocess();
-    for (Variant variant : variants) {
-      std::vector<SkylineSig> per_task;
-      for (const QueryTask& task : tasks) {
-        per_task.push_back(Signature(
-            network.ExecuteQuery(task.subspace, task.initiator_sp, variant)
-                .skyline));
-      }
-      oracle.push_back(std::move(per_task));
-    }
-  }
-
-  NetworkConfig filtered = config;
-  filtered.filter_set_size = 8;
-  std::vector<std::vector<QueryMetrics>> reference(variants.size());
-  for (int threads : {1, 2, 8}) {
-    ThreadPool::SetGlobalConcurrency(threads);
-    SkypeerNetwork network(filtered);
-    network.Preprocess();
-    for (size_t v = 0; v < variants.size(); ++v) {
-      for (size_t t = 0; t < tasks.size(); ++t) {
-        const QueryResult result = network.ExecuteQuery(
-            tasks[t].subspace, tasks[t].initiator_sp, variants[v]);
-        const std::string context =
-            std::string(VariantName(variants[v])) + " task " +
-            std::to_string(t) + " threads " + std::to_string(threads);
-        EXPECT_EQ(Signature(result.skyline), oracle[v][t]) << context;
-        if (threads == 1) {
-          reference[v].push_back(result.metrics);
-        } else {
-          ExpectMetricsEqual(result.metrics, reference[v][t],
-                             context.c_str());
-        }
-      }
-    }
-  }
-  ThreadPool::SetGlobalConcurrency(1);
-}
-
-TEST(FilterBroadcastDeterminism, NaiveIgnoresTheFilterAndLocalScansShrink) {
-  // The naive variant broadcasts no threshold and no filter: its metrics
-  // with --filter-set on are identical to the unfiltered run's. The
-  // thresholded variants do attach the filter, whose seeds can only
-  // shrink local results — never grow them — and across a workload the
-  // pruning is strictly visible.
-  ThreadPool::SetGlobalConcurrency(1);
-  const NetworkConfig plain = SmallConfig();
-  NetworkConfig with_filter = plain;
-  with_filter.filter_set_size = 8;
-
-  SkypeerNetwork unfiltered_net(plain);
-  unfiltered_net.Preprocess();
-  SkypeerNetwork filtered_net(with_filter);
-  filtered_net.Preprocess();
-
-  const std::vector<QueryTask> tasks =
-      GenerateWorkload(plain.dims, 2, 6, plain.num_super_peers, 97);
-  size_t unfiltered_local = 0;
-  size_t filtered_local = 0;
-  for (const QueryTask& task : tasks) {
-    const QueryResult naive_plain = unfiltered_net.ExecuteQuery(
-        task.subspace, task.initiator_sp, Variant::kNaive);
-    const QueryResult naive_filtered = filtered_net.ExecuteQuery(
-        task.subspace, task.initiator_sp, Variant::kNaive);
-    ExpectMetricsEqual(naive_filtered.metrics, naive_plain.metrics,
-                       "naive ignores the filter");
-    for (Variant variant : {Variant::kFTFM, Variant::kFTPM, Variant::kRTFM,
-                            Variant::kRTPM, Variant::kPipeline}) {
-      const QueryResult plain_run = unfiltered_net.ExecuteQuery(
-          task.subspace, task.initiator_sp, variant);
-      const QueryResult filtered_run = filtered_net.ExecuteQuery(
-          task.subspace, task.initiator_sp, variant);
-      EXPECT_LE(filtered_run.metrics.local_result_points,
-                plain_run.metrics.local_result_points)
-          << VariantName(variant);
-      unfiltered_local += plain_run.metrics.local_result_points;
-      filtered_local += filtered_run.metrics.local_result_points;
-    }
-  }
-  EXPECT_LT(filtered_local, unfiltered_local);
 }
 
 }  // namespace

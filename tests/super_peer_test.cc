@@ -172,39 +172,55 @@ TEST(SuperPeerUnit, LastQueryStatsBeforeAnyQuery) {
   EXPECT_EQ(stats.local_result, 0u);
 }
 
-TEST(SuperPeerUnit, ScanRecallNeedsAnIdenticalFilter) {
-  // Memo scan entries outlive their query, so one can meet a later scan
-  // with the same subspace and threshold but another broadcast filter.
-  // That scan must run afresh; one whose filter is equal, even in another
-  // list, recalls the entry.
+TEST(SuperPeerUnit, ScanRecallMatchesSubspaceScanKindAndThreshold) {
+  // Memo scan entries outlive their query. A later scan recalls one only
+  // under the same subspace, scan kind (naive's BNL or the threshold
+  // scan) and incoming threshold; any other key runs afresh.
   SuperPeer sp(0, 4, WireModel{});
   sp.AddPeerList(0, MakeExt(4, 200, 3, 0));
   sp.FinalizePreprocessing();
   const Subspace u = Subspace::FromDims({0, 1});
   const double inf = std::numeric_limits<double>::infinity();
-  const auto filter_at = [](double coord) {
-    ResultList filter(4);
-    const std::vector<double> row(4, coord);
-    filter.points.Append(row.data(), 1'000'000);
-    filter.f.push_back(coord);
-    return std::make_shared<const ResultList>(std::move(filter));
-  };
 
   sp.StageLocalScan(u, Variant::kFTPM, inf);
-  const std::shared_ptr<const ResultList> unfiltered = sp.StagedLocal();
-  ASSERT_FALSE(unfiltered->empty());
-  // The origin dominates every generated point; 2.0 dominates none.
-  sp.StageLocalScan(u, Variant::kFTPM, inf, filter_at(0.0));
-  EXPECT_TRUE(sp.StagedLocal()->empty());
-  sp.StageLocalScan(u, Variant::kFTPM, inf, filter_at(2.0));
-  const std::shared_ptr<const ResultList> inert = sp.StagedLocal();
-  EXPECT_EQ(inert->points.Ids(), unfiltered->points.Ids());
-  EXPECT_NE(inert, unfiltered);
+  const std::shared_ptr<const ResultList> scan = sp.StagedLocal();
+  ASSERT_FALSE(scan->empty());
+  const double tightened = sp.StagedThreshold();
+  ASSERT_LT(tightened, inf);
+  EXPECT_EQ(sp.ScanMemoCount(), 1u);
+
+  // Every thresholded variant runs the same scan, so the key holds the
+  // scan kind, not the variant.
+  sp.StageLocalScan(u, Variant::kFTPM, inf);
+  EXPECT_EQ(sp.StagedLocal(), scan);
+  sp.StageLocalScan(u, Variant::kRTFM, inf);
+  EXPECT_EQ(sp.StagedLocal(), scan);
+  EXPECT_EQ(sp.ScanMemoCount(), 1u);
+
+  sp.StageLocalScan(u, Variant::kFTPM, tightened);
+  const std::shared_ptr<const ResultList> under_threshold = sp.StagedLocal();
+  EXPECT_NE(under_threshold, scan);
+  EXPECT_EQ(under_threshold->points.Ids(), scan->points.Ids());
+  EXPECT_EQ(sp.ScanMemoCount(), 2u);
+
+  sp.StageLocalScan(Subspace::FromDims({0, 2}), Variant::kFTPM, inf);
+  const std::shared_ptr<const ResultList> other_subspace = sp.StagedLocal();
+  EXPECT_NE(other_subspace, scan);
   EXPECT_EQ(sp.ScanMemoCount(), 3u);
 
-  sp.StageLocalScan(u, Variant::kFTPM, inf, filter_at(2.0));
-  EXPECT_EQ(sp.StagedLocal(), inert);
-  EXPECT_EQ(sp.ScanMemoCount(), 3u);
+  sp.StageLocalScan(u, Variant::kNaive, inf);
+  const std::shared_ptr<const ResultList> bnl = sp.StagedLocal();
+  EXPECT_NE(bnl, scan);
+  EXPECT_EQ(sp.ScanMemoCount(), 4u);
+
+  // Each key recalls its own entry.
+  sp.StageLocalScan(u, Variant::kRTPM, tightened);
+  EXPECT_EQ(sp.StagedLocal(), under_threshold);
+  sp.StageLocalScan(Subspace::FromDims({0, 2}), Variant::kFTFM, inf);
+  EXPECT_EQ(sp.StagedLocal(), other_subspace);
+  sp.StageLocalScan(u, Variant::kNaive, inf);
+  EXPECT_EQ(sp.StagedLocal(), bnl);
+  EXPECT_EQ(sp.ScanMemoCount(), 4u);
 }
 
 // --- reply arrival order ----------------------------------------------------

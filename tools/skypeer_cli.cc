@@ -81,10 +81,6 @@ void PrintUsageAndExit(const char* binary, int code) {
       "                   print them as a profile on stdout, then exit\n"
       "  --net-threads N  scope the worker pool to the network instead of\n"
       "                   the process-wide pool (default 0 = global pool)\n"
-      "  --filter-set N   broadcast at most N sampled filter points from\n"
-      "                   the initiator's local skyline with every query\n"
-      "                   (default 0 = no filter). Skylines are identical\n"
-      "                   either way; ext-SKY shipping volume drops\n"
       "  --churn-events N schedule N seeded membership events (joins,\n"
       "                   removals, data replacements cycling) over the\n"
       "                   first N queries; each event applies atomically\n"
@@ -206,9 +202,6 @@ CliOptions Parse(int argc, char** argv) {
     } else if (std::strcmp(arg, "--threads") == 0) {
       options.threads = static_cast<int>(
           ParseIntFlag("--threads", next_value(&i), 0, 4096));
-    } else if (std::strcmp(arg, "--filter-set") == 0) {
-      options.network.filter_set_size =
-          static_cast<size_t>(ParseU64Flag("--filter-set", next_value(&i)));
     } else if (std::strcmp(arg, "--net-threads") == 0) {
       options.network.threads = static_cast<int>(
           ParseIntFlag("--net-threads", next_value(&i), 0, 4096));
