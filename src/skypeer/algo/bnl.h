@@ -13,14 +13,14 @@ namespace skypeer {
 /// candidates.
 ///
 /// Since the library is main-memory, the window is unbounded (a single
-/// "block"). Returns the skyline of `input` on subspace `u`, in input
-/// order; with `ext` the extended skyline (strict dominance) instead.
-/// The window is a blocked-SoA `BlockedProjection` tested with the batched
-/// kernels. When `ops` is non-null, `ops->dominance_tests` receives
-/// exactly the tests of the classic scalar loop ("does entry j dominate
-/// p", then "does p dominate entry j", in window order; DESIGN.md,
-/// "Blocked-SoA dominance kernels") and `ops->scan_steps` the points
-/// consumed.
+/// "block"). Returns the skyline of `input` on subspace `u`, in window
+/// order (input order with evicted points dropped); with `ext` the
+/// extended skyline (strict dominance) instead. The window is a
+/// `DominanceWindow`, tested with the batched kernels. When `ops` is
+/// non-null, `ops->dominance_tests` receives the window's counting rule
+/// (`j + 1` tests for a point whose first dominator is window entry `j`,
+/// `2|W|` for a point that enters; DESIGN.md, counting rule 1) and
+/// `ops->scan_steps` the points consumed.
 PointSet BnlSkyline(const PointSet& input, Subspace u, bool ext = false,
                     OpCounts* ops = nullptr);
 

@@ -2,12 +2,11 @@
 #define SKYPEER_ALGO_SORTED_SKYLINE_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "skypeer/algo/dominance_window.h"
 #include "skypeer/algo/result_list.h"
-#include "skypeer/common/dominance_batch.h"
 #include "skypeer/common/op_counts.h"
 #include "skypeer/common/point_set.h"
 #include "skypeer/common/subspace.h"
@@ -55,14 +54,8 @@ struct ThresholdScanStats {
 /// dominated points, evicts points the newcomer dominates, and tracks the
 /// pruning threshold `min dist_U` (Observation 5). Once
 /// `f(p) > threshold()` no future point can survive and the caller may
-/// stop scanning.
-///
-/// Besides the window, a one-block *front* holds copies of the (up to 8)
-/// live window entries with the smallest coordinate sum on `u`, the
-/// points most likely to dominate a newcomer (the SFS/SaLSa presorting
-/// argument). Each offer tests the front before the window. Every front
-/// entry is a live window entry, so the front rejects only what the
-/// window would; it changes no decision and no charged count.
+/// stop scanning. The candidates live in a `DominanceWindow`, which also
+/// counts the dominance tests.
 ///
 /// Ext-dominance on the full space without `SeedWindow` entries (peer
 /// extended skylines and super-peer store merges) runs *append-only*: an
@@ -71,7 +64,7 @@ struct ThresholdScanStats {
 /// in `f` order ext-dominates an earlier one and the pass would evict
 /// nothing. The pass is still charged its `|W|` dominance tests, so
 /// results, thresholds and `ops()` are those of the evicting path; debug
-/// builds run it anyway and check that it finds no live entry. Store
+/// builds run it anyway and check that it finds nothing. Store
 /// maintenance's seeded window (`SeedWindow`) keeps the pass: its seeds,
 /// the store's survivors, are not f-ordered against the resurrection
 /// candidates offered after them.
@@ -93,22 +86,24 @@ class SkylineAccumulator {
   /// still possible, so callers scan while `f <= threshold()`.
   double threshold() const { return threshold_; }
 
-  /// Number of points currently in the running skyline.
-  size_t alive() const { return alive_; }
+  /// Number of window entries: the running skyline plus the seeds no
+  /// offer has evicted. Every entry is live.
+  size_t alive() const { return window_.size(); }
 
-  /// Number of window slots (alive + not-yet-compacted evicted entries);
-  /// bounded by the compaction policy of `MaybeCompact`.
-  size_t window_size() const { return window_points_.size(); }
-
-  /// Logical operations performed by all offers so far: dominance tests,
-  /// counting the window entries examined per offer (not kernel-internal
-  /// work), so they are independent of kernel dispatch.
-  const OpCounts& ops() const { return ops_; }
+  /// Logical operations performed by all offers so far: the dominance
+  /// tests of `DominanceWindow`'s counting rule (`j + 1` for an offer
+  /// whose first dominator is entry `j`, `2|W|` for an accepted one; none
+  /// for an offer beyond the threshold), independent of kernel dispatch.
+  OpCounts ops() const {
+    OpCounts ops;
+    ops.dominance_tests = window_.dominance_tests();
+    return ops;
+  }
 
   /// Extracts the result, sorted ascending by `f` (insertion order with
   /// evicted points dropped and seed points excluded). The accumulator is
   /// left empty.
-  ResultList TakeResult();
+  ResultList TakeResult() { return window_.TakeResult(); }
 
   /// Pre-populates the window with already-known points that reject (and
   /// may be evicted by) later offers but never appear in `TakeResult()`.
@@ -127,60 +122,12 @@ class SkylineAccumulator {
                   const std::vector<char>* skip = nullptr);
 
  private:
-  void EvictDominatedLinear(const double* proj);
-
-  /// Drops the front entries `proj` dominates (the copies of the window
-  /// entries `EvictDominatedLinear` just evicted, by the same
-  /// comparisons) and refills the front if it lost one while more live
-  /// entries exist.
-  void EvictFront(const double* proj);
-
-  /// Rebuilds the front from the live window entries with the smallest
-  /// keys. O(window) per call.
-  void RefillFront();
-
-  /// Adds the new live entry `proj` to the front if there is room or its
-  /// key beats the largest key there, which it then replaces.
-  void AdmitToFront(const double* proj);
-
-  /// Drops evicted window slots once fewer than half of the entries are
-  /// alive (and the window holds at least 64), so the batched dominance
-  /// tests and `window_proj_` stay proportional to the running skyline
-  /// instead of every point ever offered. Uncharged: compaction is
-  /// bookkeeping, not dominance work.
-  void MaybeCompact();
-
-  int dims_;
   Subspace u_;
-  bool strict_;
   // Ext-dominance on the full space and no seeds: offers never evict
   // (see the class comment), so `Offer` skips the eviction pass.
   bool append_only_;
   double threshold_;
-
-  // Candidate window: points appended in offer order; `alive_flags_[i]`
-  // clears when candidate i is evicted by a later dominator, and
-  // `emit_flags_[i]` is 0 for SeedWindow() entries, which participate in
-  // dominance tests but are not part of the result.
-  PointSet window_points_;
-  std::vector<double> window_f_;
-  std::vector<char> alive_flags_;
-  std::vector<char> emit_flags_;
-  // u-projected coords, blocked SoA; evicted slots are Kill()ed to +inf so
-  // the batched "does any window point dominate q" kernel needs no
-  // liveness mask.
-  BlockedProjection window_proj_;
-  size_t alive_ = 0;
-
-  // Front block: u-projected copies of live window entries, at most
-  // `kDomBlockWidth`, with their keys in `front_key_`. When it holds
-  // every live entry (`front_proj_.size() == alive_`) a front miss
-  // settles the offer without the window test.
-  BlockedProjection front_proj_;
-  double front_key_[kDomBlockWidth] = {};
-
-  std::vector<uint8_t> scratch_masks_;  // per-block eviction bit masks
-  OpCounts ops_;
+  DominanceWindow window_;
 };
 
 /// \brief Paper Algorithm 1: local subspace skyline computation over a

@@ -40,9 +40,8 @@ struct KernelTable {
 
 /// Bit l set when lane l of the block dominates `q` — with `kReverse`,
 /// when `q` dominates lane l — strictly on every dimension when `strict`.
-/// Padding and killed lanes are +inf, so all 8 lanes run unconditionally:
-/// they never dominate `q`, and the reverse direction reports them as
-/// dominated for callers to filter.
+/// Padding lanes are +inf, so all 8 lanes run unconditionally: they never
+/// dominate `q`, and the reverse direction's callers mask them off.
 template <bool kReverse>
 unsigned ScalarBlockMask(const double* block, int k, const double* q,
                          bool strict) {

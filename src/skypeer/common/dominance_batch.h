@@ -37,14 +37,12 @@ inline constexpr size_t kDomBlockWidth = 8;
 /// points: block `b` holds points `[b*8, b*8+8)` as `k` contiguous runs of
 /// 8 doubles, one per dimension (dim-major within the block).
 ///
-/// Padding lanes of a partial final block — and lanes of points removed
-/// with `Kill` — hold `+inf` on every dimension, which makes them inert
-/// for "does any stored point dominate q" queries (`+inf` never
-/// dominates a finite point, strictly or not) without any separate
-/// liveness mask. The reverse kernel (`DominatedMask`) reports `+inf`
-/// lanes as dominated; callers that `Kill` entries must filter the mask
-/// through their own liveness bookkeeping (padding lanes past `size()`
-/// are cleared by the kernel itself).
+/// Padding lanes of a partial final block hold `+inf` on every
+/// dimension, which makes them inert for "does any stored point dominate
+/// q" queries (`+inf` never dominates a finite point, strictly or not).
+/// The reverse kernel (`DominatedMask`) clears them itself. `Erase`
+/// removes points and returns the lanes it frees to padding, so every
+/// lane below `size()` holds a stored point.
 class BlockedProjection {
  public:
   explicit BlockedProjection(int k) : k_(k) {
@@ -78,15 +76,6 @@ class BlockedProjection {
     ++size_;
   }
 
-  /// Overwrites point `i` with `+inf` so it can never again dominate a
-  /// query point. Used when the owning window evicts a candidate.
-  void Kill(size_t i) {
-    SKYPEER_DCHECK(i < size_);
-    for (int d = 0; d < k_; ++d) {
-      data_[Lane(i, d)] = std::numeric_limits<double>::infinity();
-    }
-  }
-
   /// Gathers the `k()` coordinates of point `i` into `out`.
   void Row(size_t i, double* out) const {
     SKYPEER_DCHECK(i < size_);
@@ -109,7 +98,9 @@ class BlockedProjection {
       }
     }
     for (size_t i = kept; i < size_; ++i) {
-      Kill(i);
+      for (int d = 0; d < k_; ++d) {
+        data_[Lane(i, d)] = std::numeric_limits<double>::infinity();
+      }
     }
     size_ = kept;
     data_.resize(num_blocks() * kDomBlockWidth * static_cast<size_t>(k_));
@@ -161,8 +152,8 @@ void SetForceScalarKernels(bool force);
 /// Index of the first stored point of `w` that dominates `q` (`k()`
 /// coordinates) — strictly on every dimension when `strict`
 /// (ext-dominance), the usual `<= everywhere, < somewhere` otherwise — or
-/// `w.size()` when none does. Killed and padding lanes are `+inf` and
-/// never dominate, so they are never returned. Equivalent to the first `i`
+/// `w.size()` when none does. Padding lanes are `+inf` and never
+/// dominate, so they are never returned. Equivalent to the first `i`
 /// with `Dominates(p_i, q)`; evaluated blockwise with early exit.
 size_t FirstDominator(const BlockedProjection& w, const double* q,
                       bool strict);
@@ -175,8 +166,7 @@ inline bool AnyDominates(const BlockedProjection& w, const double* q,
 
 /// For every stored point `i`, sets bit `i % 8` of `out_masks[i / 8]` to
 /// whether `p` dominates point `i`. `out_masks` must hold `num_blocks()`
-/// bytes. Padding lanes past `size()` are reported as 0; killed (`+inf`)
-/// lanes are reported as dominated and must be filtered by the caller.
+/// bytes. Padding lanes past `size()` are reported as 0.
 void DominatedMask(const BlockedProjection& w, const double* p, bool strict,
                    uint8_t* out_masks);
 

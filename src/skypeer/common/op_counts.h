@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 namespace skypeer {
@@ -88,6 +89,13 @@ struct OpCounts {
            " pagebytes=" + std::to_string(page_bytes);
   }
 };
+
+/// Prints `ops.ToString()`. GoogleTest finds it by argument-dependent
+/// lookup, so a failed assertion on `OpCounts` reads `dom=… scan=…`
+/// rather than raw bytes.
+inline void PrintTo(const OpCounts& ops, std::ostream* os) {
+  *os << ops.ToString();
+}
 
 /// Work units charged for comparison-sorting `n` items: n * ceil(log2 n),
 /// 0 for n <= 1.

@@ -30,9 +30,9 @@ bool ParseCostModelMode(const std::string& name, CostModelMode* mode);
 /// The model is a linear cost function: each operation class has a
 /// per-op cost in seconds, and `Seconds` returns the dot product with
 /// the counts. The committed defaults (`Calibrated()`) were measured
-/// once with `skypeer_cli --calibrate` on a 2020s x86-64 server; any
-/// fixed profile yields bit-identical metrics everywhere, so the
-/// absolute scale only matters for realism, never for reproducibility.
+/// once on a 2020s x86-64 server and are kept fixed; any fixed profile
+/// yields bit-identical metrics everywhere, so the absolute scale only
+/// matters for realism, never for reproducibility.
 struct CostModel {
   CostModelMode mode = CostModelMode::kCalibrated;
 

@@ -888,11 +888,6 @@ double SuperPeer::StagedThreshold() const {
   return scan_memo_[staged_].threshold_out;
 }
 
-std::shared_ptr<const ResultList> SuperPeer::StagedLocal() const {
-  SKYPEER_CHECK(staged_ != kNoScan);
-  return scan_memo_[staged_].local;
-}
-
 void SuperPeer::ComputeLocal(sim::Simulator* simulator, QueryState* state) {
   const ScanKey key{scan_epoch_, state->subspace.mask(),
                     state->variant == Variant::kNaive, state->threshold};

@@ -280,12 +280,6 @@ class SuperPeer : public sim::Node {
   /// found or made, so it requires one since `BeginQueryMemo`.
   double StagedThreshold() const;
 
-  /// Local result of the staged scan (the entry the last
-  /// `StageLocalScan` found or made). Requires one since
-  /// `BeginQueryMemo`. Stagings that find the same entry return the same
-  /// pointer.
-  std::shared_ptr<const ResultList> StagedLocal() const;
-
   void HandleMessage(sim::Simulator* simulator,
                      const sim::Message& message) override;
 

@@ -28,7 +28,7 @@ inline constexpr size_t kMaxPageSize = 1 << 20;
 ///
 /// so `bytes_per_block() = (dims + 2) * 8 * sizeof(double)`. Tail lanes
 /// of the last block are padded with +inf coordinates/f (the same
-/// convention `BlockedProjection` uses for killed lanes). Any page-tail
+/// convention `BlockedProjection` uses for padding lanes). Any page-tail
 /// slack smaller than a block is zeroed.
 ///
 /// The layout is a pure function of (page size, dims) and is shared by

@@ -1,6 +1,6 @@
 // Tests for the centralized skyline substrate: cross-algorithm
 // equivalence (BNL = SFS = SortedSkyline) over a parameterized
-// sweep, BNL's blocked window against the scalar BNL loop,
+// sweep, BNL's blocked window against the scalar window,
 // SkylineAccumulator semantics, Algorithm 2 merging, and the f-sorted
 // list builder.
 
@@ -26,6 +26,8 @@
 #include "skypeer/storage/buffer_manager.h"
 #include "skypeer/storage/paged_store.h"
 #include "skypeer/storage/store_view.h"
+
+#include "scalar_window.h"
 
 namespace skypeer {
 namespace {
@@ -124,46 +126,14 @@ TEST(Bnl, EmptyInput) {
 
 // --- BNL on the blocked window vs the scalar BNL loop -------------------
 
-// The classic scalar BNL loop, kept as the oracle of the blocked-window
-// BNL: window order, "does entry w dominate p" then "does p dominate
-// entry w", one counted test each.
-struct ScalarBnlResult {
-  std::vector<PointId> ids;  // window order
-  uint64_t tests = 0;
-};
-
-ScalarBnlResult ScalarBnl(const PointSet& input, Subspace u, bool ext) {
-  ScalarBnlResult out;
-  std::vector<size_t> window;
+/// The scalar window over `input` in order, the oracle of the
+/// blocked-window BNL: ids in window order and the counting rule's tests.
+ScalarWindow ScalarBnl(const PointSet& input, Subspace u, bool ext) {
+  ScalarWindow window(input.dims(), u, ext);
   for (size_t i = 0; i < input.size(); ++i) {
-    const double* p = input[i];
-    bool dominated = false;
-    size_t kept = 0;
-    for (size_t w = 0; w < window.size(); ++w) {
-      const double* q = input[window[w]];
-      ++out.tests;
-      if (ext ? ExtDominates(q, p, u) : Dominates(q, p, u)) {
-        dominated = true;
-        for (; w < window.size(); ++w) {
-          window[kept++] = window[w];
-        }
-        break;
-      }
-      ++out.tests;
-      if (ext ? ExtDominates(p, q, u) : Dominates(p, q, u)) {
-        continue;
-      }
-      window[kept++] = window[w];
-    }
-    window.resize(kept);
-    if (!dominated) {
-      window.push_back(i);
-    }
+    window.Offer(input[i], input.id(i), /*f=*/0.0);
   }
-  for (size_t i : window) {
-    out.ids.push_back(input.id(i));
-  }
-  return out;
+  return window;
 }
 
 /// Uniform points, or points on a coarse 4-value grid with every fifth
@@ -188,13 +158,13 @@ PointSet BnlInput(int dims, size_t n, uint64_t seed, bool gridded) {
 }
 
 void ExpectMatchesScalarBnl(const PointSet& result, const OpCounts& ops,
-                            const ScalarBnlResult& oracle,
-                            const PointSet& input, const std::string& context) {
-  EXPECT_EQ(result.Ids(), oracle.ids) << context;
-  EXPECT_EQ(ops.dominance_tests, oracle.tests) << context;
+                            const ScalarWindow& oracle, const PointSet& input,
+                            const std::string& context) {
+  EXPECT_EQ(result.Ids(), oracle.Ids()) << context;
+  EXPECT_EQ(ops.dominance_tests, oracle.ops().dominance_tests) << context;
   EXPECT_EQ(ops.scan_steps, input.size()) << context;
   // Rows travel with their ids.
-  for (size_t i = 0; i < result.size() && i < oracle.ids.size(); ++i) {
+  for (size_t i = 0; i < result.size(); ++i) {
     const size_t src = static_cast<size_t>(result.id(i));
     EXPECT_TRUE(std::equal(result[i], result[i] + input.dims(), input[src]))
         << context << " row " << i;
@@ -235,7 +205,7 @@ TEST(Bnl, BlockedWindowMatchesScalarLoop) {
               EXPECT_EQ(ops.page_reads, 0u) << context;
 
               // Views stream the f-sorted store in its own order.
-              const ScalarBnlResult oracle = ScalarBnl(sorted.points, u, ext);
+              const ScalarWindow oracle = ScalarBnl(sorted.points, u, ext);
               OpCounts expect_pages;
               ChargeScanPages(PageLayout(kPageSize, dims), n, n,
                               &expect_pages);

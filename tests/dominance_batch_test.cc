@@ -3,8 +3,8 @@
 // `FirstDominator` the first scalar dominator in window order), for
 // both the forced-scalar and the runtime-dispatched implementation, on
 // every width up to kMaxDims and on sizes that exercise partial final
-// blocks and killed lanes. The accumulator suite checks the front block
-// and the append-only path against the window-only offer loop.
+// blocks and erased lanes. The accumulator suite checks the window's
+// counting rule and the append-only path against the scalar window.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,8 @@
 #include "skypeer/common/rng.h"
 #include "skypeer/data/generator.h"
 
+#include "scalar_window.h"
+
 namespace skypeer {
 namespace {
 
@@ -30,6 +32,13 @@ struct ScopedKernelMode {
   }
   ~ScopedKernelMode() { SetForceScalarKernels(false); }
 };
+
+/// Seeds every row of `seed` into `window`, as `SeedWindow` does.
+void SeedAll(const ResultList& seed, ScalarWindow* window) {
+  for (size_t i = 0; i < seed.size(); ++i) {
+    window->Seed(seed.points[i], seed.points.id(i), seed.f[i]);
+  }
+}
 
 /// How `RandomPoints` draws coordinates. Gridded coordinates make equal
 /// values (and thus tie-sensitive lanes) common; continuous coordinates
@@ -142,7 +151,11 @@ TEST_P(KernelEquivalenceTest, BlockedMatchesScalarLaneByLane) {
   }
 }
 
-TEST_P(KernelEquivalenceTest, KilledLanesNeverDominate) {
+// Erase frees lanes back to +inf padding. Neither those lanes nor the
+// padding of a partial block ever dominates a query or enters a mask: the
+// forward and reverse kernels over the erased window equal the scalar
+// predicates over the survivors, in order.
+TEST_P(KernelEquivalenceTest, ErasedAndPaddingLanesNeverDominate) {
   ScopedKernelMode mode(force_scalar());
   for (int k : {2, 5}) {
     const Subspace full = Subspace::FullSpace(k);
@@ -152,25 +165,50 @@ TEST_P(KernelEquivalenceTest, KilledLanesNeverDominate) {
     for (size_t i = 0; i < n; ++i) {
       blocked.Append(window[i]);
     }
-    // Kill every third entry; the survivors alone define forward results.
-    std::vector<bool> alive(n, true);
-    for (size_t i = 0; i < n; i += 3) {
-      blocked.Kill(i);
-      alive[i] = false;
+    // Erase every third entry; the survivors alone define every result.
+    std::vector<uint8_t> drop(blocked.num_blocks(), 0);
+    std::vector<size_t> survivors;
+    for (size_t i = 0; i < n; ++i) {
+      if (i % 3 == 0) {
+        drop[i / kDomBlockWidth] |=
+            static_cast<uint8_t>(1u << (i % kDomBlockWidth));
+      } else {
+        survivors.push_back(i);
+      }
     }
+    blocked.Erase(drop.data());
+    ASSERT_EQ(blocked.size(), survivors.size());
+    // The queries include the erased points themselves, which would
+    // dominate some survivors and tie with themselves.
     PointSet queries = RandomPoints(k, 16, 99 * k, Coords::kGridded);
+    for (size_t i = 0; i < n; i += 3) {
+      queries.AppendFrom(window, i);
+    }
+    std::vector<uint8_t> masks(blocked.num_blocks());
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       const double* q = queries[qi];
       for (bool strict : {false, true}) {
-        bool expect_any = false;
-        for (size_t i = 0; i < n; ++i) {
-          if (alive[i]) {
-            expect_any =
-                expect_any || (strict ? ExtDominates(window[i], q, full)
-                                      : Dominates(window[i], q, full));
+        const auto dom = [&](const double* a, const double* b) {
+          return strict ? ExtDominates(a, b, full) : Dominates(a, b, full);
+        };
+        size_t expect_first = survivors.size();
+        for (size_t j = 0; j < survivors.size(); ++j) {
+          if (dom(window[survivors[j]], q)) {
+            expect_first = j;
+            break;
           }
         }
-        EXPECT_EQ(AnyDominates(blocked, q, strict), expect_any);
+        EXPECT_EQ(FirstDominator(blocked, q, strict), expect_first);
+        EXPECT_EQ(AnyDominates(blocked, q, strict),
+                  expect_first < survivors.size());
+        DominatedMask(blocked, q, strict, masks.data());
+        for (size_t j = 0; j < masks.size() * kDomBlockWidth; ++j) {
+          const bool bit =
+              (masks[j / kDomBlockWidth] >> (j % kDomBlockWidth)) & 1;
+          EXPECT_EQ(bit, j < survivors.size() && dom(q, window[survivors[j]]))
+              << "k=" << k << " q=" << qi << " strict=" << strict
+              << " lane=" << j;
+        }
       }
     }
   }
@@ -178,9 +216,9 @@ TEST_P(KernelEquivalenceTest, KilledLanesNeverDominate) {
 
 // `FirstDominator` is the first window entry a scalar scan in window order
 // finds dominating q, or `size()`. Duplicated window points and queries
-// copied from the window make ties common; killed lanes sit at +inf and
-// must never be returned, even where the point they held dominated q.
-// Every width 1..kMaxDims, as for the lane-by-lane test.
+// copied from the window make ties common; padding lanes sit at +inf and
+// must never be returned. Every width 1..kMaxDims, as for the lane-by-lane
+// test.
 TEST_P(KernelEquivalenceTest, FirstDominatorIsTheFirstScalarDominator) {
   ScopedKernelMode mode(force_scalar());
   for (int k = 1; k <= kMaxDims; ++k) {
@@ -196,11 +234,6 @@ TEST_P(KernelEquivalenceTest, FirstDominatorIsTheFirstScalarDominator) {
         for (size_t i = 0; i < n; ++i) {
           blocked.Append(window[i]);
         }
-        std::vector<bool> alive(n, true);
-        for (size_t i = 2; i < n; i += 5) {
-          blocked.Kill(i);
-          alive[i] = false;
-        }
         PointSet queries = RandomPoints(k, 24, seed ^ 0x5eed, coords);
         for (size_t i = 0; i < n; i += 3) {
           queries.AppendFrom(window, i);
@@ -210,8 +243,8 @@ TEST_P(KernelEquivalenceTest, FirstDominatorIsTheFirstScalarDominator) {
           for (bool strict : {false, true}) {
             size_t expect = n;
             for (size_t i = 0; i < n && expect == n; ++i) {
-              if (alive[i] && (strict ? ExtDominates(window[i], q, full)
-                                      : Dominates(window[i], q, full))) {
+              if (strict ? ExtDominates(window[i], q, full)
+                         : Dominates(window[i], q, full)) {
                 expect = i;
               }
             }
@@ -264,11 +297,6 @@ TEST(BlockedProjectionTest, AppendRowRoundTripAndBookkeeping) {
     for (int d = 0; d < 3; ++d) {
       EXPECT_EQ(row[d], data[i][d]);
     }
-  }
-  blocked.Kill(4);
-  blocked.Row(4, row);
-  for (int d = 0; d < 3; ++d) {
-    EXPECT_TRUE(std::isinf(row[d]));
   }
   blocked.Clear();
   EXPECT_TRUE(blocked.empty());
@@ -335,12 +363,11 @@ TEST(KernelDispatchTest, ForceScalarPinsTheMode) {
 }
 
 // A pathological evict-heavy stream — every offer dominates and evicts the
-// previous survivor, so one point is alive while the window accretes dead
-// slots — must stay bounded by the compaction policy's 64-slot window.
+// previous survivor — leaves no evicted entry behind: after every offer
+// the window holds exactly the one live entry, so each accepted offer
+// after the first is charged `2|W|` = 2 tests.
 TEST(AccumulatorCompactionTest, EvictHeavyStreamKeepsWindowBounded) {
-  constexpr size_t kMinWindow = 64;
   SkylineAccumulator accumulator(2, Subspace::FullSpace(2), {});
-  size_t max_window = 0;
   const size_t kOffers = 4000;
   for (size_t i = 0; i < kOffers; ++i) {
     // Constant first coordinate keeps f = min coord non-decreasing; the
@@ -348,118 +375,26 @@ TEST(AccumulatorCompactionTest, EvictHeavyStreamKeepsWindowBounded) {
     // (and evicts) its predecessor.
     const double p[2] = {0.25, 1.0 - static_cast<double>(i) / 8000.0};
     EXPECT_TRUE(accumulator.Offer(p, i, 0.25));
-    max_window = std::max(max_window, accumulator.window_size());
     EXPECT_EQ(accumulator.alive(), 1u);
+    EXPECT_EQ(accumulator.ops().dominance_tests, 2 * i);
   }
-  // alive == 1 < half the window triggers compaction as soon as the window
-  // reaches 64 slots, so it can never exceed it.
-  EXPECT_LE(max_window, kMinWindow);
   ResultList result = accumulator.TakeResult();
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result.points.id(0), kOffers - 1);
 }
 
-/// `SkylineAccumulator::Offer` as it was before the front block, kept as
-/// the oracle for it: one scalar pass over every window slot per test,
-/// `|W|` dominance tests charged for the rejection test and `|W|` more
-/// for an accepted point's eviction pass, killed slots kept until fewer
-/// than half of at least 64 are alive.
-class WindowOnlyAccumulator {
- public:
-  WindowOnlyAccumulator(Subspace u, bool strict) : u_(u), strict_(strict) {}
+using AccumulatorWindowTest = KernelEquivalenceTest;
 
-  void Seed(const ResultList& seed) {
-    for (size_t i = 0; i < seed.size(); ++i) {
-      const double* p = seed.points[i];
-      window_.push_back({std::vector<double>(p, p + seed.points.dims()),
-                         seed.points.id(i), seed.f[i], true, false});
-    }
-    alive_ = seed.size();
-  }
-
-  bool Offer(const double* p, int dims, PointId id, double f) {
-    if (f > threshold_) {
-      return false;
-    }
-    ops_.dominance_tests += window_.size();
-    for (const Entry& e : window_) {
-      if (e.alive && Dom(e.row.data(), p)) {
-        return false;
-      }
-    }
-    ops_.dominance_tests += window_.size();
-    for (Entry& e : window_) {
-      if (e.alive && Dom(p, e.row.data())) {
-        e.alive = false;
-        --alive_;
-      }
-    }
-    if (window_.size() >= 64 && 2 * alive_ < window_.size()) {
-      std::erase_if(window_, [](const Entry& e) { return !e.alive; });
-    }
-    window_.push_back({std::vector<double>(p, p + dims), id, f, true, true});
-    ++alive_;
-    threshold_ = std::min(threshold_, DistU(p, u_));
-    return true;
-  }
-
-  std::vector<PointId> ResultIds() const {
-    std::vector<PointId> ids;
-    for (const Entry& e : window_) {
-      if (e.alive && e.emit) {
-        ids.push_back(e.id);
-      }
-    }
-    return ids;
-  }
-
-  std::vector<double> ResultF() const {
-    std::vector<double> f;
-    for (const Entry& e : window_) {
-      if (e.alive && e.emit) {
-        f.push_back(e.f);
-      }
-    }
-    return f;
-  }
-
-  double threshold() const { return threshold_; }
-  const OpCounts& ops() const { return ops_; }
-
- private:
-  struct Entry {
-    std::vector<double> row;
-    PointId id;
-    double f;
-    bool alive;
-    bool emit;
-  };
-
-  bool Dom(const double* a, const double* b) const {
-    return strict_ ? ExtDominates(a, b, u_) : Dominates(a, b, u_);
-  }
-
-  Subspace u_;
-  bool strict_;
-  double threshold_ = std::numeric_limits<double>::infinity();
-  std::vector<Entry> window_;
-  size_t alive_ = 0;
-  OpCounts ops_;
-};
-
-using AccumulatorFrontTest = KernelEquivalenceTest;
-
-// The front block changes no decision and no charge: on f-sorted streams
-// whose subspace leaves out dimensions that set f (so later points evict
-// earlier ones, front entries included, and the front refills), with and
-// without ext-dominance and a seed set that is not itself a skyline,
-// every offer's verdict, the result ids, f values and order, the
-// threshold and `ops()` equal the window-only loop's. The infinite
-// streams hold rows with both -inf and +inf, whose front keys must not be
-// NaN. The full-space shapes with ext on and no seed run append-only; the
+// The accumulator is the scalar window behind a threshold: on f-sorted
+// streams whose subspace leaves out dimensions that set f (so later
+// points evict earlier ones), with and without ext-dominance and a seed
+// set that is not itself a skyline, every offer's verdict, the result
+// ids, f values and order, the threshold and `ops()` equal the scalar
+// window's. The infinite streams hold rows with both -inf and +inf. The
+// full-space shapes with ext on and no seed run append-only; the
 // 12-dimension one (`lossy_wide`'s pre-processing shape) takes the
 // runtime-width kernel.
-TEST_P(AccumulatorFrontTest, MatchesWindowOnlyOfferLoop) {
+TEST_P(AccumulatorWindowTest, MatchesScalarWindow) {
   ScopedKernelMode mode(force_scalar());
   struct Shape {
     int dims;
@@ -493,23 +428,25 @@ TEST_P(AccumulatorFrontTest, MatchesWindowOnlyOfferLoop) {
           ThresholdScanOptions options;
           options.ext = ext;
           SkylineAccumulator accumulator(dims, shape.u, options);
-          WindowOnlyAccumulator oracle(shape.u, ext);
+          ScalarWindow oracle(dims, shape.u, ext);
           if (seeded) {
             accumulator.SeedWindow(seeds);
-            oracle.Seed(seeds);
+            SeedAll(seeds, &oracle);
           }
           for (size_t i = 0; i < sorted.size(); ++i) {
             const double* p = sorted.points[i];
             const PointId id = sorted.points.id(i);
-            ASSERT_EQ(accumulator.Offer(p, id, sorted.f[i]),
-                      oracle.Offer(p, dims, id, sorted.f[i]))
+            const double f = sorted.f[i];
+            ASSERT_EQ(accumulator.Offer(p, id, f),
+                      f <= oracle.threshold() && oracle.Offer(p, id, f))
                 << "offer " << i;
+            ASSERT_EQ(accumulator.alive(), oracle.size()) << "offer " << i;
           }
           EXPECT_EQ(accumulator.threshold(), oracle.threshold());
           EXPECT_EQ(accumulator.ops(), oracle.ops());
           const ResultList result = accumulator.TakeResult();
-          EXPECT_EQ(result.points.Ids(), oracle.ResultIds());
-          EXPECT_EQ(result.f, oracle.ResultF());
+          EXPECT_EQ(result.points.Ids(), oracle.Ids());
+          EXPECT_EQ(result.f, oracle.F());
         }
       }
     }
@@ -523,9 +460,9 @@ TEST_P(AccumulatorFrontTest, MatchesWindowOnlyOfferLoop) {
 //     f lies outside `u`; (b) ext-dominance on the full space with a seed,
 //     which need not precede the offers in f order; (c) plain dominance
 //     on the full space, where a point of equal f dominates. Verdicts,
-//     result, threshold and `ops()` match the window-only loop, and the
+//     result, threshold and `ops()` match the scalar window, and the
 //     dominated entry is gone.
-TEST_P(AccumulatorFrontTest, EvictsOutsideTheAppendOnlyShape) {
+TEST_P(AccumulatorWindowTest, EvictsOutsideTheAppendOnlyShape) {
   ScopedKernelMode mode(force_scalar());
   struct Case {
     const char* name;
@@ -559,7 +496,7 @@ TEST_P(AccumulatorFrontTest, EvictsOutsideTheAppendOnlyShape) {
     ThresholdScanOptions options;
     options.ext = c.ext;
     SkylineAccumulator accumulator(c.dims, c.u, options);
-    WindowOnlyAccumulator oracle(c.u, c.ext);
+    ScalarWindow oracle(c.dims, c.u, c.ext);
     if (!c.seed.empty()) {
       PointSet seed_points(c.dims);
       for (size_t i = 0; i < c.seed.size(); ++i) {
@@ -567,24 +504,25 @@ TEST_P(AccumulatorFrontTest, EvictsOutsideTheAppendOnlyShape) {
       }
       const ResultList seed = BuildSortedByF(seed_points);
       accumulator.SeedWindow(seed);
-      oracle.Seed(seed);
+      SeedAll(seed, &oracle);
     }
     for (size_t i = 0; i < c.offers.size(); ++i) {
       const double* p = c.offers[i].data();
       const double f = MinCoord(p, c.dims);
-      EXPECT_EQ(accumulator.Offer(p, i, f), oracle.Offer(p, c.dims, i, f))
+      EXPECT_EQ(accumulator.Offer(p, i, f),
+                f <= oracle.threshold() && oracle.Offer(p, i, f))
           << "offer " << i;
     }
     EXPECT_EQ(accumulator.alive(), c.alive_after);
     EXPECT_EQ(accumulator.threshold(), oracle.threshold());
     EXPECT_EQ(accumulator.ops(), oracle.ops());
     const ResultList result = accumulator.TakeResult();
-    EXPECT_EQ(result.points.Ids(), oracle.ResultIds());
+    EXPECT_EQ(result.points.Ids(), oracle.Ids());
     EXPECT_EQ(result.points.Ids(), c.result);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Modes, AccumulatorFrontTest, ::testing::Bool(),
+INSTANTIATE_TEST_SUITE_P(Modes, AccumulatorWindowTest, ::testing::Bool(),
                          [](const auto& info) {
                            return info.param ? "forced_scalar" : "dispatched";
                          });

@@ -183,43 +183,43 @@ TEST(SuperPeerUnit, ScanRecallMatchesSubspaceScanKindAndThreshold) {
   const double inf = std::numeric_limits<double>::infinity();
 
   sp.StageLocalScan(u, Variant::kFTPM, inf);
-  const std::shared_ptr<const ResultList> scan = sp.StagedLocal();
-  ASSERT_FALSE(scan->empty());
   const double tightened = sp.StagedThreshold();
   ASSERT_LT(tightened, inf);
   EXPECT_EQ(sp.ScanMemoCount(), 1u);
 
   // Every thresholded variant runs the same scan, so the key holds the
-  // scan kind, not the variant.
+  // scan kind, not the variant: a recall adds no entry.
   sp.StageLocalScan(u, Variant::kFTPM, inf);
-  EXPECT_EQ(sp.StagedLocal(), scan);
+  EXPECT_EQ(sp.StagedThreshold(), tightened);
+  EXPECT_EQ(sp.ScanMemoCount(), 1u);
   sp.StageLocalScan(u, Variant::kRTFM, inf);
-  EXPECT_EQ(sp.StagedLocal(), scan);
+  EXPECT_EQ(sp.StagedThreshold(), tightened);
   EXPECT_EQ(sp.ScanMemoCount(), 1u);
 
+  // Under the threshold it produced, the scan ends where it did, but it
+  // is a new key and runs afresh.
   sp.StageLocalScan(u, Variant::kFTPM, tightened);
-  const std::shared_ptr<const ResultList> under_threshold = sp.StagedLocal();
-  EXPECT_NE(under_threshold, scan);
-  EXPECT_EQ(under_threshold->points.Ids(), scan->points.Ids());
+  EXPECT_EQ(sp.StagedThreshold(), tightened);
   EXPECT_EQ(sp.ScanMemoCount(), 2u);
 
-  sp.StageLocalScan(Subspace::FromDims({0, 2}), Variant::kFTPM, inf);
-  const std::shared_ptr<const ResultList> other_subspace = sp.StagedLocal();
-  EXPECT_NE(other_subspace, scan);
+  const Subspace other = Subspace::FromDims({0, 2});
+  sp.StageLocalScan(other, Variant::kFTPM, inf);
+  const double other_threshold = sp.StagedThreshold();
   EXPECT_EQ(sp.ScanMemoCount(), 3u);
 
   sp.StageLocalScan(u, Variant::kNaive, inf);
-  const std::shared_ptr<const ResultList> bnl = sp.StagedLocal();
-  EXPECT_NE(bnl, scan);
+  const double bnl_threshold = sp.StagedThreshold();
   EXPECT_EQ(sp.ScanMemoCount(), 4u);
 
   // Each key recalls its own entry.
   sp.StageLocalScan(u, Variant::kRTPM, tightened);
-  EXPECT_EQ(sp.StagedLocal(), under_threshold);
-  sp.StageLocalScan(Subspace::FromDims({0, 2}), Variant::kFTFM, inf);
-  EXPECT_EQ(sp.StagedLocal(), other_subspace);
+  EXPECT_EQ(sp.StagedThreshold(), tightened);
+  EXPECT_EQ(sp.ScanMemoCount(), 4u);
+  sp.StageLocalScan(other, Variant::kFTFM, inf);
+  EXPECT_EQ(sp.StagedThreshold(), other_threshold);
+  EXPECT_EQ(sp.ScanMemoCount(), 4u);
   sp.StageLocalScan(u, Variant::kNaive, inf);
-  EXPECT_EQ(sp.StagedLocal(), bnl);
+  EXPECT_EQ(sp.StagedThreshold(), bnl_threshold);
   EXPECT_EQ(sp.ScanMemoCount(), 4u);
 }
 

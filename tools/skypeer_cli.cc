@@ -9,29 +9,20 @@
 // Prints pre-processing statistics and per-variant averages in the
 // paper's three metrics (computational time, total time, volume).
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
-#include "skypeer/algo/bnl.h"
-#include "skypeer/algo/merge.h"
-#include "skypeer/algo/sorted_skyline.h"
 #include "skypeer/common/dominance_batch.h"
 #include "skypeer/common/parse.h"
-#include "skypeer/common/rng.h"
 #include "skypeer/common/thread_pool.h"
-#include "skypeer/data/generator.h"
 #include "skypeer/engine/cost_model.h"
 #include "skypeer/engine/experiment.h"
 #include "skypeer/engine/network_builder.h"
 #include "skypeer/engine/zipf_workload.h"
 #include "skypeer/storage/buffer_manager.h"
-#include "skypeer/storage/paged_store.h"
 
 namespace {
 
@@ -45,7 +36,6 @@ struct CliOptions {
   std::string variant = "all";
   double zipf = -1.0;  // < 0: uniform workload.
   bool verbose = false;
-  bool calibrate = false;
   std::string cost_profile;  // --cost-profile path; empty = none.
 };
 
@@ -76,9 +66,7 @@ void PrintUsageAndExit(const char* binary, int code) {
       "                   second per op). Every metric is bit-reproducible\n"
       "                   under either\n"
       "  --cost-profile F load per-op cost constants from F (key=value\n"
-      "                   lines, see --calibrate)\n"
-      "  --calibrate      measure this host's per-op cost constants and\n"
-      "                   print them as a profile on stdout, then exit\n"
+      "                   lines)\n"
       "  --net-threads N  scope the worker pool to the network instead of\n"
       "                   the process-wide pool (default 0 = global pool)\n"
       "  --churn-events N schedule N seeded membership events (joins,\n"
@@ -222,8 +210,6 @@ CliOptions Parse(int argc, char** argv) {
       }
     } else if (std::strcmp(arg, "--cost-profile") == 0) {
       options.cost_profile = next_value(&i);
-    } else if (std::strcmp(arg, "--calibrate") == 0) {
-      options.calibrate = true;
     } else if (std::strcmp(arg, "--churn-events") == 0) {
       options.network.churn_events = static_cast<int>(
           ParseIntFlag("--churn-events", next_value(&i), 0, 1'000'000));
@@ -301,159 +287,12 @@ std::vector<Variant> SelectVariants(const std::string& name) {
   std::exit(1);
 }
 
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  return elapsed.count();
-}
-
-template <typename Fn>
-double BestWallSeconds(int repeats, Fn&& fn) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < repeats; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    best = std::min(best, SecondsSince(start));
-  }
-  return best;
-}
-
-double ClampCost(double per_op) { return per_op > 1e-12 ? per_op : 1e-12; }
-
-// Measures this host's per-op cost constants, one microbench per counter
-// class. Attribution is by dominant counter: each benchmark is shaped so
-// the target operation class dominates its runtime, the classes
-// calibrated before it are subtracted from the wall time, and the
-// residual is attributed to the target. Residuals are clamped positive so
-// measurement noise can never produce a non-monotone model.
-CostModel Calibrate(uint64_t seed) {
-  CostModel model = CostModel::Calibrated();
-  Rng rng(seed);
-  const int dims = 8;
-  const Subspace sub4 = Subspace::FromDims({0, 1, 2, 3});
-
-  // sort_step_s: f-sorting a large point set is SortCost(n) units.
-  const PointSet big = GenerateUniform(dims, size_t{1} << 17, &rng);
-  ResultList sorted(dims);
-  {
-    const double wall =
-        BestWallSeconds(3, [&] { sorted = BuildSortedByF(big); });
-    model.sort_step_s =
-        ClampCost(wall / static_cast<double>(SortCost(big.size())));
-  }
-
-  // dominance_test_s: block-nested-loop skyline over a high-dimensional
-  // set; window dominance tests dominate everything else it does.
-  {
-    const PointSet data = GenerateUniform(dims, 4096, &rng);
-    OpCounts ops;
-    const double wall = BestWallSeconds(3, [&] {
-      ops = OpCounts{};
-      BnlSkyline(data, Subspace::FullSpace(dims), /*ext=*/false, &ops);
-    });
-    model.dominance_test_s = ClampCost(
-        wall / static_cast<double>(std::max<uint64_t>(1, ops.dominance_tests)));
-  }
-
-  // scan_step_s: threshold scan; the non-dominance residual is the
-  // per-point scan overhead.
-  {
-    ThresholdScanStats stats;
-    const double wall = BestWallSeconds(3, [&] {
-      stats = ThresholdScanStats{};
-      SortedSkyline(sorted, sub4, {}, &stats);
-    });
-    const double known =
-        static_cast<double>(stats.ops.dominance_tests) *
-            model.dominance_test_s +
-        static_cast<double>(stats.ops.sort_steps) * model.sort_step_s;
-    model.scan_step_s = ClampCost(
-        (wall - known) /
-        static_cast<double>(std::max<uint64_t>(1, stats.ops.scan_steps)));
-  }
-
-  // merge_pull_s: k-way merge of f-sorted lists; the residual over all
-  // previously calibrated classes is heap-pull overhead.
-  {
-    std::vector<ResultList> lists;
-    for (int i = 0; i < 16; ++i) {
-      lists.push_back(BuildSortedByF(GenerateUniform(dims, 8192, &rng)));
-    }
-    ThresholdScanStats stats;
-    const double wall = BestWallSeconds(3, [&] {
-      stats = ThresholdScanStats{};
-      MergeSortedSkylines(dims, lists, sub4, ThresholdScanOptions{}, &stats);
-    });
-    const double known =
-        static_cast<double>(stats.ops.dominance_tests) *
-            model.dominance_test_s +
-        static_cast<double>(stats.ops.scan_steps) * model.scan_step_s +
-        static_cast<double>(stats.ops.sort_steps) * model.sort_step_s;
-    model.merge_pull_s = ClampCost(
-        (wall - known) /
-        static_cast<double>(std::max<uint64_t>(1, stats.ops.merge_pulls)));
-  }
-
-  // byte_s: streaming copy bandwidth as the marshalling proxy.
-  {
-    const size_t bytes = size_t{1} << 24;
-    std::vector<unsigned char> src(bytes, 0x5a);
-    std::vector<unsigned char> dst(bytes);
-    const int reps = 8;
-    const double wall = BestWallSeconds(3, [&] {
-      for (int r = 0; r < reps; ++r) {
-        std::memcpy(dst.data(), src.data(), bytes);
-        // Data-depend the next copy on this one so it is not elided.
-        src[0] = static_cast<unsigned char>(dst[bytes - 1] + 1);
-      }
-    });
-    model.byte_s =
-        ClampCost(wall / (static_cast<double>(bytes) * reps));
-  }
-
-  // page_read_s / page_byte_s: stream the same paged store at two page
-  // sizes through a pool far smaller than the store (every pin is a cold
-  // read). Total payload bytes are equal, so the wall-time difference is
-  // the per-page fixed cost; the residual of the large-page run is the
-  // per-byte streaming cost.
-  {
-    const ResultList spill =
-        BuildSortedByF(GenerateUniform(dims, size_t{1} << 15, &rng));
-    const auto stream = [&](size_t page_size, size_t* pages) {
-      BufferManager buffer(page_size, /*num_frames=*/4);
-      const PagedStore store = PagedStore::Build(spill, &buffer);
-      *pages = store.num_pages();
-      ResultList decoded(dims);
-      return BestWallSeconds(3, [&] { decoded = store.Materialize(); });
-    };
-    size_t pages_small = 0;
-    size_t pages_large = 0;
-    const double wall_small = stream(kMinPageSize, &pages_small);
-    const double wall_large = stream(size_t{1} << 16, &pages_large);
-    const double extra_pages =
-        static_cast<double>(pages_small) - static_cast<double>(pages_large);
-    model.page_read_s =
-        ClampCost((wall_small - wall_large) / std::max(1.0, extra_pages));
-    const double large_bytes =
-        static_cast<double>(pages_large) * static_cast<double>(size_t{1} << 16);
-    model.page_byte_s = ClampCost(
-        (wall_large - static_cast<double>(pages_large) * model.page_read_s) /
-        std::max(1.0, large_bytes));
-  }
-  return model;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   CliOptions options = Parse(argc, argv);
   ThreadPool::SetGlobalConcurrency(options.threads);
 
-  if (options.calibrate) {
-    const CostModel profile = Calibrate(options.network.seed);
-    std::fputs(profile.ToProfileString().c_str(), stdout);
-    return 0;
-  }
   if (!options.cost_profile.empty()) {
     std::FILE* file = std::fopen(options.cost_profile.c_str(), "rb");
     if (file == nullptr) {
