@@ -6,13 +6,18 @@
 
 namespace skypeer {
 
-DominanceWindow::DominanceWindow(int dims, Subspace u, bool strict)
-    : dims_(dims), u_(u), strict_(strict), proj_(u.Count()) {
+DominanceWindow::DominanceWindow(int dims, Subspace u, bool strict,
+                                 bool keep_rows)
+    : dims_(dims),
+      u_(u),
+      strict_(strict),
+      keep_rows_(keep_rows),
+      proj_(u.Count()) {
   SKYPEER_CHECK(!u.empty());
 }
 
 bool DominanceWindow::Offer(const double* p, PointId id, double f,
-                            bool append_only) {
+                            bool append_only, std::vector<PointId>* evicted) {
   double proj[kMaxDims];
   Project(p, proj);
   // A dominated p evicts nothing. Without seeds the window is mutually
@@ -28,13 +33,14 @@ bool DominanceWindow::Offer(const double* p, PointId id, double f,
   if (append_only) {
     SKYPEER_DCHECK(!MarkDominated(proj));
   } else if (MarkDominated(proj)) {
-    EraseMarked();
+    EraseMarked(evicted);
   }
   Append(p, proj, id, f, /*seed=*/false);
   return true;
 }
 
 void DominanceWindow::Seed(const double* p, PointId id, double f) {
+  SKYPEER_CHECK(keep_rows_);
   double proj[kMaxDims];
   Project(p, proj);
   Append(p, proj, id, f, /*seed=*/true);
@@ -50,10 +56,12 @@ void DominanceWindow::Project(const double* p, double* proj) const {
 void DominanceWindow::Append(const double* p, const double* proj, PointId id,
                              double f, bool seed) {
   proj_.Append(proj);
-  rows_.insert(rows_.end(), p, p + dims_);
   ids_.push_back(id);
-  f_.push_back(f);
-  seed_.push_back(seed);
+  if (keep_rows_) {
+    rows_.insert(rows_.end(), p, p + dims_);
+    f_.push_back(f);
+    seed_.push_back(seed);
+  }
 }
 
 bool DominanceWindow::MarkDominated(const double* proj) {
@@ -63,29 +71,38 @@ bool DominanceWindow::MarkDominated(const double* proj) {
                      [](uint8_t mask) { return mask != 0; });
 }
 
-void DominanceWindow::EraseMarked() {
+void DominanceWindow::EraseMarked(std::vector<PointId>* evicted) {
   proj_.Erase(evict_.data());
   const size_t dims = static_cast<size_t>(dims_);
   size_t kept = 0;
   for (size_t i = 0; i < ids_.size(); ++i) {
     if ((evict_[i / kDomBlockWidth] >> (i % kDomBlockWidth)) & 1) {
+      if (evicted != nullptr) {
+        evicted->push_back(ids_[i]);
+      }
       continue;
     }
     if (kept != i) {
       ids_[kept] = ids_[i];
-      f_[kept] = f_[i];
-      seed_[kept] = seed_[i];
-      std::copy_n(rows_.begin() + i * dims, dims, rows_.begin() + kept * dims);
+      if (keep_rows_) {
+        f_[kept] = f_[i];
+        seed_[kept] = seed_[i];
+        std::copy_n(rows_.begin() + i * dims, dims,
+                    rows_.begin() + kept * dims);
+      }
     }
     ++kept;
   }
   ids_.resize(kept);
-  f_.resize(kept);
-  seed_.resize(kept);
-  rows_.resize(kept * dims);
+  if (keep_rows_) {
+    f_.resize(kept);
+    seed_.resize(kept);
+    rows_.resize(kept * dims);
+  }
 }
 
 ResultList DominanceWindow::TakeResult() {
+  SKYPEER_CHECK(keep_rows_);
   ResultList result(dims_);
   result.points.Reserve(ids_.size());
   result.f.reserve(ids_.size());

@@ -28,11 +28,16 @@ namespace skypeer {
 /// there); if none does, it costs `2|W|` (the reject pass plus the
 /// eviction pass). The counts depend on window order only, never on the
 /// kernel dispatch.
+///
+/// A window built without `keep_rows` keeps only the u-projections and
+/// ids: it decides and counts exactly the same, for a caller that keeps
+/// its own copy of each accepted row (`ScanTrace`) and never takes a
+/// result or seeds.
 class DominanceWindow {
  public:
   /// Tests dominance on subspace `u` of `dims`-dimensional rows; `strict`
   /// selects ext-dominance (strictly smaller on every dimension of `u`).
-  DominanceWindow(int dims, Subspace u, bool strict);
+  DominanceWindow(int dims, Subspace u, bool strict, bool keep_rows = true);
 
   DominanceWindow(const DominanceWindow&) = delete;
   DominanceWindow& operator=(const DominanceWindow&) = delete;
@@ -42,8 +47,10 @@ class DominanceWindow {
   /// entries `p` dominates and appends `p`. With `append_only` the caller
   /// guarantees that `p` dominates no entry: the eviction pass is skipped
   /// but still charged, and debug builds run it and check that it finds
-  /// nothing.
-  bool Offer(const double* p, PointId id, double f, bool append_only = false);
+  /// nothing. When `evicted` is non-null, the ids of the entries an
+  /// accepted `p` erases are appended to it, in window order.
+  bool Offer(const double* p, PointId id, double f, bool append_only = false,
+             std::vector<PointId>* evicted = nullptr);
 
   /// Appends `p` as a seed: an entry that rejects and may be evicted by
   /// later offers but is left out of `TakeResult()`. No test, no charge.
@@ -69,19 +76,22 @@ class DominanceWindow {
   /// Sets `evict_` to the entries `proj` dominates; true if there is one.
   bool MarkDominated(const double* proj);
 
-  /// Erases the entries marked in `evict_`, keeping the rest in order.
-  void EraseMarked();
+  /// Erases the entries marked in `evict_`, keeping the rest in order;
+  /// appends the erased ids to `evicted` when non-null.
+  void EraseMarked(std::vector<PointId>* evicted);
 
   int dims_;
   Subspace u_;
   bool strict_;
+  bool keep_rows_;
   // One element per entry, in window order. Parallel vectors rather than
   // one vector of records: the records' growth left more of the heap
   // fragmented after pre-processing (+2.8 MiB peak RSS on a d = 12,
   // 150,000-point network).
   BlockedProjection proj_;      // u-projections
-  std::vector<double> rows_;    // full rows, row-major
   std::vector<PointId> ids_;
+  // With `keep_rows_` only:
+  std::vector<double> rows_;    // full rows, row-major
   std::vector<double> f_;
   std::vector<char> seed_;
   std::vector<uint8_t> evict_;  // per-block eviction masks

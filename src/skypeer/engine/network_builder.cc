@@ -287,7 +287,7 @@ void SkypeerNetwork::ResetProtocolState() {
   simulator_.Reset();
   for (auto& sp : super_peers_) {
     sp->ResetProtocolState();
-    sp->ClearQueryMemo();
+    sp->ClearScanTrace();
   }
 }
 
@@ -546,9 +546,9 @@ void SkypeerNetwork::StageLocalScans(Subspace subspace, int initiator_sp,
   // scan thresholds are known up front: infinity everywhere for naive;
   // for FT*M the initiator computes first (threshold infinity) and every
   // other node then scans under the initiator's flooded value. Each staged
-  // scan is a memo entry of its node, which the simulation consumes, so
-  // results and simulated metrics match the sequential run exactly. A
-  // scan the memo already holds from the previous query is not rerun.
+  // scan leaves its node a trace that covers the scan the simulation then
+  // cuts, so results and simulated metrics match the sequential run
+  // exactly. A scan the node's trace already covers is not rerun.
   ThreadPool* staging_pool = pool();
   const int num_sp = num_super_peers();
   if (staging_pool->num_threads() <= 1 || num_sp <= 1 ||
@@ -557,8 +557,8 @@ void SkypeerNetwork::StageLocalScans(Subspace subspace, int initiator_sp,
   }
   double threshold = std::numeric_limits<double>::infinity();
   if (variant != Variant::kNaive) {
-    super_peers_[initiator_sp]->StageLocalScan(subspace, variant, threshold);
-    threshold = super_peers_[initiator_sp]->StagedThreshold();
+    threshold =
+        super_peers_[initiator_sp]->StageLocalScan(subspace, variant, threshold);
   }
   staging_pool->ParallelFor(num_sp, [&](size_t sp) {
     if (variant != Variant::kNaive && static_cast<int>(sp) == initiator_sp) {
@@ -607,14 +607,9 @@ QueryResult SkypeerNetwork::ExecuteQuery(Subspace subspace, int initiator_sp,
     }
   }
 
-  // Open the scan memo for this query (after the pins, so each node keeps
-  // the scans of the epoch this query reads): every scan entry of another
-  // subspace or epoch, or that the previous query did not use, goes. The
-  // staging wave (if any) then finds or makes each node's scan entry, and
-  // the simulation records every scan it computes inline.
-  for (auto& sp : super_peers_) {
-    sp->BeginQueryMemo(subspace);
-  }
+  // The staging wave (after the pins, so each node scans the epoch this
+  // query reads) leaves each node a trace of its scan; the simulation
+  // cuts its scans from the node traces or records them inline.
   StageLocalScans(subspace, initiator_sp, variant);
 
   auto start = std::make_shared<StartQueryMessage>();
@@ -636,9 +631,9 @@ QueryResult SkypeerNetwork::ExecuteQuery(Subspace subspace, int initiator_sp,
   SKYPEER_CHECK(status == sim::RunStatus::kCompleted);
 
   // The query is done: release the pinned pre-churn epochs (retired
-  // stores drop now — pages included; memo entries hold results, never
-  // store pages). The scan memo stays for the next query, whose
-  // `BeginQueryMemo` drops what it cannot use.
+  // stores drop now — pages included; scan traces hold rows, never store
+  // pages). Each node's trace stays for the next query, which replaces
+  // it when it does not cover a scan.
   for (size_t sp = 0; sp < pinned_epochs.size(); ++sp) {
     super_peers_[sp]->UnpinStoreEpoch(pinned_epochs[sp]);
   }

@@ -153,9 +153,10 @@ struct QueryResult {
 /// initiator's virtual clock, computational time from its zero-delay
 /// clock (the critical path of CPU work with network delays left out;
 /// see `sim::Simulator`), and volume, messages and op counts from the
-/// same events. Each super-peer keeps a memo of its local scans that
-/// also serves the next query: a query repeating a scan of the query
-/// before recalls it, charging the recorded operation counts.
+/// same events. Each super-peer keeps a trace of one local scan that also
+/// serves later queries: a scan of the same store epoch and subspace that
+/// the trace covers is cut from it, charged the operation counts of the
+/// scan it repeats.
 class SkypeerNetwork {
  public:
   /// Checks a configuration without building anything.
@@ -229,7 +230,7 @@ class SkypeerNetwork {
 
   /// Clears all per-query protocol state — simulator events, timers and
   /// statistics plus every super-peer's query, reliable-transport and
-  /// memo state. Query execution resets everything but the memo itself
+  /// scan-trace state. Query execution resets everything but the traces
   /// before each run; call this when driving the simulator directly
   /// between executions.
   void ResetProtocolState();
@@ -314,8 +315,8 @@ class SkypeerNetwork {
 
  private:
   /// The staging wave: pre-executes the local scans whose thresholds are
-  /// known before the protocol runs, concurrently on the pool, as memo
-  /// scan entries (recalled instead when the memo already holds them).
+  /// known before the protocol runs, concurrently on the pool, as node
+  /// scan traces (cut instead when a node's trace already covers them).
   /// Runs once per query, before the simulation; a no-op on one thread.
   void StageLocalScans(Subspace subspace, int initiator_sp, Variant variant);
 

@@ -459,21 +459,7 @@ void SuperPeer::ResetProtocolState() {
   query_ops_ = OpCounts{};
 }
 
-void SuperPeer::ClearQueryMemo() {
-  scan_memo_.clear();
-  staged_ = kNoScan;
-}
-
-void SuperPeer::BeginQueryMemo(Subspace subspace) {
-  std::erase_if(scan_memo_, [&](const ScanMemo& scan) {
-    return !scan.used || scan.key.epoch != scan_epoch_ ||
-           scan.key.mask != subspace.mask();
-  });
-  for (ScanMemo& scan : scan_memo_) {
-    scan.used = false;
-  }
-  staged_ = kNoScan;
-}
+void SuperPeer::ClearScanTrace() { trace_.reset(); }
 
 void SuperPeer::HandleMessage(sim::Simulator* simulator,
                               const sim::Message& message) {
@@ -834,65 +820,43 @@ void SuperPeer::SendReply(sim::Simulator* simulator, int dst,
 
 // --- local computation ---------------------------------------------------
 
-void SuperPeer::RunLocalScan(const Subspace& subspace, ScanMemo* scan) {
-  const double threshold_in = scan->key.threshold_in;
-  scan->ops = OpCounts{};
+SuperPeer::LocalScan SuperPeer::RunLocalScan(const Subspace& subspace,
+                                              double threshold, bool bnl) {
   const StoreView view = View();
-  if (scan->key.bnl) {
-    // The baseline ignores the f-ordering and the threshold: a plain BNL
-    // over the store, then sorted for shipping.
-    PointSet skyline =
-        BnlSkylineView(view, subspace, /*ext=*/false, &scan->ops);
-    scan->ops.sort_steps += SortCost(skyline.size());
-    scan->local = std::make_shared<const ResultList>(BuildSortedByF(skyline));
-    scan->threshold_out = threshold_in;
-    scan->scanned = view.size();
-    return;
-  }
-
-  ThresholdScanOptions options;
-  options.initial_threshold = threshold_in;
-  ThresholdScanStats stats;
-  scan->local = std::make_shared<const ResultList>(
-      SortedSkyline(view, subspace, options, &stats));
-  // The scan threshold only ever tightens; RT*M forwards this value.
-  scan->threshold_out = stats.final_threshold;
-  scan->scanned = stats.scanned;
-  scan->ops = stats.ops;
-}
-
-size_t SuperPeer::RecallOrScan(const ScanKey& key, const Subspace& subspace) {
-  for (size_t i = 0; i < scan_memo_.size(); ++i) {
-    ScanMemo& scan = scan_memo_[i];
-    if (scan.key == key) {
-      scan.used = true;
-      return i;
+  if (!trace_.has_value() || trace_->epoch != scan_epoch_ ||
+      trace_->mask != subspace.mask() ||
+      !trace_->trace.Covers(threshold, bnl)) {
+    if (!trace_.has_value()) {
+      trace_.emplace();
     }
+    trace_->epoch = scan_epoch_;
+    trace_->mask = subspace.mask();
+    trace_->trace.Record(view, subspace, threshold, bnl);
+    ++scans_recorded_;
   }
-  ScanMemo scan;
-  scan.key = key;
-  RunLocalScan(subspace, &scan);
-  scan_memo_.push_back(std::move(scan));
-  return scan_memo_.size() - 1;
+  ThresholdScanStats stats;
+  LocalScan scan;
+  scan.local = std::make_shared<const ResultList>(
+      trace_->trace.Cut(view, threshold, bnl, &stats));
+  scan.threshold_out = stats.final_threshold;
+  scan.scanned = stats.scanned;
+  scan.ops = stats.ops;
+  if (bnl) {
+    // The baseline ships its skyline sorted by f.
+    scan.ops.sort_steps += SortCost(scan.local->size());
+  }
+  return scan;
 }
 
-void SuperPeer::StageLocalScan(const Subspace& subspace, Variant variant,
-                               double threshold) {
-  const ScanKey key{scan_epoch_, subspace.mask(), variant == Variant::kNaive,
-                    threshold};
-  staged_ = RecallOrScan(key, subspace);
-}
-
-double SuperPeer::StagedThreshold() const {
-  SKYPEER_CHECK(staged_ != kNoScan);
-  return scan_memo_[staged_].threshold_out;
+double SuperPeer::StageLocalScan(const Subspace& subspace, Variant variant,
+                                 double threshold) {
+  return RunLocalScan(subspace, threshold, variant == Variant::kNaive)
+      .threshold_out;
 }
 
 void SuperPeer::ComputeLocal(sim::Simulator* simulator, QueryState* state) {
-  const ScanKey key{scan_epoch_, state->subspace.mask(),
-                    state->variant == Variant::kNaive, state->threshold};
-  const ScanMemo& scan = scan_memo_[RecallOrScan(key, state->subspace)];
-  // A memo hit is the identical scan, so its recorded ops are the charge.
+  const LocalScan scan = RunLocalScan(state->subspace, state->threshold,
+                                      state->variant == Variant::kNaive);
   ChargeOps(simulator, scan.ops);
   state->local = scan.local;
   state->threshold = scan.threshold_out;

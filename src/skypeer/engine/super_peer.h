@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "skypeer/algo/result_list.h"
+#include "skypeer/algo/scan_trace.h"
 #include "skypeer/algo/sorted_skyline.h"
 #include "skypeer/common/macros.h"
 #include "skypeer/common/op_counts.h"
@@ -99,7 +100,7 @@ class SuperPeer : public sim::Node {
   /// in memory; must match the `--page-size` a paged run would use so
   /// the two modes bill identical `page_reads`/`page_bytes`. Must be
   /// called before the first store install: a scan's page charge then
-  /// depends on its store epoch alone, which the query memo relies on.
+  /// depends on its store epoch alone, which the scan trace relies on.
   void set_page_size(size_t page_size) {
     SKYPEER_CHECK(store_epoch_ == 0);
     page_size_ = page_size;
@@ -220,29 +221,26 @@ class SuperPeer : public sim::Node {
   /// bookkeeping, duplicate-suppression sets and counters.
   /// `Simulator::Reset` discards pending events and timers; this is the
   /// matching node-side reset the simulator docs require — call both
-  /// before running a query on the network. The scan memo (see
-  /// `ClearQueryMemo`) survives it.
+  /// before running a query on the network. The scan trace (see
+  /// `ClearScanTrace`) survives it.
   void ResetProtocolState();
 
-  /// Drops the whole scan memo. A memo entry answers a later scan only
-  /// on an exact key match — the same inputs, so the same output and the
-  /// same operation counts — and is charged exactly those recorded ops;
-  /// any mismatch rescans. So clearing the memo never changes a result
-  /// or a metric, only the host work spent rescanning.
-  void ClearQueryMemo();
+  /// Drops the node's scan trace. The node records at most one local
+  /// scan, with the store epoch and subspace it read (a `ScanTrace`), and
+  /// cuts every later local scan of that epoch and subspace from it when
+  /// the trace covers the scan's threshold; any other scan runs and
+  /// replaces the trace. A cut repeats the scan's result and operation
+  /// counts exactly, so dropping the trace never changes a result or a
+  /// metric, only the host work spent rescanning.
+  void ClearScanTrace();
 
-  /// Opens the scan memo for a new query on `subspace`. Scan entries
-  /// outlive their query under one fixed rule: an entry survives only if
-  /// it scanned `subspace`, read the store epoch the new query scans
-  /// (`View()`'s epoch, so call this after any pin), and the previous
-  /// query created or recalled it. Any other entry could not answer this
-  /// query, and the next one would drop it as unused. The survivors count
-  /// as unused until the new query recalls them, so a node holds the
-  /// scans of at most two queries.
-  void BeginQueryMemo(Subspace subspace);
+  /// Scan traces the node holds, 0 or 1 (testing aid, like
+  /// `RetiredEpochCount`).
+  size_t ScanTraceCount() const { return trace_.has_value() ? 1 : 0; }
 
-  /// Scan entries the memo holds (testing aid, like `RetiredEpochCount`).
-  size_t ScanMemoCount() const { return scan_memo_.size(); }
+  /// Local scans the node ran and recorded instead of cutting them from
+  /// the trace it held (testing aid).
+  uint64_t ScansRecorded() const { return scans_recorded_; }
 
   /// Counters of the reliable transport since the last
   /// `ResetProtocolState`.
@@ -263,22 +261,17 @@ class SuperPeer : public sim::Node {
 
   /// Pre-executes the local scan this node would run for a query on
   /// `subspace` under `variant` arriving with `threshold` on the
-  /// executing (worker) thread, counting its ops, and records it in the
-  /// memo — or, when the memo already holds that exact scan (an earlier
-  /// query's, say), only marks it used. When the real query message
-  /// arrives with exactly these parameters, `ComputeLocal` answers from
-  /// the memo and charges the recorded ops to the virtual clock; on any
-  /// parameter mismatch the scan silently reruns inline, so staging can
-  /// never change results or metrics — it only moves host CPU work off
-  /// the simulator thread. Safe to call concurrently on *different*
-  /// SuperPeer instances (it touches only this node's store and memo).
-  void StageLocalScan(const Subspace& subspace, Variant variant,
-                      double threshold);
-
-  /// Threshold the staged scan ended with — for FT*M the value the
-  /// initiator floods. Reads the memo entry the last `StageLocalScan`
-  /// found or made, so it requires one since `BeginQueryMemo`.
-  double StagedThreshold() const;
+  /// executing (worker) thread: records it as the node's scan trace,
+  /// unless the trace the node holds already covers it. When the real
+  /// query message arrives, `ComputeLocal` cuts its scan from that trace
+  /// and charges the cut's ops to the virtual clock; a scan the trace
+  /// does not cover runs inline, so staging can never change results or
+  /// metrics — it only moves host CPU work off the simulator thread.
+  /// Returns the threshold the scan ended with — for FT*M the value the
+  /// initiator floods. Safe to call concurrently on *different*
+  /// SuperPeer instances (it touches only this node's store and trace).
+  double StageLocalScan(const Subspace& subspace, Variant variant,
+                        double threshold);
 
   void HandleMessage(sim::Simulator* simulator,
                      const sim::Message& message) override;
@@ -379,31 +372,24 @@ class SuperPeer : public sim::Node {
     bool partial = false;
   };
 
-  /// Everything a local scan's outcome depends on: the store epoch it
-  /// reads, the subspace, which scan runs (naive's BNL, which ignores the
-  /// threshold, or the threshold scan every other variant runs) and the
-  /// incoming threshold. The remaining inputs are fixed for an epoch: the
-  /// store contents and, for the page charge, the page geometry
-  /// (`set_page_size` precedes the first install; `ConfigurePaging` fixes
-  /// a paged store's).
-  struct ScanKey {
-    uint64_t epoch = 0;
-    uint32_t mask = 0;
-    bool bnl = false;
-    double threshold_in = 0.0;
-    bool operator==(const ScanKey&) const = default;
-  };
-
-  /// A memo scan entry: a local scan (staged or run inline, by this query
-  /// or an earlier one) and the operation counts it was charged.
-  struct ScanMemo {
-    ScanKey key;
+  /// A local scan's outcome: its result, the threshold it ended with,
+  /// the store points it consumed and the operation counts it is charged.
+  struct LocalScan {
     std::shared_ptr<const ResultList> local;
     double threshold_out = 0.0;
     size_t scanned = 0;
     OpCounts ops;
-    /// Created or recalled since the last `BeginQueryMemo`.
-    bool used = true;
+  };
+
+  /// The node's scan trace and what it was recorded on. A trace answers
+  /// only its store epoch and subspace; the remaining inputs are fixed for
+  /// an epoch: the store contents and, for the page charge, the page
+  /// geometry (`set_page_size` precedes the first install;
+  /// `ConfigurePaging` fixes a paged store's).
+  struct RecordedScan {
+    uint64_t epoch = 0;
+    uint32_t mask = 0;
+    ScanTrace trace;
   };
 
   /// The two merges of the protocol: the threshold merge of sorted lists
@@ -491,13 +477,7 @@ class SuperPeer : public sim::Node {
   /// Computes the local subspace skyline under `state->threshold` and
   /// stores it in `state->local`, charging its ops. Updates
   /// `state->threshold` to the (possibly lower) final scan threshold.
-  /// Answers from a memo scan entry instead of rescanning when one
-  /// matches.
   void ComputeLocal(sim::Simulator* simulator, QueryState* state);
-
-  /// The memo entry of the scan of `subspace` under `key`: found, or run
-  /// and recorded. Marks it used and returns its index in `scan_memo_`.
-  size_t RecallOrScan(const ScanKey& key, const Subspace& subspace);
 
   /// Merges `inputs` (in this order) into one list for the query subspace
   /// under `threshold_in`, charging the merge's ops. When `threshold_out`
@@ -509,10 +489,13 @@ class SuperPeer : public sim::Node {
       double* threshold_out = nullptr);
 
   /// The simulator-free scan core shared by `ComputeLocal` and
-  /// `StageLocalScan`: evaluates `subspace` against the store under
-  /// `scan->key`'s threshold with its scan and writes the resulting list,
-  /// tightened threshold, scan count and operation counts into `scan`.
-  void RunLocalScan(const Subspace& subspace, ScanMemo* scan);
+  /// `StageLocalScan`: evaluates `subspace` against the store from
+  /// `threshold`, with naive's BNL when `bnl` (the threshold is then
+  /// ignored and returned unchanged) and Algorithm 1 otherwise. Cuts the
+  /// scan from the node's trace when it covers the scan; otherwise runs
+  /// only that scan, recording it as the new trace.
+  LocalScan RunLocalScan(const Subspace& subspace, double threshold,
+                         bool bnl);
 
   /// Accumulates `ops` into the per-query counters and charges
   /// `cost_.Seconds(ops)` to the virtual clock. Must run inside a
@@ -591,14 +574,10 @@ class SuperPeer : public sim::Node {
   bool preprocessed_ = false;
   std::vector<int> neighbors_;
   std::optional<QueryState> query_;
-  /// The scan memo (see `ClearQueryMemo` and `BeginQueryMemo`): at most
-  /// a staged and an inline local scan per query, kept for the next
-  /// query too — so every lookup searches a short list.
-  std::vector<ScanMemo> scan_memo_;
-  /// Index in `scan_memo_` of the entry the last `StageLocalScan` found
-  /// or made; `kNoScan` since `BeginQueryMemo`.
-  static constexpr size_t kNoScan = ~size_t{0};
-  size_t staged_ = kNoScan;
+  /// The node's one scan trace (see `ClearScanTrace`), kept across
+  /// queries.
+  std::optional<RecordedScan> trace_;
+  uint64_t scans_recorded_ = 0;
   // Reliable transport state (unused while `reliable_.enabled` is off).
   ReliableParams reliable_;
   int num_super_peers_ = 0;
@@ -611,9 +590,9 @@ class SuperPeer : public sim::Node {
   /// Converts local work into virtual CPU seconds (see SetCostModel).
   CostModel cost_;
   /// Operation counts accumulated since the last `ResetProtocolState`,
-  /// i.e. over one query's simulation. A scan memo hit charges the
-  /// recorded ops of the identical scan, so a query that rescans and a
-  /// query that recalls count the same.
+  /// i.e. over one query's simulation. A scan cut from the trace is
+  /// charged the ops of the scan it repeats, so a query that rescans and
+  /// a query that cuts count the same.
   OpCounts query_ops_;
 };
 

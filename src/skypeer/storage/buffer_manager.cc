@@ -196,7 +196,9 @@ void BufferManager::Unpin(uint64_t page_id) {
 }
 
 void BufferManager::Prefetch(uint64_t page_id) {
-  if (pool_ == nullptr) {
+  // A pool without workers would run the fill inline: a synchronous read
+  // the pinner makes anyway, or of a page it never pins.
+  if (pool_ == nullptr || pool_->num_threads() <= 1) {
     return;
   }
   size_t victim;

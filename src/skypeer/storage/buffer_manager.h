@@ -44,8 +44,8 @@ class BufferManager {
   };
 
   /// Creates `num_frames >= 2` frames of `page_size` bytes each, backed
-  /// by a fresh `std::tmpfile()`. `prefetch_pool` (may be null: prefetch
-  /// disabled) must outlive the manager.
+  /// by a fresh `std::tmpfile()`. `prefetch_pool` (may be null or have
+  /// one thread: prefetch disabled) must outlive the manager.
   BufferManager(size_t page_size, size_t num_frames,
                 ThreadPool* prefetch_pool = nullptr);
   ~BufferManager();
@@ -73,9 +73,10 @@ class BufferManager {
   const std::byte* Pin(uint64_t page_id);
   void Unpin(uint64_t page_id);
 
-  /// Best-effort asynchronous fill of `page_id`: a no-op without a pool,
-  /// when the page is already resident or queued, or when no frame is
-  /// free without waiting.
+  /// Best-effort asynchronous fill of `page_id`: a no-op without a pool
+  /// or on a one-thread pool (which has no worker to read ahead), when
+  /// the page is already resident or queued, or when no frame is free
+  /// without waiting.
   void Prefetch(uint64_t page_id);
 
   Stats stats() const;

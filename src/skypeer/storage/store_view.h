@@ -53,17 +53,21 @@ class StoreView {
 /// the next page, so any number of concurrent cursors make progress on a
 /// pool of >= 2 frames — and issues deterministic read-ahead for the
 /// next pages along scan order whenever it crosses a page boundary
-/// moving forward. `row(i)` returns a pointer valid until the next
-/// cursor call.
+/// moving forward. A step within the current page does no division.
+/// `row(i)` returns a pointer valid until the next cursor call.
 class StoreCursor {
  public:
   /// Pages of read-ahead issued when the cursor crosses into a new page.
   static constexpr size_t kPrefetchDepth = 2;
 
   explicit StoreCursor(const StoreView& view)
-      : list_(view.list()), store_(view.paged_store()), layout_(view.layout()) {
+      : list_(view.list()),
+        store_(view.paged_store()),
+        dims_(static_cast<size_t>(view.dims())),
+        points_per_page_(view.layout().points_per_page()),
+        doubles_per_block_(view.layout().doubles_per_block()) {
     if (store_ != nullptr) {
-      row_scratch_.resize(static_cast<size_t>(layout_.dims));
+      row_scratch_.resize(dims_);
     }
   }
   ~StoreCursor() { ReleasePage(); }
@@ -76,8 +80,7 @@ class StoreCursor {
       return list_->f[i];
     }
     const double* block = Block(i);
-    return block[static_cast<size_t>(layout_.dims) * kDomBlockWidth +
-                 i % kDomBlockWidth];
+    return block[dims_ * kDomBlockWidth + i % kDomBlockWidth];
   }
 
   const double* row(size_t i) {
@@ -98,11 +101,9 @@ class StoreCursor {
     }
     const double* block = Block(i);
     PointId id;
-    std::memcpy(
-        &id,
-        &block[(static_cast<size_t>(layout_.dims) + 1) * kDomBlockWidth +
-               i % kDomBlockWidth],
-        sizeof(PointId));
+    std::memcpy(&id,
+                &block[(dims_ + 1) * kDomBlockWidth + i % kDomBlockWidth],
+                sizeof(PointId));
     return id;
   }
 
@@ -111,12 +112,11 @@ class StoreCursor {
 
   /// Pointer to the 8-wide block holding point `i`, pinning its page.
   const double* Block(size_t i) {
-    const size_t page = i / layout_.points_per_page();
-    if (page != current_page_) {
-      EnterPage(page);
+    if (i < page_first_ || i >= page_end_) {
+      EnterPage(i / points_per_page_);
     }
-    const size_t local = i % layout_.points_per_page();
-    return page_data_ + (local / kDomBlockWidth) * layout_.doubles_per_block();
+    return page_data_ +
+           ((i - page_first_) / kDomBlockWidth) * doubles_per_block_;
   }
 
   void EnterPage(size_t page) {
@@ -126,6 +126,8 @@ class StoreCursor {
     page_data_ =
         reinterpret_cast<const double*>(buffer->Pin(store_->page_id(page)));
     current_page_ = page;
+    page_first_ = page * points_per_page_;
+    page_end_ = page_first_ + points_per_page_;
     if (forward) {
       const size_t last = std::min(page + kPrefetchDepth,
                                    store_->num_pages() - 1);
@@ -139,14 +141,21 @@ class StoreCursor {
     if (current_page_ != kNoPage) {
       store_->buffer()->Unpin(store_->page_id(current_page_));
       current_page_ = kNoPage;
+      page_first_ = page_end_ = 0;
       page_data_ = nullptr;
     }
   }
 
   const ResultList* list_ = nullptr;
   const PagedStore* store_ = nullptr;
-  PageLayout layout_;
+  size_t dims_;
+  size_t points_per_page_;
+  size_t doubles_per_block_;
   size_t current_page_ = kNoPage;
+  // Points [page_first_, page_end_) lie on the pinned page; empty when
+  // none is pinned.
+  size_t page_first_ = 0;
+  size_t page_end_ = 0;
   const double* page_data_ = nullptr;
   std::vector<double> row_scratch_;
 };

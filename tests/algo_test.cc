@@ -1,8 +1,8 @@
 // Tests for the centralized skyline substrate: cross-algorithm
 // equivalence (BNL = SFS = SortedSkyline) over a parameterized
 // sweep, BNL's blocked window against the scalar window,
-// SkylineAccumulator semantics, Algorithm 2 merging, and the f-sorted
-// list builder.
+// SkylineAccumulator semantics, scan traces against fresh scans,
+// Algorithm 2 merging, and the f-sorted list builder.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "skypeer/algo/bnl.h"
 #include "skypeer/algo/merge.h"
 #include "skypeer/algo/result_list.h"
+#include "skypeer/algo/scan_trace.h"
 #include "skypeer/algo/sfs.h"
 #include "skypeer/algo/sorted_skyline.h"
 #include "skypeer/common/dominance.h"
@@ -229,6 +230,126 @@ TEST(Bnl, BlockedWindowMatchesScalarLoop) {
     }
   }
   SetForceScalarKernels(false);
+}
+
+void ExpectSameScan(const ResultList& cut, const ThresholdScanStats& cut_stats,
+                    const ResultList& fresh,
+                    const ThresholdScanStats& fresh_stats,
+                    const std::string& context) {
+  EXPECT_EQ(cut.points.Ids(), fresh.points.Ids()) << context;
+  EXPECT_EQ(cut.f, fresh.f) << context;
+  EXPECT_EQ(cut.points.values(), fresh.points.values()) << context;
+  EXPECT_EQ(cut_stats.final_threshold, fresh_stats.final_threshold)
+      << context;
+  EXPECT_EQ(cut_stats.scanned, fresh_stats.scanned) << context;
+  EXPECT_TRUE(cut_stats.ops == fresh_stats.ops)
+      << context << "\n  cut:   " << cut_stats.ops.ToString()
+      << "\n  fresh: " << fresh_stats.ops.ToString();
+}
+
+TEST(ScanTrace, EveryCutEqualsAFreshScan) {
+  // The prefix property: on one store and subspace, the scan from any
+  // threshold and BNL over the whole store are prefixes of one window
+  // evolution. Every cut from any trace that covers it must equal a fresh
+  // `SortedSkyline` (or `BnlSkylineView`) in ids, order, f, rows, final
+  // threshold, scanned count and every `OpCounts` field, on uniform,
+  // anti-correlated and 3-value-grid stores (ties, equal f), every
+  // subspace, thresholds below, at and above the store's own stop, and
+  // resident and small-page paged views.
+  constexpr size_t kPageSize = kMinPageSize;
+  constexpr int kDims = 4;
+  constexpr size_t kPoints = 400;
+  const double inf = std::numeric_limits<double>::infinity();
+  const char* const kStores[] = {"uniform", "anticorrelated", "grid"};
+  for (int store_kind = 0; store_kind < 3; ++store_kind) {
+    Rng rng(41 + store_kind);
+    PointSet data(kDims);
+    if (store_kind == 0) {
+      data = GenerateUniform(kDims, kPoints, &rng);
+    } else if (store_kind == 1) {
+      data = GenerateAnticorrelated(kDims, kPoints, &rng);
+    } else {
+      for (size_t i = 0; i < kPoints; ++i) {
+        double row[kDims];
+        for (double& x : row) {
+          x = rng.UniformInt(0, 2) / 2.0;
+        }
+        data.Append(row, i);
+      }
+    }
+    const ResultList sorted = BuildSortedByF(data);
+    BufferManager buffer(kPageSize, 3);
+    const PagedStore paged_store = PagedStore::Build(sorted, &buffer);
+    ASSERT_GT(paged_store.num_pages(), 3u);
+    for (uint32_t mask = 1; mask < (1u << kDims); ++mask) {
+      const Subspace u(mask);
+      for (const StoreView& view :
+           {StoreView(&sorted, kPageSize), StoreView(&paged_store)}) {
+        const std::string context =
+            std::string(kStores[store_kind]) + " u=" + u.ToString() +
+            (view.paged() ? " paged" : " resident");
+        ThresholdScanStats open_stats;
+        SortedSkyline(view, u, {}, &open_stats);
+        const double stop = open_stats.final_threshold;
+        const std::vector<double> thresholds = {
+            stop - 0.25, std::nextafter(stop, -inf), stop,
+            std::nextafter(stop, inf), stop + 0.25, inf};
+
+        OpCounts bnl_ops;
+        const ResultList bnl =
+            BuildSortedByF(BnlSkylineView(view, u, /*ext=*/false, &bnl_ops));
+        ThresholdScanStats bnl_stats;
+        bnl_stats.scanned = view.size();
+        bnl_stats.ops = bnl_ops;
+
+        // One trace re-records every time, as a node's does.
+        ScanTrace trace;
+        EXPECT_FALSE(trace.Covers(-inf, /*to_end=*/false)) << context;
+        std::vector<double> recordings = thresholds;
+        recordings.push_back(inf);  // the last one records BNL
+        for (size_t r = 0; r < recordings.size(); ++r) {
+          const bool bnl_recording = r + 1 == recordings.size();
+          trace.Record(view, u, recordings[r], bnl_recording);
+          const std::string trace_context =
+              context + " recorded=" +
+              (bnl_recording ? std::string("bnl")
+                             : std::to_string(recordings[r]));
+          ThresholdScanStats recorded_stats;
+          SortedSkyline(view, u, {.initial_threshold = recordings[r]},
+                        &recorded_stats);
+          const bool reached_end =
+              bnl_recording || recorded_stats.scanned == view.size();
+          EXPECT_EQ(trace.Covers(inf, /*to_end=*/true), reached_end)
+              << trace_context;
+          for (double threshold : thresholds) {
+            EXPECT_EQ(trace.Covers(threshold, /*to_end=*/false),
+                      reached_end || threshold <= recordings[r])
+                << trace_context;
+            if (!trace.Covers(threshold, /*to_end=*/false)) {
+              continue;
+            }
+            ThresholdScanStats fresh_stats;
+            const ResultList fresh = SortedSkyline(
+                view, u, {.initial_threshold = threshold}, &fresh_stats);
+            ThresholdScanStats cut_stats;
+            const ResultList cut =
+                trace.Cut(view, threshold, /*to_end=*/false, &cut_stats);
+            ExpectSameScan(cut, cut_stats, fresh, fresh_stats,
+                           trace_context +
+                               " threshold=" + std::to_string(threshold));
+          }
+          if (trace.Covers(inf, /*to_end=*/true)) {
+            ThresholdScanStats cut_stats;
+            const ResultList cut =
+                trace.Cut(view, inf, /*to_end=*/true, &cut_stats);
+            bnl_stats.final_threshold = inf;
+            ExpectSameScan(cut, cut_stats, bnl, bnl_stats,
+                           trace_context + " bnl");
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SortedSkyline, StatsReportScanAndThreshold) {

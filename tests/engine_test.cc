@@ -375,12 +375,16 @@ void ExpectSameQueryMetrics(const QueryMetrics& a, const QueryMetrics& b,
 }
 
 TEST(QueryMemo, RecallAcrossQueriesChangesNoMetric) {
-  // Scan entries outlive their query, so a block of all six variants on
-  // one subspace and initiator recalls the scans of the query before.
-  // A twin network that clears every memo before each query recomputes
-  // everything; every metric and the answer, in order, must match —
-  // staged or inline scans, resident or paged stores with scheduled
-  // churn, and the reliable transport with drops.
+  // Scan traces outlive their query, so a block of all six variants on
+  // one subspace and initiator cuts most scans from the trace an earlier
+  // query recorded. Block b rotates the variants by b: block 0 runs naive
+  // first, so every later variant is cut from BNL's trace of the whole
+  // store; the other blocks record threshold scans first, which tighter
+  // thresholds cut and looser ones and naive replace. A twin network
+  // that clears every trace before each query recomputes everything;
+  // every metric and the answer, in order, must match — staged or inline
+  // scans, resident or paged stores with scheduled churn, and the
+  // reliable transport with drops.
   struct Composition {
     const char* name;
     bool paged_churn;
@@ -415,7 +419,11 @@ TEST(QueryMemo, RecallAcrossQueriesChangesNoMetric) {
         // the first query of a block can recall an earlier block's scans.
         const int initiator =
             static_cast<int>(blocks[b].mask()) % recalling.num_super_peers();
-        for (Variant variant : SixVariants()) {
+        std::vector<Variant> variants = SixVariants();
+        std::rotate(variants.begin(),
+                    variants.begin() + static_cast<std::ptrdiff_t>(b),
+                    variants.end());
+        for (Variant variant : variants) {
           const QueryResult recalled =
               recalling.ExecuteQuery(blocks[b], initiator, variant);
           cleared.ResetProtocolState();
@@ -437,31 +445,34 @@ TEST(QueryMemo, RecallAcrossQueriesChangesNoMetric) {
 }
 
 TEST(QueryMemo, ScanEntriesStayBounded) {
-  // A query records at most two scans per node (the staged one and one
-  // inline in its simulation), and the next query keeps only those on
-  // its own subspace. So however long the run, no node holds more than
-  // two queries' scans, and a query on a new subspace starts with none.
+  // A node holds at most one scan trace, however long the run. Naive runs
+  // first and records BNL over each whole store, which covers every later
+  // scan of the subspace, so no node records a second time. A query on a
+  // new subspace replaces every node's trace with its own scan.
   NetworkConfig config = SmallConfig(37);
   config.threads = 2;
   SkypeerNetwork network(config);
   network.Preprocess();
   const Subspace u = Subspace::FromDims({0, 3, 4});
   const std::vector<Variant> variants = SixVariants();
-  size_t largest = 0;
+  ASSERT_EQ(variants.front(), Variant::kNaive);
   for (int q = 0; q < 60; ++q) {
     const int initiator = (q * 5) % network.num_super_peers();
     network.ExecuteQuery(u, initiator, variants[q % variants.size()]);
     for (int sp = 0; sp < network.num_super_peers(); ++sp) {
-      largest = std::max(largest, network.super_peer(sp).ScanMemoCount());
+      EXPECT_EQ(network.super_peer(sp).ScanTraceCount(), 1u)
+          << "q=" << q << " sp=" << sp;
     }
   }
-  EXPECT_LE(largest, 4u);
-  EXPECT_GE(largest, 1u);
+  for (int sp = 0; sp < network.num_super_peers(); ++sp) {
+    EXPECT_EQ(network.super_peer(sp).ScansRecorded(), 1u) << "sp=" << sp;
+  }
 
-  // FTPM's simulation recalls each node's one staged scan.
+  // FTPM's simulation cuts each node's one staged scan.
   network.ExecuteQuery(Subspace::FromDims({1, 2}), 0, Variant::kFTPM);
   for (int sp = 0; sp < network.num_super_peers(); ++sp) {
-    EXPECT_EQ(network.super_peer(sp).ScanMemoCount(), 1u) << "sp=" << sp;
+    EXPECT_EQ(network.super_peer(sp).ScanTraceCount(), 1u) << "sp=" << sp;
+    EXPECT_EQ(network.super_peer(sp).ScansRecorded(), 2u) << "sp=" << sp;
   }
 }
 

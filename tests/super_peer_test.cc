@@ -172,55 +172,56 @@ TEST(SuperPeerUnit, LastQueryStatsBeforeAnyQuery) {
   EXPECT_EQ(stats.local_result, 0u);
 }
 
-TEST(SuperPeerUnit, ScanRecallMatchesSubspaceScanKindAndThreshold) {
-  // Memo scan entries outlive their query. A later scan recalls one only
-  // under the same subspace, scan kind (naive's BNL or the threshold
-  // scan) and incoming threshold; any other key runs afresh.
+TEST(SuperPeerUnit, ScanTraceCoversTighterThresholdsAndEndReachingScans) {
+  // A node holds one scan trace. A scan of the trace's store epoch and
+  // subspace is cut from it when the trace covers the scan: a threshold
+  // scan from no more than the recording's threshold, or any scan, BNL
+  // included, once the trace reached the store's end. Any other scan
+  // runs and replaces the trace.
   SuperPeer sp(0, 4, WireModel{});
   sp.AddPeerList(0, MakeExt(4, 200, 3, 0));
   sp.FinalizePreprocessing();
   const Subspace u = Subspace::FromDims({0, 1});
   const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(sp.ScanTraceCount(), 0u);
 
-  sp.StageLocalScan(u, Variant::kFTPM, inf);
-  const double tightened = sp.StagedThreshold();
+  const double tightened = sp.StageLocalScan(u, Variant::kFTPM, inf);
   ASSERT_LT(tightened, inf);
-  EXPECT_EQ(sp.ScanMemoCount(), 1u);
+  EXPECT_EQ(sp.ScanTraceCount(), 1u);
+  EXPECT_EQ(sp.ScansRecorded(), 1u);
 
-  // Every thresholded variant runs the same scan, so the key holds the
-  // scan kind, not the variant: a recall adds no entry.
-  sp.StageLocalScan(u, Variant::kFTPM, inf);
-  EXPECT_EQ(sp.StagedThreshold(), tightened);
-  EXPECT_EQ(sp.ScanMemoCount(), 1u);
-  sp.StageLocalScan(u, Variant::kRTFM, inf);
-  EXPECT_EQ(sp.StagedThreshold(), tightened);
-  EXPECT_EQ(sp.ScanMemoCount(), 1u);
+  // Every thresholded variant runs the same scan, and tighter thresholds
+  // stop on a prefix of it: all are cut.
+  EXPECT_EQ(sp.StageLocalScan(u, Variant::kRTFM, inf), tightened);
+  EXPECT_EQ(sp.StageLocalScan(u, Variant::kFTPM, tightened), tightened);
+  const double tighter = tightened / 2;
+  EXPECT_EQ(sp.StageLocalScan(u, Variant::kRTPM, tighter), tighter);
+  EXPECT_EQ(sp.ScansRecorded(), 1u);
 
-  // Under the threshold it produced, the scan ends where it did, but it
-  // is a new key and runs afresh.
-  sp.StageLocalScan(u, Variant::kFTPM, tightened);
-  EXPECT_EQ(sp.StagedThreshold(), tightened);
-  EXPECT_EQ(sp.ScanMemoCount(), 2u);
+  // The threshold scan stopped before the store's end, so naive's BNL
+  // runs and replaces the trace. It reached the end, so it covers every
+  // later scan of the subspace.
+  EXPECT_EQ(sp.StageLocalScan(u, Variant::kNaive, inf), inf);
+  EXPECT_EQ(sp.ScansRecorded(), 2u);
+  EXPECT_EQ(sp.StageLocalScan(u, Variant::kFTFM, inf), tightened);
+  EXPECT_EQ(sp.StageLocalScan(u, Variant::kRTPM, tighter), tighter);
+  EXPECT_EQ(sp.StageLocalScan(u, Variant::kNaive, inf), inf);
+  EXPECT_EQ(sp.ScansRecorded(), 2u);
 
+  // Another subspace replaces the trace.
   const Subspace other = Subspace::FromDims({0, 2});
   sp.StageLocalScan(other, Variant::kFTPM, inf);
-  const double other_threshold = sp.StagedThreshold();
-  EXPECT_EQ(sp.ScanMemoCount(), 3u);
+  EXPECT_EQ(sp.ScansRecorded(), 3u);
 
-  sp.StageLocalScan(u, Variant::kNaive, inf);
-  const double bnl_threshold = sp.StagedThreshold();
-  EXPECT_EQ(sp.ScanMemoCount(), 4u);
-
-  // Each key recalls its own entry.
-  sp.StageLocalScan(u, Variant::kRTPM, tightened);
-  EXPECT_EQ(sp.StagedThreshold(), tightened);
-  EXPECT_EQ(sp.ScanMemoCount(), 4u);
-  sp.StageLocalScan(other, Variant::kFTFM, inf);
-  EXPECT_EQ(sp.StagedThreshold(), other_threshold);
-  EXPECT_EQ(sp.ScanMemoCount(), 4u);
-  sp.StageLocalScan(u, Variant::kNaive, inf);
-  EXPECT_EQ(sp.StagedThreshold(), bnl_threshold);
-  EXPECT_EQ(sp.ScanMemoCount(), 4u);
+  // Back on `u`, a scan from the tighter threshold records only its own
+  // scan; a looser one is not covered and replaces it.
+  EXPECT_EQ(sp.StageLocalScan(u, Variant::kRTPM, tightened), tightened);
+  EXPECT_EQ(sp.ScansRecorded(), 4u);
+  EXPECT_EQ(sp.StageLocalScan(u, Variant::kRTPM, tighter), tighter);
+  EXPECT_EQ(sp.ScansRecorded(), 4u);
+  EXPECT_EQ(sp.StageLocalScan(u, Variant::kFTFM, inf), tightened);
+  EXPECT_EQ(sp.ScansRecorded(), 5u);
+  EXPECT_EQ(sp.ScanTraceCount(), 1u);
 }
 
 // --- reply arrival order ----------------------------------------------------
